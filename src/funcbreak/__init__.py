@@ -3,8 +3,9 @@
 The fully functional route works directly with L2 norms of the functional
 CUSUM process, avoiding dimension reduction: a max-type detector with Monte
 Carlo critical values from the long-run covariance spectrum, a break date
-estimator with simulation-based confidence intervals, fPCA-based competitor
-statistics, and the simulation laboratory used to study them.
+estimator with confidence intervals from the exact argmax limit law,
+fPCA-based competitor statistics, and the simulation laboratory used to study
+them.
 """
 
 from .basis import (
@@ -23,6 +24,7 @@ from .basis import (
 from .dating import (
     DatingReport,
     LimitProcessConfig,
+    XiLaw,
     confidence_interval,
     date_break,
     estimate_break_date,

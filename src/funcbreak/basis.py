@@ -149,9 +149,6 @@ class KernelMatrix:
             raise ValueError("kernel entries must be finite")
         object.__setattr__(self, "entries", _readonly(e))
 
-    def symmetrized(self) -> "KernelMatrix":
-        return KernelMatrix((self.entries + self.entries.T) / 2.0)
-
     def max_asymmetry(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.T)))
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import dating, detect, fpca
 from .basis import CurveSeries, DegenerateFitError, FourierBasis, fit_curve
 from .longrun import BANDWIDTH_EXPONENTS, WEIGHTS, LongRunConfig
-from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
+from .simlab import (BreakSpec, DgpConfig, resolve_workers, run_experiment,
+                     validate_grid)
 
 __all__ = ["DataFormatError", "ingest", "read_coeffs", "main"]
 
@@ -234,9 +235,8 @@ def _cmd_date(args) -> dict:
     series, labels, dropped = _load_series(args)
     det = detect.test(series, args.alpha, _lr_config(args),
                       reps=args.reps, grid=args.grid, seed=args.seed)
-    xi_cfg = dating.LimitProcessConfig(reps=args.xi_reps, seed=args.seed)
     rep = dating.date_break(series, args.alpha, _lr_config(args),
-                            xi_config=xi_cfg, conservative=args.conservative)
+                            conservative=args.conservative)
     lo, hi = rep.ci
     report = {
         "stat": det.stat,
@@ -289,9 +289,13 @@ def _cmd_simulate(args) -> None:
         validate_grid(args.kind, dgps, specs, args.detectors)
     except ValueError as exc:
         raise DataFormatError(f"invalid grid values: {exc}") from exc
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
     result = run_experiment(
         args.kind, dgps, specs, detectors=args.detectors, reps=args.sim_reps,
-        alpha=args.alpha, seed=args.seed, workers=args.workers,
+        alpha=args.alpha, seed=args.seed, workers=workers,
         null_reps=args.reps, null_grid=args.grid, xi_reps=args.xi_reps,
         conservative=args.conservative, lr_config=_lr_config(args),
     )
@@ -345,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input(p_date)
     _add_common(p_date)
     p_date.add_argument("--xi-reps", type=int, default=10_000, dest="xi_reps",
-                        help="Monte Carlo draws for the argmax limit law")
+                        help="no effect: the argmax limit law is evaluated "
+                             "exactly (accepted and echoed for compatibility)")
     p_date.add_argument("--conservative", action="store_true",
                         help="use the top eigenvalue instead of sigma^2")
     p_date.add_argument("--fpca", action="store_true",
@@ -373,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--df", type=int, default=None)
     p_sim.add_argument("--kappa", type=float, default=0.5)
     p_sim.add_argument("--no-permute", action="store_true", dest="no_permute")
-    p_sim.add_argument("--xi-reps", type=int, default=2000, dest="xi_reps")
+    p_sim.add_argument("--xi-reps", type=int, default=2000, dest="xi_reps",
+                       help="no effect: the argmax limit law is evaluated "
+                            "exactly (accepted for compatibility)")
     p_sim.add_argument("--conservative", action="store_true")
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.set_defaults(seed=0)

@@ -1,11 +1,14 @@
 """Break-date estimation, nuisance parameters and confidence intervals.
 
 The break date estimate is the smallest maximizer of the CUSUM norm. Interval
-construction simulates the argmax law of a two-sided Brownian motion with
-triangular drift, whose slopes are the estimated break fraction and whose
+construction takes quantiles of the argmax law of a two-sided Brownian motion
+with triangular drift, whose slopes are the estimated break fraction and whose
 diffusion scale is the long-run variance in the estimated break direction.
+That law is evaluated in closed form (``XiLaw``); ``simulate_xi`` draws it on
+a grid and is kept as the reference the closed form is tested against.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +19,7 @@ from .longrun import LongRunConfig, estimate_longrun
 
 __all__ = [
     "LimitProcessConfig",
+    "XiLaw",
     "XiSample",
     "DatingReport",
     "estimate_break_date",
@@ -50,8 +54,8 @@ def sigma2_hat(c_hat: KernelMatrix, delta_hat: Curve) -> float:
     norm_sq = float(d @ d)
     if norm_sq == 0.0:
         raise ValueError("break function is zero; sigma^2 is undefined")
-    sym = (c_hat.entries + c_hat.entries.T) / 2.0
-    return float(d @ sym @ d) / norm_sq
+    # a quadratic form sees only the symmetric part of the kernel
+    return float(d @ c_hat.entries @ d) / norm_sq
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,108 @@ def simulate_xi(theta: float, sigma2: float,
     return XiSample(np.sort(draws))
 
 
-def confidence_interval(k_hat: int, delta_hat: Curve, xi_sample: XiSample,
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _erfcx(z: float) -> float:
+    """Scaled complementary error function exp(z^2) erfc(z), for z >= 0."""
+    if z < 25.0:
+        return math.exp(z * z) * math.erfc(z)
+    # asymptotic series: at z >= 25 the first omitted term is below 1e-18
+    inv = 0.5 / (z * z)
+    term = total = 1.0
+    for k in range(1, 8):
+        term *= -(2 * k - 1) * inv
+        total += term
+    return total / (z * _SQRT_PI)
+
+
+def _left_tail(s: float, theta: float) -> float:
+    """P(Xi <= -2 s^2 / (1 - theta)^2) for the unit-variance law at theta.
+
+    This is the closed form of Bai (1997, App. B; Yao 1987 at theta = 1/2) in
+    the variable s = sqrt(u / 8), u = -4 (1 - theta)^2 t. Each product
+    exp(a u) Phi(-b sqrt(u)) is written as exp(-s^2) erfcx(.) / 2, which holds
+    because b^2/2 - a = 1/8; the naive product overflows for theta near 0 or 1.
+    """
+    r = (1.0 + theta) / (1.0 - theta)
+    ex = _erfcx(s)
+    cross = (1.0 - theta * theta) / (2.0 * theta) * (r * ex - _erfcx(r * s))
+    return math.exp(-s * s) * (-2.0 * s / _SQRT_PI + (2.0 * s * s - 1.0) * ex + cross)
+
+
+@dataclass(frozen=True)
+class XiLaw:
+    """Exact law of the argmax of the drifted two-sided Brownian motion.
+
+    The process is the one ``simulate_xi`` draws. Its argmax scales exactly,
+    Xi(theta, sigma^2) = sigma^2 Xi(theta, 1), and mirrors,
+    Xi(theta) = -Xi(1 - theta) in law, so both tails come from the left tail
+    of the unit-variance law. P(Xi <= 0) = theta. sigma^2 = 0 gives the point
+    mass at zero.
+    """
+
+    theta: float
+    sigma2: float
+
+    def __post_init__(self):
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must be in (0, 1)")
+        if not self.sigma2 >= 0.0:
+            raise ValueError("sigma^2 must be nonnegative")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.sigma2 == 0.0
+
+    def cdf(self, t: float) -> float:
+        """P(Xi <= t)."""
+        if self.degenerate:
+            return 1.0 if t >= 0.0 else 0.0
+        t = t / self.sigma2
+        if t <= 0.0:
+            return _left_tail((1.0 - self.theta) * math.sqrt(-t / 2.0), self.theta)
+        return 1.0 - _left_tail(self.theta * math.sqrt(t / 2.0), 1.0 - self.theta)
+
+    def quantile(self, q: float) -> float:
+        """The t with P(Xi <= t) = q, by bracketing and bisection."""
+        if not 0.0 < q < 1.0:
+            raise ValueError("quantile level must be in (0, 1)")
+        if self.degenerate or q == self.theta:
+            return 0.0
+        # levels below theta lie left of zero; the rest mirror into 1 - theta
+        if q < self.theta:
+            theta, target, sign = self.theta, q, -1.0
+        else:
+            theta, target, sign = 1.0 - self.theta, 1.0 - q, 1.0
+        lo, hi = 0.0, 1.0
+        while _left_tail(hi, theta) > target:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _left_tail(mid, theta) > target:
+                lo = mid
+            else:
+                hi = mid
+        s = 0.5 * (lo + hi)
+        return sign * 2.0 * s * s / (1.0 - theta) ** 2 * self.sigma2
+
+
+def confidence_interval(k_hat: int, delta_hat: Curve, xi: XiLaw | XiSample,
                         alpha: float) -> tuple[float, float]:
-    """Interval (k - Xi_{1-a/2}/||d||^2, k - Xi_{a/2}/||d||^2), unclamped."""
+    """Interval (k - Xi_{1-a/2}/||d||^2, k - Xi_{a/2}/||d||^2), unclamped.
+
+    The quantiles are first widened to include zero: when theta lies below
+    alpha/2 (or above 1 - alpha/2) both fall on one side of zero, and the
+    interval must still contain k.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     norm_sq = float(delta_hat.coeffs @ delta_hat.coeffs)
     if norm_sq == 0.0:
         raise ValueError("break function is zero; no interval exists")
-    lo = k_hat - xi_sample.quantile(1.0 - alpha / 2.0) / norm_sq
-    hi = k_hat - xi_sample.quantile(alpha / 2.0) / norm_sq
+    lo = k_hat - max(xi.quantile(1.0 - alpha / 2.0), 0.0) / norm_sq
+    hi = k_hat - min(xi.quantile(alpha / 2.0), 0.0) / norm_sq
     return float(lo), float(hi)
 
 
@@ -233,13 +329,13 @@ _XI_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
 
 
 def date_break(series: CurveSeries, alpha: float = 0.05,
-               config: LongRunConfig | None = None,
-               xi_config: LimitProcessConfig | None = None,
+               config: LongRunConfig | None = None, *,
                conservative: bool = False) -> DatingReport:
     """Full dating pipeline: date, break function, sigma^2, Xi quantiles, CI.
 
-    With ``conservative`` the Xi simulation runs at the top long-run eigenvalue
-    instead of sigma^2, which can only widen the interval.
+    The quantiles come from the exact Xi law. With ``conservative`` that law
+    is taken at the top long-run eigenvalue instead of sigma^2, which can only
+    widen the interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -254,8 +350,7 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
     # a variance: non-PSD tapers can push the raw quadratic form slightly negative
     sigma2 = max(sigma2_hat(kernel, delta), 0.0)
     theta_hat = k_hat / n
-    xi_cfg = xi_config or LimitProcessConfig()
-    xi = simulate_xi(theta_hat, lambda1 if conservative else sigma2, xi_cfg)
+    xi = XiLaw(theta_hat, lambda1 if conservative else sigma2)
     ci_raw = confidence_interval(k_hat, delta, xi, alpha)
     ci = (min(max(ci_raw[0], 1.0), float(n)), min(max(ci_raw[1], 1.0), float(n)))
     cfg = config or LongRunConfig()
@@ -275,8 +370,6 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
             "weight": cfg.weight,
             "bandwidth": cfg.bandwidth if cfg.h is None else "fixed",
             "h": h_used,
-            "xi_reps": xi_cfg.reps,
-            "xi_seed": xi_cfg.seed,
             "conservative": conservative,
         },
     )

@@ -14,18 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import Curve, CurveSeries, FourierBasis, eigen_decompose
-from .dating import (
-    LimitProcessConfig,
-    confidence_interval,
-    estimate_break_date,
-    estimate_break_function,
-    sigma2_hat,
-    simulate_xi,
-)
+from .basis import Curve, CurveSeries, FourierBasis
+from .dating import date_break, estimate_break_date
 from .detect import simulate_null_limit, test as ff_test
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic, tve_dimension
-from .longrun import LongRunConfig, estimate_longrun
+from .longrun import LongRunConfig
 
 __all__ = [
     "DgpConfig",
@@ -41,6 +34,7 @@ __all__ = [
     "far1_longrun_trace",
     "insert_break",
     "validate_grid",
+    "resolve_workers",
     "run_experiment",
 ]
 
@@ -289,7 +283,6 @@ class _CellTask:
     digest: int
     null_reps: int
     null_grid: int
-    xi_reps: int
     conservative: bool
     lr_config: LongRunConfig
 
@@ -349,17 +342,9 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
         return fpca_statistic(series, model.d).k_hat - k_star
 
     # coverage: fully functional confidence interval around the break estimate
-    k_hat = estimate_break_date(series)
-    delta_hat = estimate_break_function(series, k_hat)
-    kernel, _ = estimate_longrun(series, task.lr_config, split=k_hat)
-    eig = eigen_decompose(kernel)
-    lambda1 = float(max(eig.values[0], 0.0))
-    sigma2 = max(sigma2_hat(kernel, delta_hat), 0.0)
-    if sigma2 > lambda1 + 1e-10:
-        raise AssertionError("Rayleigh bound violated: sigma^2 > lambda_1")
-    xi = simulate_xi(k_hat / series.n, lambda1 if task.conservative else sigma2,
-                     LimitProcessConfig(reps=task.xi_reps, seed=aux_seed))
-    lo, hi = confidence_interval(k_hat, delta_hat, xi, task.alpha)
+    report = date_break(series, task.alpha, task.lr_config,
+                        conservative=task.conservative)
+    lo, hi = report.ci_raw
     return (bool(lo <= k_star <= hi), hi - lo)
 
 
@@ -397,12 +382,18 @@ def validate_grid(kind, dgps, specs, detectors) -> None:
                          + "; ".join(sorted(set(problems))))
 
 
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
+    """Pool size: ``workers`` (default: all CPUs), capped by FUNCBREAK_THREADS."""
     env = os.environ.get("FUNCBREAK_THREADS")
     if workers is None:
         workers = os.cpu_count() or 1
     if env:
-        workers = min(workers, max(1, int(env)))
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(
+                f"FUNCBREAK_THREADS must be an integer, got {env!r}") from None
+        workers = min(workers, max(1, cap))
     return max(1, int(workers))
 
 
@@ -503,6 +494,7 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     streams keyed by (seed, DGP digest, replication), so any cell is
     reproducible in isolation and cells sharing a DGP replay identical errors.
     Failed replications are counted per detector in ``failures`` rows.
+    ``xi_reps`` has no effect: coverage intervals use the exact Xi law.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -520,11 +512,11 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
                 kind=kind, dgp=cfg, break_spec=spec,
                 detectors=tuple(detectors), alpha=alpha, seed=seed,
                 digest=digest, null_reps=null_reps, null_grid=null_grid,
-                xi_reps=xi_reps, conservative=conservative,
+                conservative=conservative,
                 lr_config=lr_config or LongRunConfig(),
             ))
 
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     rows = []
     if workers == 1:
         for task in tasks:

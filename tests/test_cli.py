@@ -190,6 +190,14 @@ def test_simulate_grid_validation_exits_before_work(capsys):
     assert "m=40" in err and "Aligned" in err
 
 
+def test_simulate_non_integer_thread_cap_exits_with_data_code(monkeypatch, capsys):
+    monkeypatch.setenv("FUNCBREAK_THREADS", "2.5")
+    code = main(["simulate", "size", "--setting", "1", "--n", "20",
+                 "--sim-reps", "1", "--detectors", "FF", "--workers", "1"])
+    assert code == 2
+    assert "FUNCBREAK_THREADS" in capsys.readouterr().err
+
+
 def test_simulate_size_emits_schema_and_is_seed_stable(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "size", "--setting", "2", "--n", "20", "--sim-reps",

@@ -5,6 +5,7 @@ from scipy import stats
 from funcbreak.basis import Curve, CurveSeries, FourierBasis, KernelMatrix
 from funcbreak.dating import (
     LimitProcessConfig,
+    XiLaw,
     confidence_interval,
     date_break,
     estimate_break_date,
@@ -129,6 +130,14 @@ def test_sigma2_respects_rayleigh_bounds():
         assert lam[0] - 1e-10 <= val <= lam[-1] + 1e-10
 
 
+def test_sigma2_uses_the_symmetric_part_of_an_asymmetric_kernel():
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((5, 5))
+    delta = Curve(rng.standard_normal(5), FourierBasis(5))
+    assert sigma2_hat(KernelMatrix(a), delta) == pytest.approx(
+        sigma2_hat(KernelMatrix((a + a.T) / 2.0), delta), rel=1e-12)
+
+
 def test_sigma2_rejects_zero_break():
     kernel = KernelMatrix(np.eye(2))
     with pytest.raises(ValueError, match="zero"):
@@ -178,14 +187,80 @@ def test_xi_validates_configuration():
         simulate_xi(0.5, 1.0, LimitProcessConfig(half_width=10.0, step=1.0))
 
 
+# --- exact Xi law -----------------------------------------------------------
+
+
+THETAS = (0.01, 0.02, 0.1, 0.15, 0.3, 0.5, 0.7, 0.85, 0.98, 0.99)
+LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_xi_law_identities(theta):
+    law = XiLaw(theta, 1.0)
+    assert law.cdf(0.0) == pytest.approx(theta, abs=1e-13)
+    mirror = XiLaw(1.0 - theta, 1.0)
+    for t in (-200.0, -20.0, -2.0, -0.2, 0.2, 2.0, 20.0, 200.0):
+        assert law.cdf(t) == pytest.approx(1.0 - mirror.cdf(-t), abs=1e-13)
+        assert XiLaw(theta, 3.5).cdf(3.5 * t) == pytest.approx(law.cdf(t), abs=1e-13)
+    for q in LEVELS:
+        assert XiLaw(theta, 3.5).quantile(q) == pytest.approx(
+            3.5 * law.quantile(q), rel=1e-9)
+        assert law.cdf(law.quantile(q)) == pytest.approx(q, abs=1e-12)
+
+
+def test_xi_law_matches_independent_quadrature():
+    # quadrature of the reflection-principle density of (running max, value)
+    # of a Brownian motion with drift -theta gives P(Xi > 5) = 0.2758 at 0.3
+    assert 1.0 - XiLaw(0.3, 1.0).cdf(5.0) == pytest.approx(0.2758, abs=1e-4)
+
+
+def test_xi_law_quantiles_finite_and_monotone():
+    for theta in np.linspace(0.01, 0.99, 99):
+        law = XiLaw(float(theta), 1.0)
+        qs = [law.quantile(q) for q in LEVELS]
+        assert all(np.isfinite(qs))
+        assert all(a < b for a, b in zip(qs, qs[1:]))
+
+
+@pytest.mark.parametrize("theta, steps, seed", [(0.15, 10_000, 23),
+                                                (0.3, 5000, 24), (0.5, 5000, 25)])
+def test_xi_law_matches_simulated_oracle(theta, steps, seed):
+    # the grid argmax on [-L, L] differs from Xi only when Xi falls outside,
+    # which has probability 2e-3 at this L; a grid of L/steps keeps the
+    # discretization bias (largest near t = 0) well below the tolerance
+    law = XiLaw(theta, 1.0)
+    half = max(-law.quantile(1e-3), law.quantile(1.0 - 1e-3))
+    reps = 2000
+    draws = simulate_xi(theta, 1.0,
+                        LimitProcessConfig(half_width=half, step=half / steps,
+                                           reps=reps, seed=seed)).draws
+    for q in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        share = float(np.mean(draws <= law.quantile(q)))
+        assert abs(share - q) <= 4.0 * np.sqrt(q * (1.0 - q) / reps) + 2e-3
+
+
+def test_xi_law_degenerate_and_validation():
+    law = XiLaw(0.4, 0.0)
+    assert law.degenerate and not XiLaw(0.4, 1e-12).degenerate
+    assert law.quantile(0.01) == law.quantile(0.99) == 0.0
+    assert law.cdf(-1e-9) == 0.0 and law.cdf(0.0) == 1.0
+    with pytest.raises(ValueError, match="theta"):
+        XiLaw(1.0, 1.0)
+    with pytest.raises(ValueError, match="sigma"):
+        XiLaw(0.5, -1.0)
+    with pytest.raises(ValueError, match="level"):
+        XiLaw(0.5, 1.0).quantile(1.0)
+
+
 # --- confidence intervals ---------------------------------------------------
 
 
 def test_interval_collapses_for_degenerate_xi():
     basis = FourierBasis(2)
     delta = Curve([1.0, 0.0], basis)
-    xi = simulate_xi(0.5, 0.0, LimitProcessConfig(reps=100, seed=9))
-    assert confidence_interval(40, delta, xi, 0.05) == (40.0, 40.0)
+    for xi in (simulate_xi(0.5, 0.0, LimitProcessConfig(reps=100, seed=9)),
+               XiLaw(0.5, 0.0)):
+        assert confidence_interval(40, delta, xi, 0.05) == (40.0, 40.0)
 
 
 def test_interval_midpoint_symmetric_at_central_break():
@@ -209,8 +284,7 @@ def test_date_break_report_invariants():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((80, 5)) * 0.5
     data[40:] += np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    report = date_break(make_series(data), 0.05, LongRunConfig(),
-                        xi_config=LimitProcessConfig(reps=2000, seed=12))
+    report = date_break(make_series(data), 0.05, LongRunConfig())
     assert report.ci[0] <= report.k_hat <= report.ci[1]
     assert report.sigma2_hat <= report.lambda1_hat + 1e-10
     assert report.theta_hat == report.k_hat / 80
@@ -223,15 +297,25 @@ def test_date_break_conservative_is_not_narrower():
     data = rng.standard_normal((80, 5)) * 0.5
     data[40:] += np.array([1.0, 0.5, 0.0, 0.0, 0.0])
     series = make_series(data)
-    base = date_break(series, 0.05,
-                      xi_config=LimitProcessConfig(reps=2000, seed=14))
-    cons = date_break(series, 0.05,
-                      xi_config=LimitProcessConfig(reps=2000, seed=14),
-                      conservative=True)
+    base = date_break(series, 0.05)
+    cons = date_break(series, 0.05, conservative=True)
     width = base.ci_raw[1] - base.ci_raw[0]
     width_cons = cons.ci_raw[1] - cons.ci_raw[0]
     assert cons.conservative
     assert width_cons >= width - 1e-9
+
+
+def test_date_break_interval_contains_break_near_the_edge():
+    # theta-hat = 0.02 < alpha/2 puts both Xi quantiles above zero; the raw
+    # interval k - Xi_q/||d||^2 would then exclude k-hat
+    rng = np.random.default_rng(21)
+    data = 0.1 * rng.standard_normal((100, 3))
+    data[2:] += np.array([5.0, 0.0, 0.0])
+    report = date_break(make_series(data), 0.05)
+    assert report.k_hat == 2
+    assert report.xi_quantiles[0.025] > 0.0
+    assert report.ci_raw[1] == 2.0
+    assert report.ci[0] <= report.k_hat <= report.ci[1]
 
 
 # --- no-break argmax law ----------------------------------------------------

@@ -278,10 +278,22 @@ def test_failed_replications_are_counted(monkeypatch):
 
 def test_coverage_run_reports_rates_and_widths():
     dgp = DgpConfig(setting=1, n=40, n_basis=5)
-    res = run_experiment("coverage", dgp, [BreakSpec(m=1, snr=2.0, theta=0.5)],
-                         detectors=["FF"], reps=20, seed=16, workers=1,
-                         null_reps=100, null_grid=120, xi_reps=400)
+    args = ("coverage", dgp, [BreakSpec(m=1, snr=2.0, theta=0.5)])
+    kwargs = dict(detectors=["FF"], reps=20, seed=16, workers=1,
+                  null_reps=100, null_grid=120)
+    res = run_experiment(*args, **kwargs, xi_reps=400)
     rate = res.value(metric="coverage", detector="FF")
     width = res.value(metric="median_width", detector="FF")
     assert 0.0 <= rate <= 1.0
     assert width >= 0.0
+    # the interval comes from the exact Xi law, so xi_reps changes nothing
+    again = run_experiment(*args, **kwargs, xi_reps=10)
+    assert again.value(metric="coverage", detector="FF") == rate
+    assert again.value(metric="median_width", detector="FF") == width
+
+
+def test_non_integer_thread_cap_names_the_variable(monkeypatch):
+    monkeypatch.setenv("FUNCBREAK_THREADS", "2.5")
+    with pytest.raises(ValueError, match="FUNCBREAK_THREADS"):
+        run_experiment("size", DgpConfig(setting=1, n=20), detectors=["FF"],
+                       reps=1, workers=1)
