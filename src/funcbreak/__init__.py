@@ -27,7 +27,6 @@ from .dating import (
     XiLaw,
     confidence_interval,
     date_break,
-    estimate_break_date,
     estimate_break_function,
     no_break_argmax_sample,
     sigma2_hat,
@@ -35,11 +34,14 @@ from .dating import (
     simulate_xi,
 )
 from .detect import (
+    BreakFit,
     DetectionReport,
-    NullLimitSample,
+    LimitSample,
     cusum_norm_sq,
     cusum_paths,
     detector_stat,
+    estimate_break_date,
+    fit_break,
     simulate_null_limit,
 )
 from .detect import test as detect_break
@@ -69,8 +71,6 @@ from .simlab import (
     break_function,
     far1_longrun_trace,
     gen_errors,
-    gen_far1,
-    gen_innovations,
     insert_break,
     run_experiment,
     sigma_vector,

@@ -33,6 +33,36 @@ class DataFormatError(ValueError):
     """Raised when an input file cannot be parsed into curves."""
 
 
+# (flag, attribute, valid, requirement), checked before any input is read
+_OPTION_RANGES = (
+    ("--alpha", "alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("--reps", "reps", lambda v: v >= 1, "at least 1"),
+    ("--grid", "grid", lambda v: v >= 100, "at least 100"),
+    ("--basis-size", "basis_size", lambda v: v >= 1, "at least 1"),
+    ("--max-missing", "max_missing", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("--tve", "tve", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("--sim-reps", "sim_reps", lambda v: v >= 1, "at least 1"),
+)
+
+# levels of the Xi quantiles that ``date`` reports
+_XI_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
+
+
+def _check_options(args) -> None:
+    for flag, attr, valid, requirement in _OPTION_RANGES:
+        value = getattr(args, attr, None)
+        if value is not None and not valid(value):
+            raise DataFormatError(f"{flag} must be {requirement}, got {value}")
+
+
+def _read_rows(source) -> tuple[list, str]:
+    """The CSV rows of a path or an open text stream, and its name for messages."""
+    if hasattr(source, "read"):
+        return list(csv.reader(source)), "<stream>"
+    with open(source, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh)), str(source)
+
+
 def _days_in_year(year: int) -> int:
     return 366 if (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)) else 365
 
@@ -45,13 +75,7 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     ``max_missing`` of their days missing (absent rows count as missing) are
     dropped with a warning. Returns (series, labels, dropped_years).
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-        origin = "<stream>"
-    else:
-        origin = str(source)
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+    rows, origin = _read_rows(source)
     if not rows or [c.strip().lower() for c in rows[0]] != ["date", "value"]:
         raise DataFormatError(f"{origin}: expected header 'date,value'")
 
@@ -116,13 +140,7 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
 
 def read_coeffs(source, basis_size: int = 21):
     """Read a pre-smoothed coefficient CSV with header label,c1,...,cD."""
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-        origin = "<stream>"
-    else:
-        origin = str(source)
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+    rows, origin = _read_rows(source)
     expected = ["label"] + [f"c{i}" for i in range(1, basis_size + 1)]
     if not rows or [c.strip() for c in rows[0]] != expected:
         raise DataFormatError(
@@ -134,10 +152,13 @@ def read_coeffs(source, basis_size: int = 21):
         if len(row) != basis_size + 1:
             raise DataFormatError(f"{origin}: wrong column count at line {lineno}")
         try:
-            data.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError:
             raise DataFormatError(
                 f"{origin}: non-numeric coefficient at line {lineno}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise DataFormatError(f"{origin}: non-finite coefficient at line {lineno}")
+        data.append(values)
         labels.append(row[0])
     if len(data) < 2:
         raise DataFormatError(f"{origin}: fewer than two curve rows")
@@ -153,16 +174,12 @@ def _dump_coeffs(series: CurveSeries, labels, path) -> None:
 
 
 def _load_series(args):
+    source = sys.stdin if args.path == "-" else args.path
     if args.coeffs:
-        if args.path == "-":
-            series, labels = read_coeffs(sys.stdin, args.basis_size)
-        else:
-            series, labels = read_coeffs(args.path, args.basis_size)
+        series, labels = read_coeffs(source, args.basis_size)
         dropped = []
-    elif args.path == "-":
-        series, labels, dropped = ingest(sys.stdin, args.basis_size, args.max_missing)
     else:
-        series, labels, dropped = ingest(args.path, args.basis_size, args.max_missing)
+        series, labels, dropped = ingest(source, args.basis_size, args.max_missing)
     if args.dump_coeffs:
         _dump_coeffs(series, labels, args.dump_coeffs)
     return series, labels, dropped
@@ -215,39 +232,35 @@ def _lr_config(args) -> LongRunConfig:
     return LongRunConfig(weight=args.weight, bandwidth=args.bandwidth)
 
 
-def _cmd_detect(args) -> dict:
-    series, labels, dropped = _load_series(args)
+def _detection_report(args, series, labels, dropped) -> dict:
     report = detect.test(series, args.alpha, _lr_config(args),
                          reps=args.reps, grid=args.grid, seed=args.seed)
-    k_hat = dating.estimate_break_date(series)
     return {
         "stat": report.stat,
         "p_value": report.p_value,
         "critical_values": {str(a): q for a, q in report.critical_values.items()},
-        "k_hat": k_hat,
-        "k_hat_label": _year_label(labels, k_hat),
-        "theta_hat": k_hat / series.n,
+        "k_hat": report.k_hat,
+        "k_hat_label": _year_label(labels, report.k_hat),
+        "theta_hat": report.k_hat / series.n,
         "config": _base_config(args, series, report.config["h"], dropped),
     }
 
 
+def _cmd_detect(args) -> dict:
+    return _detection_report(args, *_load_series(args))
+
+
 def _cmd_date(args) -> dict:
     series, labels, dropped = _load_series(args)
-    det = detect.test(series, args.alpha, _lr_config(args),
-                      reps=args.reps, grid=args.grid, seed=args.seed)
+    # the test and the dating share k_hat and h: both come from detect.fit_break
+    report = _detection_report(args, series, labels, dropped)
     rep = dating.date_break(series, args.alpha, _lr_config(args),
                             conservative=args.conservative)
     lo, hi = rep.ci
-    report = {
-        "stat": det.stat,
-        "p_value": det.p_value,
-        "critical_values": {str(a): q for a, q in det.critical_values.items()},
-        "k_hat": rep.k_hat,
-        "k_hat_label": _year_label(labels, rep.k_hat),
-        "theta_hat": rep.theta_hat,
+    report.update({
         "sigma2_hat": rep.sigma2_hat,
         "lambda1_hat": rep.lambda1_hat,
-        "xi_quantiles": {str(q): v for q, v in rep.xi_quantiles.items()},
+        "xi_quantiles": {str(q): rep.xi.quantile(q) for q in _XI_QUANTILE_LEVELS},
         "ci": {
             "lo": lo,
             "hi": hi,
@@ -257,13 +270,12 @@ def _cmd_date(args) -> dict:
             "hi_label": _year_label(labels, math.ceil(hi)),
         },
         "conservative": rep.conservative,
-        "config": _base_config(args, series, rep.config["h"], dropped),
-    }
+    })
     report["config"]["xi_reps"] = args.xi_reps
     report["config"]["conservative"] = args.conservative
     if args.fpca:
         model = fpca.fit_fpca(series, tve=args.tve)
-        result = fpca.fpca_statistic(series, model.d)
+        result = fpca.fpca_statistic(model)
         report["fpca"] = {
             "tve": args.tve,
             "d": model.d,
@@ -390,6 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_options(args)
         if args.command == "detect":
             _emit_json(_cmd_detect(args), args.out)
         elif args.command == "date":

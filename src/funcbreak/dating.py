@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Curve, CurveSeries, KernelMatrix, eigen_decompose
-from .detect import _bridge_sq_path, _replication_rngs, cusum_norm_sq
-from .longrun import LongRunConfig, estimate_longrun
+from .detect import LimitSample, _bridge_sq_paths, _replication_rngs, fit_break
+from .longrun import LongRunConfig
 
 __all__ = [
     "LimitProcessConfig",
     "XiLaw",
-    "XiSample",
     "DatingReport",
-    "estimate_break_date",
     "estimate_break_function",
     "sigma2_hat",
     "simulate_xi",
@@ -31,12 +29,6 @@ __all__ = [
     "simulate_fixed_break_limit",
     "date_break",
 ]
-
-
-def estimate_break_date(series: CurveSeries) -> int:
-    """Smallest k in 1..n maximizing the CUSUM norm (min tie-break)."""
-    norms = cusum_norm_sq(series)
-    return int(np.argmax(norms[1:])) + 1
 
 
 def estimate_break_function(series: CurveSeries, k_hat: int) -> Curve:
@@ -83,19 +75,8 @@ class LimitProcessConfig:
         return float(half), float(step)
 
 
-@dataclass(frozen=True)
-class XiSample:
-    """Sorted draws of the argmax of the drifted two-sided Brownian motion."""
-
-    draws: np.ndarray
-    degenerate: bool = False
-
-    def quantile(self, q) -> float:
-        return float(np.quantile(self.draws, q))
-
-
 def simulate_xi(theta: float, sigma2: float,
-                cfg: LimitProcessConfig | None = None) -> XiSample:
+                cfg: LimitProcessConfig | None = None) -> LimitSample:
     """Simulate the location of the maximum of the drifted limit process.
 
     The process has drift slope (1-theta) left of zero and -theta right of it,
@@ -109,7 +90,7 @@ def simulate_xi(theta: float, sigma2: float,
         raise ValueError("sigma^2 must be nonnegative")
     cfg = cfg or LimitProcessConfig()
     if sigma2 == 0.0:
-        return XiSample(np.zeros(cfg.reps), degenerate=True)
+        return LimitSample(np.zeros(cfg.reps), degenerate=True)
     half, step = cfg.resolve(theta, sigma2)
     m = int(round(half / step))
     sigma_step = np.sqrt(sigma2 * step)
@@ -130,7 +111,7 @@ def simulate_xi(theta: float, sigma2: float,
         path[m + 1:] += right
         path[:m] += left[::-1]
         draws[i] = x_grid[int(np.argmax(path))]
-    return XiSample(np.sort(draws))
+    return LimitSample(np.sort(draws))
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -220,7 +201,7 @@ class XiLaw:
         return sign * 2.0 * s * s / (1.0 - theta) ** 2 * self.sigma2
 
 
-def confidence_interval(k_hat: int, delta_hat: Curve, xi: XiLaw | XiSample,
+def confidence_interval(k_hat: int, delta_hat: Curve, xi: XiLaw | LimitSample,
                         alpha: float) -> tuple[float, float]:
     """Interval (k - Xi_{1-a/2}/||d||^2, k - Xi_{a/2}/||d||^2), unclamped.
 
@@ -243,20 +224,14 @@ def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
     """Draws of the argmax position of the weighted bridge norm on [0, 1].
 
     This is the no-break limit of the relative break date estimate; positions
-    use the smallest maximizer on the grid.
+    use the smallest maximizer on the grid. The paths, and the checks on the
+    arguments, are those of ``simulate_null_limit``.
     """
-    lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("eigenvalues must be finite")
-    if not lam.any():
+    paths = _bridge_sq_paths(eigenvalues, reps, grid, seed)
+    if paths is None:
         raise ValueError("all eigenvalues are zero; argmax law is undefined")
-    lam = lam[lam > 0]
-    lam_over_grid = lam / grid
-    grid_frac = np.arange(1, grid + 1) / grid
-    draws = np.empty(reps)
-    for i, rng in enumerate(_replication_rngs(seed, reps)):
-        path = _bridge_sq_path(rng, lam_over_grid, grid_frac)
-        draws[i] = grid_frac[int(np.argmax(path))]
+    draws = np.fromiter(((int(np.argmax(path)) + 1) / grid for path in paths),
+                        dtype=float, count=reps)
     return np.sort(draws)
 
 
@@ -307,11 +282,10 @@ class DatingReport:
     delta_hat: Curve
     sigma2_hat: float
     lambda1_hat: float
-    xi_quantiles: dict
+    xi: XiLaw  # the law the interval's quantiles come from
     ci: tuple[float, float]
     ci_raw: tuple[float, float]
     conservative: bool = False
-    degenerate: bool = False
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -325,30 +299,27 @@ class DatingReport:
             raise AssertionError("interval does not contain the break estimate")
 
 
-_XI_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
-
-
 def date_break(series: CurveSeries, alpha: float = 0.05,
                config: LongRunConfig | None = None, *,
                conservative: bool = False) -> DatingReport:
-    """Full dating pipeline: date, break function, sigma^2, Xi quantiles, CI.
+    """Full dating pipeline: date, break function, sigma^2, Xi law, CI.
 
-    The quantiles come from the exact Xi law. With ``conservative`` that law
-    is taken at the top long-run eigenvalue instead of sigma^2, which can only
-    widen the interval.
+    The interval takes quantiles of the exact Xi law. With ``conservative``
+    that law is taken at the top long-run eigenvalue instead of sigma^2, which
+    can only widen the interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     n = series.n
-    k_hat = estimate_break_date(series)
+    fit = fit_break(series, config)
+    k_hat = fit.k_hat
     delta = estimate_break_function(series, k_hat)
-    kernel, h_used = estimate_longrun(series, config, split=k_hat)
-    eig = eigen_decompose(kernel)
+    eig = eigen_decompose(fit.kernel)
     lambda1 = float(max(eig.values[0], 0.0))
     if delta.norm() == 0.0:
         raise ValueError("estimated break function is zero; cannot date a break")
     # a variance: non-PSD tapers can push the raw quadratic form slightly negative
-    sigma2 = max(sigma2_hat(kernel, delta), 0.0)
+    sigma2 = max(sigma2_hat(fit.kernel, delta), 0.0)
     theta_hat = k_hat / n
     xi = XiLaw(theta_hat, lambda1 if conservative else sigma2)
     ci_raw = confidence_interval(k_hat, delta, xi, alpha)
@@ -360,16 +331,15 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
         delta_hat=delta,
         sigma2_hat=sigma2,
         lambda1_hat=lambda1,
-        xi_quantiles={q: xi.quantile(q) for q in _XI_QUANTILE_LEVELS},
+        xi=xi,
         ci=ci,
         ci_raw=ci_raw,
         conservative=conservative,
-        degenerate=xi.degenerate,
         config={
             "alpha": alpha,
             "weight": cfg.weight,
             "bandwidth": cfg.bandwidth if cfg.h is None else "fixed",
-            "h": h_used,
+            "h": fit.h,
             "conservative": conservative,
         },
     )

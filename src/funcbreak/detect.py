@@ -3,35 +3,43 @@
 The detector is the maximum of the squared L2 norm of the tied-down functional
 CUSUM process. Its null distribution, the supremum of an eigenvalue-weighted
 sum of squared independent Brownian bridges, is approximated by Monte Carlo
-simulation from the estimated long-run covariance spectrum.
+simulation from the estimated long-run covariance spectrum. ``fit_break`` is
+the CUSUM, k_hat and kernel fit that the test, dating and aligned detector share.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CurveSeries, eigen_decompose
+from .basis import CurveSeries, KernelMatrix, eigen_decompose
 from .longrun import LongRunConfig, estimate_longrun, longrun_kernel, trace
 
 __all__ = [
-    "NullLimitSample",
+    "LimitSample",
+    "BreakFit",
     "DetectionReport",
+    "tied_down_cusum",
     "cusum_paths",
     "cusum_norm_sq",
     "detector_stat",
+    "estimate_break_date",
+    "fit_break",
     "simulate_null_limit",
     "test",
 ]
 
 
+def tied_down_cusum(values: np.ndarray) -> np.ndarray:
+    """Unscaled tied-down CUSUM rows of an (n, D) array for k = 0..n; rows 0, n are 0."""
+    n = values.shape[0]
+    sums = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
+    frac = np.arange(n + 1)[:, None] / n
+    return sums - frac * sums[-1]
+
+
 def cusum_paths(series: CurveSeries) -> np.ndarray:
     """Tied-down scaled CUSUM rows, shape (n+1, D); rows 0 and n are zero."""
-    x = series.data
-    n = x.shape[0]
-    sums = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
-    total = sums[-1]
-    frac = np.arange(n + 1)[:, None] / n
-    return (sums - frac * total) / np.sqrt(n)
+    return tied_down_cusum(series.data) / np.sqrt(series.n)
 
 
 def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
@@ -40,14 +48,45 @@ def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
     return np.einsum("ij,ij->i", paths, paths)
 
 
+def _smallest_argmax(per_k: np.ndarray) -> int:
+    """Smallest k in 1..n maximizing a per-k sequence indexed k = 0..n."""
+    return int(np.argmax(per_k[1:])) + 1
+
+
 def detector_stat(series: CurveSeries) -> float:
     """Max-type detector: the largest squared CUSUM norm over k = 1..n."""
     return float(cusum_norm_sq(series)[1:].max())
 
 
+def estimate_break_date(series: CurveSeries) -> int:
+    """Smallest k in 1..n maximizing the CUSUM norm (min tie-break)."""
+    return _smallest_argmax(cusum_norm_sq(series))
+
+
 @dataclass(frozen=True)
-class NullLimitSample:
-    """Sorted Monte Carlo draws from the null limit distribution."""
+class BreakFit:
+    """The CUSUM of a series, its argmax and the kernel demeaned there."""
+
+    paths: np.ndarray  # (n+1, D) scaled tied-down CUSUM rows
+    norms: np.ndarray  # (n+1,) squared norms of the rows
+    k_hat: int
+    kernel: KernelMatrix  # long-run kernel demeaned piecewise at k_hat
+    h: float  # bandwidth used for the kernel
+
+
+def fit_break(series: CurveSeries,
+              config: LongRunConfig | None = None) -> BreakFit:
+    """CUSUM, break date k_hat and the long-run kernel split at k_hat."""
+    paths = cusum_paths(series)
+    norms = np.einsum("ij,ij->i", paths, paths)
+    k_hat = _smallest_argmax(norms)
+    kernel, h = estimate_longrun(series, config, split=k_hat)
+    return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h)
+
+
+@dataclass(frozen=True)
+class LimitSample:
+    """Sorted Monte Carlo draws from a limit distribution."""
 
     draws: np.ndarray
     degenerate: bool = False
@@ -72,16 +111,11 @@ def _replication_rngs(seed, reps: int):
         yield np.random.default_rng(child)
 
 
-def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
-                        seed=None) -> NullLimitSample:
-    """Simulate sup over [0,1] of the eigenvalue-weighted sum of squared bridges.
+def _bridge_sq_paths(eigenvalues, reps: int, grid: int, seed):
+    """Per replication, sum_l lam_l B_l^2 at j/grid, j = 1..grid; None if lam = 0.
 
-    Each Brownian bridge is built on the grid j/grid, j = 0..grid, as
-    B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance 1/G, and
-    the supremum is approximated by the grid maximum. Negative eigenvalues are
-    clipped at zero; an all-zero spectrum yields a degenerate all-zero sample.
-    One RNG stream is derived per replication index, so results are
-    deterministic for a given (seed, reps, grid).
+    The arguments are checked and negative eigenvalues clipped to zero first;
+    increments of variance 1/grid are folded into the weights.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
@@ -91,15 +125,29 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     if grid < 100:
         raise ValueError("bridge grid must have at least 100 steps")
     if not lam.any():
-        return NullLimitSample(np.zeros(reps), degenerate=True)
-    lam = lam[lam > 0]
-    # increments of variance 1/G are folded into the weights: lam * (Z-cumsum)^2 / G
-    lam_over_grid = lam / grid
+        return None
+    lam_over_grid = lam[lam > 0] / grid
     grid_frac = np.arange(1, grid + 1) / grid
-    draws = np.empty(reps)
-    for i, rng in enumerate(_replication_rngs(seed, reps)):
-        draws[i] = _bridge_sq_path(rng, lam_over_grid, grid_frac).max()
-    return NullLimitSample(np.sort(draws))
+    return (_bridge_sq_path(rng, lam_over_grid, grid_frac)
+            for rng in _replication_rngs(seed, reps))
+
+
+def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
+                        seed=None) -> LimitSample:
+    """Simulate sup over [0,1] of the eigenvalue-weighted sum of squared bridges.
+
+    Each Brownian bridge is built on the grid j/grid, j = 0..grid, as
+    B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance 1/G, and
+    the supremum is approximated by the grid maximum. Negative eigenvalues are
+    clipped at zero; an all-zero spectrum yields a degenerate all-zero sample.
+    One RNG stream is derived per replication index, so results are
+    deterministic for a given (seed, reps, grid).
+    """
+    paths = _bridge_sq_paths(eigenvalues, reps, grid, seed)
+    if paths is None:
+        return LimitSample(np.zeros(reps), degenerate=True)
+    draws = np.fromiter((path.max() for path in paths), dtype=float, count=reps)
+    return LimitSample(np.sort(draws))
 
 
 @dataclass(frozen=True)
@@ -107,6 +155,7 @@ class DetectionReport:
     """Outcome of the fully functional test plus its configuration echo."""
 
     stat: float
+    k_hat: int  # the CUSUM argmax the statistic is taken at
     critical_values: dict
     p_value: float
     eigenvalues_used: np.ndarray
@@ -141,11 +190,10 @@ def test(series: CurveSeries, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     cfg = config or LongRunConfig()
-    norms = cusum_norm_sq(series)
-    stat = float(norms[1:].max())
-    split = int(np.argmax(norms[1:])) + 1
-    kernel, h_used = estimate_longrun(series, cfg, split=split)
-    pooled = longrun_kernel(series, cfg.weight, h=h_used)
+    fit = fit_break(series, cfg)
+    stat = float(fit.norms[fit.k_hat])
+    kernel, split = fit.kernel, fit.k_hat
+    pooled = longrun_kernel(series, cfg.weight, h=fit.h)
     if trace(kernel) >= 0.5 * trace(pooled):
         kernel, split = pooled, None
     eig = eigen_decompose(kernel)
@@ -156,6 +204,7 @@ def test(series: CurveSeries, alpha: float = 0.05,
     critical_values = {a: null.quantile(1.0 - a) for a in levels}
     return DetectionReport(
         stat=stat,
+        k_hat=fit.k_hat,
         critical_values=critical_values,
         p_value=p_value,
         eigenvalues_used=lam,
@@ -163,7 +212,7 @@ def test(series: CurveSeries, alpha: float = 0.05,
             "alpha": alpha,
             "weight": cfg.weight,
             "bandwidth": cfg.bandwidth if cfg.h is None else "fixed",
-            "h": h_used,
+            "h": fit.h,
             "reps": reps,
             "grid": grid,
             "seed": seed,

@@ -12,8 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
-from .detect import cusum_paths
-from .longrun import LongRunConfig, estimate_longrun
+from .detect import _smallest_argmax, fit_break, tied_down_cusum
+from .longrun import LongRunConfig
 
 __all__ = [
     "RankError",
@@ -87,33 +87,24 @@ class FpcaResult(NamedTuple):
     k_hat: int
 
 
-def _tied_down_cusum(values: np.ndarray) -> np.ndarray:
-    """Unscaled tied-down CUSUM rows for k = 0..n (exact zeros at both ends)."""
-    n = values.shape[0]
-    sums = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    frac = np.arange(n + 1)[:, None] / n
-    return sums - frac * sums[-1]
-
-
-def fpca_statistic(series: CurveSeries, d: int) -> FpcaResult:
+def fpca_statistic(model: FpcaModel) -> FpcaResult:
     """Maximally selected quadratic form of the score CUSUM, plus its argmax.
 
     The per-k value is (1/n) S_k' diag(tau_1..tau_d)^{-1} S_k with S the
-    unscaled tied-down CUSUM of the d-dimensional scores. Raises RankError if
-    the d-th retained eigenvalue is numerically zero.
+    unscaled tied-down CUSUM of the model's d-dimensional scores. Raises
+    RankError if the d-th retained eigenvalue is numerically zero.
     """
-    model = fit_fpca(series, d=d)
+    d = model.d
     tau = model.eig.values[:d]
     if tau[0] <= 0.0 or tau[-1] <= _RANK_RTOL * tau[0]:
         raise RankError(
             f"retained eigenvalue {d} is numerically zero; the quadratic form "
             "is rank deficient"
         )
-    cusum = _tied_down_cusum(model.scores)
-    per_k = (cusum**2 / tau).sum(axis=1) / series.n
-    stat = float(per_k[1:].max())
-    k_hat = int(np.argmax(per_k[1:])) + 1
-    return FpcaResult(stat=stat, per_k=per_k, k_hat=k_hat)
+    cusum = tied_down_cusum(model.scores)
+    per_k = (cusum**2 / tau).sum(axis=1) / model.scores.shape[0]
+    k_hat = _smallest_argmax(per_k)
+    return FpcaResult(stat=float(per_k[k_hat]), per_k=per_k, k_hat=k_hat)
 
 
 def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, gamma: float,
@@ -140,15 +131,12 @@ def aligned_statistic(series: CurveSeries, gamma: float = 0.25,
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 1/2)")
     n = series.n
-    paths = cusum_paths(series)
-    norms = np.einsum("ij,ij->i", paths, paths)
-    k_star = int(np.argmax(norms[1:])) + 1
-    kernel, _ = estimate_longrun(series, config, split=k_star)
-    eig = eigen_decompose(kernel)
-    direction = _aligned_direction(eig.vectors[:, 0], paths[k_star], gamma, n)
-    variance = float(direction @ kernel.entries @ direction)
+    fit = fit_break(series, config)
+    eig = eigen_decompose(fit.kernel)
+    direction = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], gamma, n)
+    variance = float(direction @ fit.kernel.entries @ direction)
     if variance <= 0.0:
         raise RankError("long-run variance in the aligned direction is not positive")
     centered = series.data - series.data.mean(axis=0)
-    cusum = _tied_down_cusum((centered @ direction)[:, None]).ravel()
+    cusum = tied_down_cusum((centered @ direction)[:, None]).ravel()
     return float(np.max(cusum[1:] ** 2) / (n * variance))

@@ -125,6 +125,25 @@ def _lagged_cov(centered: np.ndarray, lag: int) -> np.ndarray:
     return centered[-lag:].T @ centered[: n + lag] / n
 
 
+def _lag_window_sum(centered: np.ndarray, wf: WeightFunction, h: float,
+                    order: float | None = None):
+    """G_0 + sum of w(lag/h) (G_lag + G_lag') over lags 1..min(n-1, support*h).
+
+    G_lag is the lagged autocovariance of the centered rows. With ``order``,
+    G_0 is left out and each term is multiplied by lag**order.
+    """
+    n = centered.shape[0]
+    acc = _lagged_cov(centered, 0) if order is None else 0.0
+    max_lag = min(n - 1, int(np.floor(wf.support * h)))
+    for lag in range(1, max_lag + 1):
+        w_val = float(wf(lag / h))
+        if w_val == 0.0:
+            continue
+        g = _lagged_cov(centered, lag)
+        acc += (w_val if order is None else (lag ** order) * w_val) * (g + g.T)
+    return acc
+
+
 def autocov_kernel(series: CurveSeries, lag: int,
                    split: int | None) -> KernelMatrix:
     """Sample autocovariance at the given lag, demeaned piecewise at ``split``.
@@ -152,16 +171,7 @@ def longrun_kernel(series: CurveSeries, weight="bartlett", h: float = 1.0,
     wf = _resolve_weight(weight)
     if h < 1.0:
         raise ValueError("bandwidth must be at least 1")
-    n = series.n
-    centered = _split_demean(series.data, split)
-    acc = _lagged_cov(centered, 0)
-    max_lag = min(n - 1, int(np.floor(wf.support * h)))
-    for lag in range(1, max_lag + 1):
-        w_val = float(wf(lag / h))
-        if w_val == 0.0:
-            continue
-        g = _lagged_cov(centered, lag)
-        acc += w_val * (g + g.T)
+    acc = _lag_window_sum(_split_demean(series.data, split), wf, h)
     return KernelMatrix((acc + acc.T) / 2.0)
 
 
@@ -173,20 +183,11 @@ def trace(k: KernelMatrix) -> float:
 def _adaptive_constant(series: CurveSeries, wf: WeightFunction, split: int) -> float:
     # Reconstruction of the plug-in rule for the optimal bandwidth constant:
     # flat-top pilot estimates at h0 = n^(1/5) feed the asymptotic MSE formula.
-    n = series.n
-    h0 = max(1.0, n ** 0.2)
+    h0 = max(1.0, series.n ** 0.2)
     pilot = WEIGHTS["flattop"]
     centered = _split_demean(series.data, split)
-    c_pilot = _lagged_cov(centered, 0)
-    c_tau = np.zeros_like(c_pilot)
-    max_lag = min(n - 1, int(np.floor(pilot.support * h0)))
-    for lag in range(1, max_lag + 1):
-        w_val = float(pilot(lag / h0))
-        if w_val == 0.0:
-            continue
-        g = _lagged_cov(centered, lag)
-        c_pilot += w_val * (g + g.T)
-        c_tau += (lag ** wf.order) * w_val * (g + g.T)
+    c_pilot = _lag_window_sum(centered, pilot, h0)
+    c_tau = _lag_window_sum(centered, pilot, h0, order=wf.order)
     tau = wf.order
     num = 2.0 * tau * (wf.q_constant ** 2) * float(np.sum(c_tau**2))
     den = (float(np.sum(c_pilot**2)) + float(np.trace(c_pilot)) ** 2) * wf.w_sq_integral

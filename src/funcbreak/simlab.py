@@ -9,15 +9,15 @@ parameter grids with reproducible per-replication random streams.
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
-from .dating import date_break, estimate_break_date
-from .detect import simulate_null_limit, test as ff_test
-from .fpca import aligned_statistic, fit_fpca, fpca_statistic, tve_dimension
+from .dating import date_break
+from .detect import estimate_break_date, simulate_null_limit, test as ff_test
+from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
 __all__ = [
@@ -26,9 +26,7 @@ __all__ = [
     "ExperimentResult",
     "CSV_COLUMNS",
     "sigma_vector",
-    "gen_innovations",
     "gen_errors",
-    "gen_far1",
     "break_function",
     "snr_to_c",
     "far1_longrun_trace",
@@ -155,28 +153,6 @@ def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
     series = CurveSeries(_apply_permutation(data, permutation),
                          _default_basis(cfg.n_basis))
     return (series, psi) if return_operator else series
-
-
-def gen_innovations(cfg: DgpConfig, rng: np.random.Generator | None = None,
-                    permutation=None) -> CurveSeries:
-    """Independent innovation curves with the setting's coefficient scales."""
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    sigma = sigma_vector(cfg.setting, cfg.n_basis)
-    data = _innovation_matrix(cfg, rng, cfg.n, sigma)
-    return CurveSeries(_apply_permutation(data, permutation),
-                       _default_basis(cfg.n_basis))
-
-
-def gen_far1(cfg: DgpConfig, kappa: float | None = None,
-             burnin: int = DEFAULT_BURNIN,
-             rng: np.random.Generator | None = None,
-             permutation=None) -> CurveSeries:
-    """First-order functional autoregression with a random contraction operator."""
-    if kappa is not None:
-        cfg = replace(cfg, dependence="far1", kappa=kappa)
-    elif cfg.dependence != "far1":
-        cfg = replace(cfg, dependence="far1")
-    return gen_errors(cfg, rng=rng, permutation=permutation, burnin=burnin)
 
 
 def break_function(m: int, c: float, n_basis: int = 21, permutation=None,
@@ -329,17 +305,15 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
             return report.p_value <= task.alpha
         if kind_name == "fpca":
             model = fit_fpca(series, tve=tve)
-            result = fpca_statistic(series, model.d)
-            return result.stat > _bridge_critical_value(model.d, task.alpha,
-                                                        task.null_grid)
+            return fpca_statistic(model).stat > _bridge_critical_value(
+                model.d, task.alpha, task.null_grid)
         stat = aligned_statistic(series, config=task.lr_config)
         return stat > _bridge_critical_value(1, task.alpha, task.null_grid)
 
     if task.kind == "dating":
         if kind_name == "ff":
             return estimate_break_date(series) - k_star
-        model = fit_fpca(series, tve=tve)
-        return fpca_statistic(series, model.d).k_hat - k_star
+        return fpca_statistic(fit_fpca(series, tve=tve)).k_hat - k_star
 
     # coverage: fully functional confidence interval around the break estimate
     report = date_break(series, task.alpha, task.lr_config,

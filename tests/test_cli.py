@@ -175,6 +175,23 @@ def test_bad_rows_exit_with_data_code(tmp_path, capsys):
     assert main(["detect", str(path)]) == 2
 
 
+@pytest.mark.parametrize("extra, fragment", [
+    (["--alpha", "1.5"], "--alpha must be in (0, 1), got 1.5"),
+    (["--reps", "0"], "--reps must be at least 1, got 0"),
+    (["--grid", "10"], "--grid must be at least 100, got 10"),
+    (["--tve", "2"], "--tve must be in (0, 1], got 2.0"),
+    (["--coeffs", "--basis-size", "3"], "coeffs.csv: non-finite coefficient at line 3"),
+], ids=["alpha", "reps", "grid", "tve", "nan-coefficient"])
+def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys,
+                                                      extra, fragment):
+    path = step_file
+    if "--coeffs" in extra:
+        path = tmp_path / "coeffs.csv"
+        path.write_text("label,c1,c2,c3\n2001,1,0,0\n2002,nan,0,0\n2003,2,0,0\n")
+    assert main(["date", str(path), "--seed", "1", *extra]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_degenerate_numeric_input_exits_with_numeric_code(tmp_path, capsys):
     # two identical constant years: zero break function, sigma^2 undefined
     path = write_daily_csv(tmp_path / "flat.csv", {2001: 1.0, 2002: 1.0})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from funcbreak.basis import Curve, CurveSeries, FourierBasis, KernelMatrix
@@ -8,15 +10,15 @@ from funcbreak.dating import (
     XiLaw,
     confidence_interval,
     date_break,
-    estimate_break_date,
     estimate_break_function,
     no_break_argmax_sample,
     sigma2_hat,
     simulate_fixed_break_limit,
     simulate_xi,
 )
+from funcbreak.detect import estimate_break_date
 from funcbreak.longrun import LongRunConfig
-from funcbreak.simlab import DgpConfig, break_function, gen_innovations, insert_break, snr_to_c
+from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
 
 
 def make_series(data):
@@ -89,7 +91,7 @@ def test_break_function_estimate_is_consistent():
     delta = break_function(3, c, d)
     rel_errors = []
     for _ in range(200):
-        series = gen_innovations(cfg, rng=rng)
+        series = gen_errors(cfg, rng=rng)
         series = insert_break(series, delta, int(theta * n))
         k_hat = estimate_break_date(series)
         est = estimate_break_function(series, k_hat)
@@ -313,9 +315,33 @@ def test_date_break_interval_contains_break_near_the_edge():
     data[2:] += np.array([5.0, 0.0, 0.0])
     report = date_break(make_series(data), 0.05)
     assert report.k_hat == 2
-    assert report.xi_quantiles[0.025] > 0.0
+    assert report.xi.quantile(0.025) > 0.0
     assert report.ci_raw[1] == 2.0
     assert report.ci[0] <= report.k_hat <= report.ci[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 60),
+    d=st.integers(1, 4),
+    noise=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    alpha=st.sampled_from([0.01, 0.05, 0.5]),
+    conservative=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_date_break_interval_invariants_for_any_break_date(data, n, d, noise, alpha,
+                                                           conservative, seed):
+    # a step at any k* in [1, n-1], so theta-hat reaches 1/n and (n-1)/n
+    k_star = data.draw(st.integers(1, n - 1), label="k_star")
+    rng = np.random.default_rng(seed)
+    x = noise * rng.standard_normal((n, d))
+    x[k_star:] += rng.standard_normal(d) + np.sign(rng.standard_normal(d))
+    report = date_break(make_series(x), alpha, conservative=conservative)
+    lo, hi = report.ci
+    assert lo <= report.k_hat <= hi
+    assert 1.0 <= lo and hi <= float(n)
+    assert report.sigma2_hat <= report.lambda1_hat + 1e-10
 
 
 # --- no-break argmax law ----------------------------------------------------
@@ -337,6 +363,15 @@ def test_no_break_argmax_scale_invariant():
 def test_no_break_argmax_rejects_zero_spectrum():
     with pytest.raises(ValueError, match="zero"):
         no_break_argmax_sample([0.0, 0.0], reps=10)
+
+
+def test_no_break_argmax_checks_reps_and_grid_like_the_null_limit():
+    with pytest.raises(ValueError, match="replication"):
+        no_break_argmax_sample([1.0], reps=0)
+    with pytest.raises(ValueError, match="grid"):
+        no_break_argmax_sample([1.0], reps=10, grid=0)
+    with pytest.raises(ValueError, match="finite"):
+        no_break_argmax_sample([1.0, np.nan], reps=10)
 
 
 # --- fixed-break limit law --------------------------------------------------
@@ -379,7 +414,7 @@ def test_fixed_break_limit_matches_finite_sample_dating_error():
     cfg = DgpConfig(setting=2, n=n, n_basis=d, permute=False)
     finite = []
     for _ in range(500):
-        series = gen_innovations(cfg, rng=rng)
+        series = gen_errors(cfg, rng=rng)
         series = insert_break(series, delta, k_star)
         finite.append(estimate_break_date(series) - k_star)
 

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.dating import date_break
 from funcbreak.detect import (
     cusum_norm_sq,
     cusum_paths,
     detector_stat,
+    fit_break,
     simulate_null_limit,
     test as ff_test,
 )
@@ -176,6 +178,43 @@ def test_null_kernel_demeaning_rule():
     step = ff_test(make_series(data), reps=19, grid=100, seed=0)
     assert step.config["split"] == 15
     assert step.p_value == pytest.approx(1.0 / 20.0)
+
+
+def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
+    import funcbreak.dating as dating
+    import funcbreak.detect as detect
+    import funcbreak.fpca as fpca
+
+    rng = np.random.default_rng(12)
+    data = 0.3 * rng.standard_normal((60, 4))
+    data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
+    series = make_series(data)
+    cfg = LongRunConfig(weight="parzen", bandwidth="adaptive")
+    reference = fit_break(series, cfg)
+
+    fits = []
+
+    def recording(series, config=None):
+        fits.append(fit_break(series, config))
+        return fits[-1]
+
+    for module in (detect, dating, fpca):
+        monkeypatch.setattr(module, "fit_break", recording)
+    report = ff_test(series, 0.05, cfg, reps=19, grid=100, seed=0)
+    dated = date_break(series, 0.05, cfg)
+    fpca.aligned_statistic(series, config=cfg)
+
+    # one fit per call, all equal to the reference fit
+    assert len(fits) == 3
+    for fit in fits:
+        assert fit.k_hat == reference.k_hat
+        assert fit.h == reference.h
+        np.testing.assert_array_equal(fit.kernel.entries, reference.kernel.entries)
+    assert report.stat == reference.norms[1:].max() == reference.norms[reference.k_hat]
+    assert report.k_hat == report.config["split"] == reference.k_hat
+    assert report.config["h"] == reference.h
+    assert dated.k_hat == reference.k_hat
+    assert dated.config["h"] == reference.h
 
 
 def test_report_echoes_configuration():

@@ -73,7 +73,7 @@ def test_tve_dimension_rejects_degenerate_input():
 def test_constant_series_is_rank_deficient():
     series = make_series(np.tile([1.0, 2.0], (10, 1)))
     with pytest.raises(RankError):
-        fpca_statistic(series, 1)
+        fpca_statistic(fit_fpca(series, d=1))
 
 
 def test_noiseless_step_is_dated_exactly_in_one_dimension():
@@ -81,7 +81,7 @@ def test_noiseless_step_is_dated_exactly_in_one_dimension():
     delta = np.array([0.0, 2.0, 1.0])
     data = np.zeros((n, 3))
     data[k_star:] += delta
-    result = fpca_statistic(make_series(data), 1)
+    result = fpca_statistic(fit_fpca(make_series(data), d=1))
     assert result.k_hat == k_star
 
 
@@ -95,7 +95,7 @@ def test_scores_are_mean_zero():
 def test_quadratic_form_is_tied_down():
     rng = np.random.default_rng(2)
     series = make_series(rng.standard_normal((25, 4)))
-    result = fpca_statistic(series, 2)
+    result = fpca_statistic(fit_fpca(series, d=2))
     assert result.per_k[0] == 0.0
     assert result.per_k[-1] == 0.0
 
@@ -142,7 +142,7 @@ def test_fpca_misses_break_orthogonal_to_leading_component():
         data[:, 0] = rng.standard_normal(n) * np.sqrt(alpha_energy)
         data[int(theta * n):] += delta
         series = make_series(data)
-        result = fpca_statistic(series, 1)
+        result = fpca_statistic(fit_fpca(series, d=1))
         rejections_fpca += result.stat > cv1
         # crude FF check against the dominant eigenvalue limit
         lam = np.linalg.eigvalsh(sample_cov_kernel(series).entries)

@@ -13,8 +13,6 @@ from funcbreak.simlab import (
     break_function,
     far1_longrun_trace,
     gen_errors,
-    gen_far1,
-    gen_innovations,
     insert_break,
     run_experiment,
     sigma_vector,
@@ -41,21 +39,21 @@ def test_sigma_vectors_match_the_three_settings():
 
 def test_setting1_innovations_load_three_directions():
     cfg = DgpConfig(setting=1, n=50, seed=0, permute=False)
-    series = gen_innovations(cfg)
+    series = gen_errors(cfg)
     assert np.all(series.data[:, 3:] == 0.0)
     assert np.any(series.data[:, :3] != 0.0)
 
 
 def test_innovations_are_reproducible():
     cfg = DgpConfig(setting=2, n=30, seed=7, permute=False)
-    a = gen_innovations(cfg)
-    b = gen_innovations(cfg)
+    a = gen_errors(cfg)
+    b = gen_errors(cfg)
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_innovation_scales_match_sigma():
     cfg = DgpConfig(setting=3, n=10_000, n_basis=6, seed=1, permute=False)
-    series = gen_innovations(cfg)
+    series = gen_errors(cfg)
     sigma = sigma_vector(3, 6)
     np.testing.assert_allclose(series.data.std(axis=0), sigma, rtol=0.05)
 
@@ -65,7 +63,7 @@ def test_student_innovations_need_df():
         DgpConfig(setting=1, innovation="student")
     cfg = DgpConfig(setting=2, innovation="student", df=3, n=40, seed=2,
                     permute=False)
-    assert gen_innovations(cfg).n == 40
+    assert gen_errors(cfg).n == 40
 
 
 # --- FAR(1) -----------------------------------------------------------------
@@ -74,7 +72,7 @@ def test_student_innovations_need_df():
 def test_far1_with_zero_kappa_equals_innovations():
     cfg = DgpConfig(setting=2, dependence="far1", kappa=0.0, n=25, n_basis=5,
                     seed=3, permute=False)
-    far = gen_far1(cfg)
+    far = gen_errors(cfg)
     # reproduce by consuming the operator draw, then the innovations
     rng = np.random.default_rng(3)
     sigma = sigma_vector(2, 5)
@@ -183,8 +181,8 @@ def test_statistic_invariant_under_basis_permutation():
     rng_a = np.random.default_rng(59)
     rng_b = np.random.default_rng(59)
     perm = np.random.default_rng(1).permutation(21)
-    plain = gen_innovations(cfg, rng=rng_a)
-    permuted = gen_innovations(cfg, rng=rng_b, permutation=perm)
+    plain = gen_errors(cfg, rng=rng_a)
+    permuted = gen_errors(cfg, rng=rng_b, permutation=perm)
     assert detector_stat(plain) == pytest.approx(detector_stat(permuted),
                                                  abs=1e-10)
 
@@ -260,11 +258,11 @@ def test_failed_replications_are_counted(monkeypatch):
     calls = {"k": 0}
     original = simlab.fpca_statistic
 
-    def flaky(series, d):
+    def flaky(model):
         calls["k"] += 1
         if calls["k"] % 3 == 0:
             raise RuntimeError("synthetic failure")
-        return original(series, d)
+        return original(model)
 
     monkeypatch.setattr(simlab, "fpca_statistic", flaky)
     dgp = DgpConfig(setting=2, n=30, n_basis=4)
