@@ -42,6 +42,7 @@ from .detect import (
     detector_stat,
     estimate_break_date,
     fit_break,
+    rejects,
     simulate_null_limit,
 )
 from .detect import test as detect_break

@@ -71,7 +71,9 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     """Read a ``date,value`` CSV into one curve per year.
 
     Day k of a Y-day year maps to t = (k - 0.5) / Y; each year's available
-    values are least-squares fitted on the Fourier basis. Years with more than
+    values are least-squares fitted on the Fourier basis. An empty or ``nan``
+    value marks a missing day; a row with an unparseable date or value, or an
+    infinite value, is an error that names its line. Years with more than
     ``max_missing`` of their days missing (absent rows count as missing) are
     dropped with a warning. Returns (series, labels, dropped_years).
     """
@@ -99,6 +101,9 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
             try:
                 value = float(value_text)
             except ValueError:
+                bad_lines.append(lineno)
+                continue
+            if math.isinf(value):
                 bad_lines.append(lineno)
                 continue
         per_year.setdefault(day.year, {})[day.timetuple().tm_yday] = value

@@ -5,9 +5,14 @@ CUSUM process. Its null distribution, the supremum of an eigenvalue-weighted
 sum of squared independent Brownian bridges, is approximated by Monte Carlo
 simulation from the estimated long-run covariance spectrum. ``fit_break`` is
 the CUSUM, k_hat and kernel fit that the test, dating and aligned detector share.
+``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
+replications one at a time and stops once the decision is final (sequential
+Monte Carlo, Besag & Clifford 1991), so simlab size and power cells get the
+same decisions as from ``test`` with fewer draws.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +31,7 @@ __all__ = [
     "fit_break",
     "simulate_null_limit",
     "test",
+    "rejects",
 ]
 
 
@@ -171,6 +177,22 @@ class DetectionReport:
             raise ValueError("critical values must decrease in alpha")
 
 
+def _null_spectrum(series: CurveSeries, cfg: LongRunConfig):
+    """The fit, statistic, kernel split and clipped eigenvalues behind ``test``.
+
+    The split is k_hat when the null kernel is demeaned piecewise there and
+    None when it is demeaned by the overall mean (see ``test``).
+    """
+    fit = fit_break(series, cfg)
+    stat = float(fit.norms[fit.k_hat])
+    kernel, split = fit.kernel, fit.k_hat
+    pooled = longrun_kernel(series, cfg.weight, h=fit.h)
+    if trace(kernel) >= 0.5 * trace(pooled):
+        kernel, split = pooled, None
+    lam = np.clip(eigen_decompose(kernel).values, 0.0, None)
+    return fit, stat, split, lam
+
+
 def test(series: CurveSeries, alpha: float = 0.05,
          config: LongRunConfig | None = None, *, reps: int = 1000,
          grid: int = 1000, seed=None) -> DetectionReport:
@@ -190,14 +212,7 @@ def test(series: CurveSeries, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     cfg = config or LongRunConfig()
-    fit = fit_break(series, cfg)
-    stat = float(fit.norms[fit.k_hat])
-    kernel, split = fit.kernel, fit.k_hat
-    pooled = longrun_kernel(series, cfg.weight, h=fit.h)
-    if trace(kernel) >= 0.5 * trace(pooled):
-        kernel, split = pooled, None
-    eig = eigen_decompose(kernel)
-    lam = np.clip(eig.values, 0.0, None)
+    fit, stat, split, lam = _null_spectrum(series, cfg)
     null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
     p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
     levels = sorted({round(a, 12) for a in (alpha, 0.10, 0.05, 0.01)})
@@ -220,3 +235,28 @@ def test(series: CurveSeries, alpha: float = 0.05,
         },
         degenerate=null.degenerate,
     )
+
+
+def rejects(series: CurveSeries, alpha: float,
+            config: LongRunConfig | None = None, *, reps: int = 1000,
+            grid: int = 1000, seed=None) -> bool:
+    """Whether ``test`` with the same arguments gives p_value <= alpha.
+
+    The null draws come from the same per-replication streams as in ``test``,
+    one replication at a time, and drawing stops as soon as the count of draws
+    >= the statistic makes (1 + count) / (reps + 1) exceed alpha, so the
+    decision is that of ``test`` at a fraction of the draws under the null.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    _, stat, _, lam = _null_spectrum(series, config or LongRunConfig())
+    paths = _bridge_sq_paths(lam, reps, grid, seed)
+    # an all-zero spectrum gives all-zero draws, as in simulate_null_limit
+    draws = repeat(0.0, reps) if paths is None else (p.max() for p in paths)
+    exceed = 0
+    for draw in draws:
+        if draw >= stat:
+            exceed += 1
+        if (1 + exceed) / (reps + 1) > alpha:
+            return False
+    return True

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import estimate_break_date, simulate_null_limit, test as ff_test
+from .detect import estimate_break_date, rejects, simulate_null_limit
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
@@ -299,10 +299,9 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
                    series: CurveSeries, aux_seed: int, k_star: int):
     if task.kind in ("size", "power"):
         if kind_name == "ff":
-            report = ff_test(series, task.alpha, task.lr_config,
-                             reps=task.null_reps, grid=task.null_grid,
-                             seed=aux_seed)
-            return report.p_value <= task.alpha
+            return rejects(series, task.alpha, task.lr_config,
+                           reps=task.null_reps, grid=task.null_grid,
+                           seed=aux_seed)
         if kind_name == "fpca":
             model = fit_fpca(series, tve=tve)
             return fpca_statistic(model).stat > _bridge_critical_value(
@@ -468,7 +467,10 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     streams keyed by (seed, DGP digest, replication), so any cell is
     reproducible in isolation and cells sharing a DGP replay identical errors.
     Failed replications are counted per detector in ``failures`` rows.
-    ``xi_reps`` has no effect: coverage intervals use the exact Xi law.
+    FF size and power decisions come from ``detect.rejects``, which stops
+    drawing null replications once p <= alpha is decided and gives the same
+    decisions as ``detect.test``. ``xi_reps`` has no effect: coverage
+    intervals use the exact Xi law.
     """
     if reps < 1:
         raise ValueError("need at least one replication")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from funcbreak.cli import DataFormatError, ingest, main, read_coeffs
 
@@ -30,6 +32,10 @@ def seasonal_rule(amplitude, shift=0.0):
     def rule(day):
         return shift + amplitude * np.sin(2 * np.pi * day / 365.0)
     return rule
+
+
+# a cheap null simulation for tests that check only exit codes and echoes
+FAST = ["--seed", "1", "--reps", "50", "--grid", "100"]
 
 
 @pytest.fixture
@@ -75,6 +81,17 @@ def test_ingest_reports_unparseable_lines(tmp_path):
     with pytest.raises(DataFormatError) as err:
         ingest(path)
     assert "lines 3, 4" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf"])
+def test_infinite_value_is_an_unparseable_row(tmp_path, capsys, text):
+    path = write_daily_csv(tmp_path / "inf.csv",
+                           {y: seasonal_rule(1.0, y % 2) for y in range(2000, 2004)})
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].split(",")[0] + "," + text
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["detect", str(path), *FAST]) == 2
+    assert "inf.csv: unparseable rows at lines 5" in capsys.readouterr().err
 
 
 def test_ingest_rejects_missing_header(tmp_path):
@@ -197,6 +214,57 @@ def test_degenerate_numeric_input_exits_with_numeric_code(tmp_path, capsys):
     path = write_daily_csv(tmp_path / "flat.csv", {2001: 1.0, 2002: 1.0})
     assert main(["date", str(path), "--seed", "1", "--reps", "50",
                  "--grid", "100", "--xi-reps", "100"]) == 3
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 8),
+    d=st.integers(1, 3),
+    constant=st.booleans(),
+    values=st.lists(st.integers(-2, 2), min_size=24, max_size=24),
+    command=st.sampled_from(["detect", "date"]),
+)
+def test_short_and_constant_coefficient_series_exit_with_a_code(
+        tmp_path, capsys, n, d, constant, values, command):
+    # few curves, ties and constant rows: never a traceback, only 0, 2 or 3
+    rows = np.array(values[:n * d], dtype=float).reshape(n, d)
+    if constant:
+        rows[:] = rows[0]
+    path = tmp_path / "coeffs.csv"
+    header = ",".join(["label"] + [f"c{i}" for i in range(1, d + 1)])
+    body = "".join(f"{2000 + i}," + ",".join(map(str, row)) + "\n"
+                   for i, row in enumerate(rows))
+    path.write_text(header + "\n" + body)
+    capsys.readouterr()
+    code = main([command, str(path), "--coeffs", "-D", str(d), *FAST])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err == "")
+    if constant and n >= 4:
+        # stat 0 gives p = 1; a zero break function cannot be dated
+        assert code == (0 if command == "detect" else 3)
+
+
+def test_four_year_daily_series_is_analysed(tmp_path, capsys):
+    years = {y: seasonal_rule(1.0, 0.5 * (y % 2)) for y in range(2000, 2004)}
+    path = write_daily_csv(tmp_path / "four.csv", years)
+    assert main(["detect", str(path), *FAST]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["n_curves"] == 4
+    assert main(["date", str(path), *FAST]) == 0
+    assert 1 <= json.loads(capsys.readouterr().out)["k_hat"] <= 4
+
+
+@pytest.mark.parametrize("command", ["detect", "date"])
+def test_all_nan_year_is_reported_as_dropped(tmp_path, capsys, command):
+    years = {y: seasonal_rule(1.0, 0.2 * (y % 3)) for y in range(2000, 2008)}
+    missing = {(2003, day) for day in range(1, 366)}
+    path = write_daily_csv(tmp_path / "gap.csv", years, missing=missing)
+    with pytest.warns(UserWarning, match="2003"):
+        assert main([command, str(path), *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["dropped_years"] == ["2003"]
+    assert report["config"]["n_curves"] == 7
 
 
 def test_simulate_grid_validation_exits_before_work(capsys):

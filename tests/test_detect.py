@@ -11,6 +11,7 @@ from funcbreak.detect import (
     cusum_paths,
     detector_stat,
     fit_break,
+    rejects,
     simulate_null_limit,
     test as ff_test,
 )
@@ -215,6 +216,80 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     assert report.config["h"] == reference.h
     assert dated.k_hat == reference.k_hat
     assert dated.config["h"] == reference.h
+
+
+def seeded_series(seed):
+    """Noise with D = 4 and n in [10, 60]; every third seed adds a mean step."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 61))
+    data = rng.standard_normal((n, 4)) * np.array([1.0, 0.6, 0.3, 0.1])
+    if seed % 3 == 0:
+        data[n // 2:] += 0.5 * rng.standard_normal(4)
+    return make_series(data)
+
+
+@pytest.mark.parametrize("reps", [19, 99])
+def test_rejects_is_the_decision_of_test(reps):
+    # with reps = 19 the p-values (1 + c) / 20 hit 0.05, 0.1 and 0.5 exactly
+    hits = 0
+    for seed in range(30):
+        series = seeded_series(seed)
+        p_value = ff_test(series, reps=reps, grid=100, seed=seed).p_value
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            hits += p_value == alpha
+            assert rejects(series, alpha, reps=reps, grid=100,
+                           seed=seed) == (p_value <= alpha)
+    if reps == 19:
+        assert hits > 0
+
+
+def test_rejects_on_a_degenerate_spectrum_matches_test():
+    # constant series: stat 0 and every zero draw reaches it, p = 1
+    constant = make_series(np.tile([2.0, 1.0, -1.0], (12, 1)))
+    # noiseless step: the split kernel is zero, no zero draw reaches stat > 0
+    data = np.zeros((40, 3))
+    data[15:, 1] += 2.0
+    step = make_series(data)
+    for series, expected in ((constant, False), (step, True)):
+        report = ff_test(series, reps=19, grid=100, seed=0)
+        assert report.degenerate
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            decision = rejects(series, alpha, reps=19, grid=100, seed=0)
+            assert decision == (report.p_value <= alpha)
+        assert rejects(series, 0.05, reps=19, grid=100, seed=0) == expected
+
+
+def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
+    import funcbreak.detect as detect
+
+    drawn = []
+    bridge_sq_path = detect._bridge_sq_path
+
+    def counting(*args):
+        drawn.append(1)
+        return bridge_sq_path(*args)
+
+    monkeypatch.setattr(detect, "_bridge_sq_path", counting)
+    rng = np.random.default_rng(21)
+    null = random_series(rng, 50, 3)
+    assert not rejects(null, 0.05, reps=200, grid=100, seed=3)
+    assert 0 < len(drawn) < 200
+    # a rejection is final only after every replication is drawn
+    drawn.clear()
+    data = 0.1 * rng.standard_normal((50, 3))
+    data[25:, 0] += 1.0
+    assert rejects(make_series(data), 0.05, reps=200, grid=100, seed=3)
+    assert len(drawn) == 200
+
+
+def test_rejects_checks_its_arguments_like_test():
+    series = seeded_series(1)
+    with pytest.raises(ValueError, match="alpha"):
+        rejects(series, 1.0)
+    with pytest.raises(ValueError, match="replication"):
+        rejects(series, 0.05, reps=0)
+    with pytest.raises(ValueError, match="grid"):
+        rejects(series, 0.05, reps=10, grid=50)
 
 
 def test_report_echoes_configuration():
