@@ -36,6 +36,7 @@ from .dating import (
 from .detect import (
     BreakFit,
     DetectionReport,
+    KieferLaw,
     LimitSample,
     cusum_norm_sq,
     cusum_paths,

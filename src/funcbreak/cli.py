@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dating, detect, fpca
 from .basis import CurveSeries, DegenerateFitError, FourierBasis, fit_curve
-from .longrun import BANDWIDTH_EXPONENTS, WEIGHTS, LongRunConfig
+from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
 from .simlab import (BreakSpec, DgpConfig, resolve_workers, run_experiment,
                      validate_grid)
 
@@ -185,6 +185,9 @@ def _load_series(args):
         dropped = []
     else:
         series, labels, dropped = ingest(source, args.basis_size, args.max_missing)
+    if series.n < MIN_CURVES:  # the bandwidth rules need that many curves
+        name = "<stream>" if args.path == "-" else args.path
+        raise DataFormatError(f"{name}: {series.n} curves, fewer than {MIN_CURVES}")
     if args.dump_coeffs:
         _dump_coeffs(series, labels, args.dump_coeffs)
     return series, labels, dropped
@@ -237,9 +240,9 @@ def _lr_config(args) -> LongRunConfig:
     return LongRunConfig(weight=args.weight, bandwidth=args.bandwidth)
 
 
-def _detection_report(args, series, labels, dropped) -> dict:
+def _detection_report(args, series, labels, dropped, fit=None) -> dict:
     report = detect.test(series, args.alpha, _lr_config(args),
-                         reps=args.reps, grid=args.grid, seed=args.seed)
+                         reps=args.reps, grid=args.grid, seed=args.seed, fit=fit)
     return {
         "stat": report.stat,
         "p_value": report.p_value,
@@ -257,10 +260,11 @@ def _cmd_detect(args) -> dict:
 
 def _cmd_date(args) -> dict:
     series, labels, dropped = _load_series(args)
-    # the test and the dating share k_hat and h: both come from detect.fit_break
-    report = _detection_report(args, series, labels, dropped)
+    # one CUSUM, k_hat and kernel fit serves both the test and the dating
+    fit = detect.fit_break(series, _lr_config(args))
+    report = _detection_report(args, series, labels, dropped, fit)
     rep = dating.date_break(series, args.alpha, _lr_config(args),
-                            conservative=args.conservative)
+                            conservative=args.conservative, fit=fit)
     lo, hi = rep.ci
     report.update({
         "sigma2_hat": rep.sigma2_hat,

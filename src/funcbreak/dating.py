@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Curve, CurveSeries, KernelMatrix, eigen_decompose
-from .detect import LimitSample, _bridge_sq_paths, _replication_rngs, fit_break
+from .detect import (BreakFit, LimitSample, _bisect, _bridge_sq_paths,
+                     _replication_rngs, fit_break)
 from .longrun import LongRunConfig
 
 __all__ = [
@@ -188,16 +189,7 @@ class XiLaw:
             theta, target, sign = self.theta, q, -1.0
         else:
             theta, target, sign = 1.0 - self.theta, 1.0 - q, 1.0
-        lo, hi = 0.0, 1.0
-        while _left_tail(hi, theta) > target:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _left_tail(mid, theta) > target:
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
+        s = _bisect(lambda s: _left_tail(s, theta) > target)
         return sign * 2.0 * s * s / (1.0 - theta) ** 2 * self.sigma2
 
 
@@ -301,22 +293,25 @@ class DatingReport:
 
 def date_break(series: CurveSeries, alpha: float = 0.05,
                config: LongRunConfig | None = None, *,
-               conservative: bool = False) -> DatingReport:
+               conservative: bool = False,
+               fit: BreakFit | None = None) -> DatingReport:
     """Full dating pipeline: date, break function, sigma^2, Xi law, CI.
 
     The interval takes quantiles of the exact Xi law. With ``conservative``
     that law is taken at the top long-run eigenvalue instead of sigma^2, which
-    can only widen the interval.
+    can only widen the interval. A caller that already holds
+    ``fit_break(series, config)`` passes it as ``fit``. A flat fit (a CUSUM at
+    rounding level) has no break to date.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     n = series.n
-    fit = fit_break(series, config)
+    fit = fit or fit_break(series, config)
     k_hat = fit.k_hat
     delta = estimate_break_function(series, k_hat)
     eig = eigen_decompose(fit.kernel)
     lambda1 = float(max(eig.values[0], 0.0))
-    if delta.norm() == 0.0:
+    if fit.flat:
         raise ValueError("estimated break function is zero; cannot date a break")
     # a variance: non-PSD tapers can push the raw quadratic form slightly negative
     sigma2 = max(sigma2_hat(fit.kernel, delta), 0.0)

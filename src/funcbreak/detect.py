@@ -8,10 +8,14 @@ the CUSUM, k_hat and kernel fit that the test, dating and aligned detector share
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications one at a time and stops once the decision is final (sequential
 Monte Carlo, Besag & Clifford 1991), so simlab size and power cells get the
-same decisions as from ``test`` with fewer draws.
+same decisions as from ``test`` with fewer draws. ``KieferLaw`` is the exact
+law of the sup of a squared d-dimensional Brownian bridge, the null limit of
+the fPCA and aligned detectors.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -21,6 +25,7 @@ from .longrun import LongRunConfig, estimate_longrun, longrun_kernel, trace
 
 __all__ = [
     "LimitSample",
+    "KieferLaw",
     "BreakFit",
     "DetectionReport",
     "tied_down_cusum",
@@ -78,6 +83,7 @@ class BreakFit:
     k_hat: int
     kernel: KernelMatrix  # long-run kernel demeaned piecewise at k_hat
     h: float  # bandwidth used for the kernel
+    flat: bool  # the CUSUM maximum is rounding noise: the series has no break
 
 
 def fit_break(series: CurveSeries,
@@ -87,7 +93,10 @@ def fit_break(series: CurveSeries,
     norms = np.einsum("ij,ij->i", paths, paths)
     k_hat = _smallest_argmax(norms)
     kernel, h = estimate_longrun(series, config, split=k_hat)
-    return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h)
+    # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
+    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
+    return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h,
+                    flat=bool(norms[k_hat] <= floor))
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,94 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     return LimitSample(np.sort(draws))
 
 
+def _bisect(below) -> float:
+    """Where a monotone ``below`` turns false on x >= 0: bracket, then bisect."""
+    lo, hi = 0.0, 1.0
+    while below(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bessel_pair(nu: float, z: np.ndarray) -> tuple:
+    """J_nu(z) and J_{nu+1}(z) for z > 0 and an integer or half-integer nu >= -1/2."""
+    if nu == int(nu):
+        # Bessel's integral over a full period by the trapezoid rule: the
+        # integrand is smooth and periodic, so the error falls geometrically
+        tau = np.linspace(0.0, 2.0 * np.pi, int(1.5 * z.max()) + 64, endpoint=False)
+        phase = np.outer(z, np.sin(tau))
+        return tuple(np.cos(m * tau - phase).mean(axis=1) for m in (nu, nu + 1))
+    # the spherical closed forms of J_{-1/2} and J_{1/2}, raised by recurrence
+    root = np.sqrt(2.0 / (np.pi * z))
+    lower, upper = root * np.cos(z), root * np.sin(z)
+    for k in range(int(nu + 0.5)):
+        lower, upper = upper, (2 * k + 1) / z * upper - lower
+    return lower, upper
+
+
+@lru_cache(maxsize=None)
+def _kiefer_terms(d: int, count: int) -> tuple:
+    """j_n^2 and log(j_n^(2 nu) / J_{nu+1}(j_n)^2) for the first zeros of J_nu."""
+    nu = d / 2.0 - 1.0
+    n = np.arange(1, count + 1)
+    beta = (n + nu / 2.0 - 0.25) * np.pi
+    mu = 4.0 * nu * nu
+    j = beta - (mu - 1.0) / (8.0 * beta) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
+        3.0 * (8.0 * beta) ** 3)  # McMahon's expansion
+    if nu > 4.0:  # Olver's form through the Airy zeros for the first zeros
+        airy = -(3.0 * np.pi * (4.0 * n - 1.0) / 8.0) ** (2.0 / 3.0)
+        s = (nu / 2.0) ** (1.0 / 3.0)
+        j = np.where(n < nu / 4.0, nu - airy * s + 0.15 * airy * airy / s, j)
+    for _ in range(10):  # Newton, with J_nu' = (nu / j) J_nu - J_{nu+1}
+        j_nu, j_next = _bessel_pair(nu, j)
+        j = j - j_nu / (nu / j * j_nu - j_next)
+    _, j_next = _bessel_pair(nu, j)
+    return j * j, 2.0 * nu * np.log(j) - 2.0 * np.log(np.abs(j_next))
+
+
+@dataclass(frozen=True)
+class KieferLaw:
+    """Exact law of sup_t ||B_d(t)||^2 for a d-dimensional Brownian bridge B_d.
+
+    P(sup ||B_d||^2 <= x) = 4 / (Gamma(d/2) (2x)^(d/2)) sum_n j_n^(2 nu) /
+    J_{nu+1}(j_n)^2 exp(-j_n^2 / (2x)), nu = d/2 - 1, j_n the zeros of J_nu
+    (Kiefer 1959; Kolmogorov's law at d = 1). It is the null limit of the fPCA
+    detector on d scores and of the aligned detector (d = 1).
+    """
+
+    d: int
+
+    def __post_init__(self):
+        # the upward recurrence for half-integer orders misplaces zeros from d = 195
+        if self.d != int(self.d) or not 1 <= self.d <= 150:
+            raise ValueError("dimension must be an integer in [1, 150]")
+
+    def cdf(self, x: float) -> float:
+        """P(sup ||B_d||^2 <= x)."""
+        if x <= 0.0:
+            return 0.0
+        if (self.d - 1) / 2.0 * math.log(x) - 2.0 * x < -100.0:
+            return 1.0  # the upper tail, of order x^((d-1)/2) e^(-2x), is negligible
+        # the terms fall like j^(d-1) exp(-j^2 / (2x)): sum the zeros up to
+        # j^2 = 2x (45 + 1.5 d), in a count rounded up to a power of two
+        needed = int(math.sqrt(2.0 * x * (45.0 + 1.5 * self.d)) / math.pi) + 2
+        j2, log_w = _kiefer_terms(int(self.d), 1 << (needed - 1).bit_length())
+        half = self.d / 2.0
+        log_pre = math.log(4.0) - math.lgamma(half) - half * math.log(2.0 * x)
+        return min(float(np.exp(log_pre + log_w - j2 / (2.0 * x)).sum()), 1.0)
+
+    def quantile(self, q: float) -> float:
+        """The x with P(sup ||B_d||^2 <= x) = q, by bracketing and bisection."""
+        if not 0.0 < q < 1.0:
+            raise ValueError("quantile level must be in (0, 1)")
+        return _bisect(lambda x: self.cdf(x) < q)
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     """Outcome of the fully functional test plus its configuration echo."""
@@ -177,14 +274,16 @@ class DetectionReport:
             raise ValueError("critical values must decrease in alpha")
 
 
-def _null_spectrum(series: CurveSeries, cfg: LongRunConfig):
+def _null_spectrum(series: CurveSeries, cfg: LongRunConfig,
+                   fit: BreakFit | None = None):
     """The fit, statistic, kernel split and clipped eigenvalues behind ``test``.
 
     The split is k_hat when the null kernel is demeaned piecewise there and
-    None when it is demeaned by the overall mean (see ``test``).
+    None when it is demeaned by the overall mean (see ``test``). The statistic
+    of a flat fit (a CUSUM at rounding level) is 0.
     """
-    fit = fit_break(series, cfg)
-    stat = float(fit.norms[fit.k_hat])
+    fit = fit or fit_break(series, cfg)
+    stat = 0.0 if fit.flat else float(fit.norms[fit.k_hat])
     kernel, split = fit.kernel, fit.k_hat
     pooled = longrun_kernel(series, cfg.weight, h=fit.h)
     if trace(kernel) >= 0.5 * trace(pooled):
@@ -195,7 +294,7 @@ def _null_spectrum(series: CurveSeries, cfg: LongRunConfig):
 
 def test(series: CurveSeries, alpha: float = 0.05,
          config: LongRunConfig | None = None, *, reps: int = 1000,
-         grid: int = 1000, seed=None) -> DetectionReport:
+         grid: int = 1000, seed=None, fit: BreakFit | None = None) -> DetectionReport:
     """Run the fully functional break test at level ``alpha``.
 
     The null long-run kernel is demeaned by the overall mean unless the step
@@ -207,12 +306,13 @@ def test(series: CurveSeries, alpha: float = 0.05,
     exactly when the statistic is large and inflate the size. The null limit
     is simulated from all D estimated eigenvalues (negatives clipped); the
     report gives the statistic, critical values and the finite-sample Monte
-    Carlo p-value (1 + #{draws >= stat}) / (reps + 1).
+    Carlo p-value (1 + #{draws >= stat}) / (reps + 1). A caller that already
+    holds ``fit_break(series, config)`` passes it as ``fit``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     cfg = config or LongRunConfig()
-    fit, stat, split, lam = _null_spectrum(series, cfg)
+    fit, stat, split, lam = _null_spectrum(series, cfg, fit)
     null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
     p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
     levels = sorted({round(a, 12) for a in (alpha, 0.10, 0.05, 0.01)})

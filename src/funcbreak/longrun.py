@@ -72,6 +72,8 @@ WEIGHTS = {
 }
 
 BANDWIDTH_EXPONENTS = {"n13": 1.0 / 3.0, "n14": 1.0 / 4.0, "n15": 1.0 / 5.0}
+# the fewest curves a bandwidth rule accepts
+MIN_CURVES = 4
 
 
 def _resolve_weight(w) -> WeightFunction:
@@ -206,8 +208,8 @@ def bandwidth(rule: str, n: int, series: CurveSeries | None = None,
     it needs the series, a Bartlett or Parzen target weight, and the demeaning
     split. Results are floored at 1.
     """
-    if n < 4:
-        raise ValueError("bandwidth selection needs n >= 4")
+    if n < MIN_CURVES:
+        raise ValueError(f"bandwidth selection needs n >= {MIN_CURVES}")
     if rule in BANDWIDTH_EXPONENTS:
         return max(1.0, float(n) ** BANDWIDTH_EXPONENTS[rule])
     if rule == "adaptive":

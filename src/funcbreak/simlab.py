@@ -3,7 +3,10 @@
 Generates the three eigenvalue-decay settings with iid or first-order
 functional autoregressive errors, inserts mean breaks calibrated to a target
 signal-to-noise ratio, and drives size/power/dating/coverage experiments over
-parameter grids with reproducible per-replication random streams.
+parameter grids with reproducible per-replication random streams. The fPCA
+and aligned detectors are compared with exact quantiles of the continuous sup
+of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
+replications affect only the fully functional (FF) test.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import estimate_break_date, rejects, simulate_null_limit
+from .detect import KieferLaw, estimate_break_date, rejects
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
@@ -207,9 +210,6 @@ def insert_break(series: CurveSeries, delta: Curve, k_star: int) -> CurveSeries:
 CSV_COLUMNS = ("setting", "dependence", "n", "m", "snr", "theta", "detector",
                "metric", "value", "stderr", "reps", "seed")
 
-# fixed constant so cached fPCA/aligned critical values are stable across runs
-_CV_SEED_BASE = 202_412
-
 _DETECTOR_KINDS = {"size": ("ff", "fpca", "aligned"),
                    "power": ("ff", "fpca", "aligned"),
                    "dating": ("ff", "fpca"),
@@ -232,11 +232,9 @@ def _parse_detector(name: str) -> tuple[str, float | None]:
 
 
 @lru_cache(maxsize=None)
-def _bridge_critical_value(d: int, alpha: float, grid: int) -> float:
+def _bridge_critical_value(d: int, alpha: float) -> float:
     # shared across replications: the d-dimensional limit law is data-free
-    null = simulate_null_limit(np.ones(d), reps=10_000, grid=grid,
-                               seed=_CV_SEED_BASE + d)
-    return null.quantile(1.0 - alpha)
+    return KieferLaw(d).quantile(1.0 - alpha)
 
 
 def _cell_digest(dgp: DgpConfig) -> int:
@@ -305,9 +303,9 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
         if kind_name == "fpca":
             model = fit_fpca(series, tve=tve)
             return fpca_statistic(model).stat > _bridge_critical_value(
-                model.d, task.alpha, task.null_grid)
+                model.d, task.alpha)
         stat = aligned_statistic(series, config=task.lr_config)
-        return stat > _bridge_critical_value(1, task.alpha, task.null_grid)
+        return stat > _bridge_critical_value(1, task.alpha)
 
     if task.kind == "dating":
         if kind_name == "ff":
@@ -469,8 +467,11 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     Failed replications are counted per detector in ``failures`` rows.
     FF size and power decisions come from ``detect.rejects``, which stops
     drawing null replications once p <= alpha is decided and gives the same
-    decisions as ``detect.test``. ``xi_reps`` has no effect: coverage
-    intervals use the exact Xi law.
+    decisions as ``detect.test``; ``null_reps`` and ``null_grid`` affect only
+    these FF decisions. fPCA and aligned critical values are the exact
+    quantiles of the continuous sup of a squared d-dimensional Brownian bridge
+    (``detect.KieferLaw``). ``xi_reps`` has no effect: coverage intervals use
+    the exact Xi law.
     """
     if reps < 1:
         raise ValueError("need at least one replication")

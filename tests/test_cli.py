@@ -210,10 +210,46 @@ def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys
 
 
 def test_degenerate_numeric_input_exits_with_numeric_code(tmp_path, capsys):
-    # two identical constant years: zero break function, sigma^2 undefined
-    path = write_daily_csv(tmp_path / "flat.csv", {2001: 1.0, 2002: 1.0})
+    # four identical constant years: zero break function, sigma^2 undefined
+    path = write_daily_csv(tmp_path / "flat.csv", {y: 1.0 for y in range(2001, 2005)})
     assert main(["date", str(path), "--seed", "1", "--reps", "50",
                  "--grid", "100", "--xi-reps", "100"]) == 3
+
+
+def test_constant_daily_series_has_no_break(tmp_path, capsys):
+    # the yearly fits differ only by rounding, which must not read as a break
+    path = write_daily_csv(tmp_path / "const.csv", {y: 2.0 for y in range(2000, 2006)})
+    assert main(["detect", str(path), *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stat"] == 0.0 and report["p_value"] == 1.0
+    assert main(["date", str(path), *FAST]) == 3
+    assert "break function is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("years", [2, 3])
+def test_fewer_than_four_years_is_a_data_error(tmp_path, capsys, years):
+    path = write_daily_csv(tmp_path / "short.csv",
+                           {y: seasonal_rule(1.0, y % 2) for y in range(2000, 2000 + years)})
+    for command in ("detect", "date"):
+        assert main([command, str(path), *FAST]) == 2
+        assert f"short.csv: {years} curves, fewer than 4" in capsys.readouterr().err
+
+
+def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
+    import funcbreak.dating as dating
+    import funcbreak.detect as detect
+
+    fits = []
+    fit_break = detect.fit_break
+
+    def counting(*args, **kwargs):
+        fits.append(fit_break(*args, **kwargs))
+        return fits[-1]
+
+    for module in (detect, dating):
+        monkeypatch.setattr(module, "fit_break", counting)
+    assert main(["date", str(step_file), *FAST]) == 0
+    assert len(fits) == 1
 
 
 @settings(max_examples=40, deadline=None,
@@ -241,6 +277,9 @@ def test_short_and_constant_coefficient_series_exit_with_a_code(
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert (code == 0) == (err == "")
+    if n < 4:
+        # too few curves for a bandwidth rule: a data error naming the file
+        assert code == 2 and "coeffs.csv" in err
     if constant and n >= 4:
         # stat 0 gives p = 1; a zero break function cannot be dated
         assert code == (0 if command == "detect" else 3)

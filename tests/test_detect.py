@@ -259,6 +259,25 @@ def test_rejects_on_a_degenerate_spectrum_matches_test():
         assert rejects(series, 0.05, reps=19, grid=100, seed=0) == expected
 
 
+def test_rounding_level_cusum_counts_as_zero():
+    # a constant series up to last-bit noise has no break; a relative 1e-9
+    # step is far above rounding and stays a break
+    rng = np.random.default_rng(3)
+    level = np.tile([2.0, -1.0, 0.5], (12, 1))
+    noisy = make_series(level * (1.0 + 4e-16 * rng.standard_normal(level.shape)))
+    fit = fit_break(noisy)
+    assert fit.norms[fit.k_hat] > 0.0 and fit.flat
+    report = ff_test(noisy, reps=19, grid=100, seed=0)
+    assert report.stat == 0.0 and report.p_value == 1.0
+    assert not rejects(noisy, 0.5, reps=19, grid=100, seed=0)
+    with pytest.raises(ValueError, match="break function is zero"):
+        date_break(noisy)
+    step = level.copy()
+    step[6:] *= 1.0 + 1e-9
+    assert not fit_break(make_series(step)).flat
+    assert ff_test(make_series(step), reps=19, grid=100, seed=0).stat > 0.0
+
+
 def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
     import funcbreak.detect as detect
 
