@@ -28,9 +28,7 @@ from .dating import (
     confidence_interval,
     date_break,
     estimate_break_function,
-    no_break_argmax_sample,
     sigma2_hat,
-    simulate_fixed_break_limit,
     simulate_xi,
 )
 from .detect import (
@@ -40,7 +38,6 @@ from .detect import (
     LimitSample,
     cusum_norm_sq,
     cusum_paths,
-    detector_stat,
     estimate_break_date,
     fit_break,
     rejects,

@@ -11,9 +11,17 @@ Monte Carlo, Besag & Clifford 1991), so simlab size and power cells get the
 same decisions as from ``test`` with fewer draws. ``KieferLaw`` is the exact
 law of the sup of a squared d-dimensional Brownian bridge, the null limit of
 the fPCA and aligned detectors.
+
+``simulate_null_limit``, and so ``test``, spreads its replications over up to
+FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``).
+Every replication draws from its own stream into its own slot, so the draws,
+p-values and critical values do not depend on the thread count. ``rejects``
+draws serially: its simlab callers already run one process per CPU.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -31,12 +39,12 @@ __all__ = [
     "tied_down_cusum",
     "cusum_paths",
     "cusum_norm_sq",
-    "detector_stat",
     "estimate_break_date",
     "fit_break",
     "simulate_null_limit",
     "test",
     "rejects",
+    "resolve_workers",
 ]
 
 
@@ -62,11 +70,6 @@ def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
 def _smallest_argmax(per_k: np.ndarray) -> int:
     """Smallest k in 1..n maximizing a per-k sequence indexed k = 0..n."""
     return int(np.argmax(per_k[1:])) + 1
-
-
-def detector_stat(series: CurveSeries) -> float:
-    """Max-type detector: the largest squared CUSUM norm over k = 1..n."""
-    return float(cusum_norm_sq(series)[1:].max())
 
 
 def estimate_break_date(series: CurveSeries) -> int:
@@ -110,15 +113,27 @@ class LimitSample:
         return float(np.quantile(self.draws, q))
 
 
+# normals per block of replications in simulate_null_limit: blocks share the
+# per-call overhead of the numpy steps, and each thread's buffers stay < 1 MB
+_BLOCK_NORMALS = 1 << 15
+
+
+def _bridge_sq_block(rngs, lam_over_grid: np.ndarray,
+                     grid_frac: np.ndarray) -> np.ndarray:
+    """sum_l lam_l B_l^2 on the interior grid points, one row per generator."""
+    z = np.empty((len(rngs), lam_over_grid.size, grid_frac.size))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)
+    np.cumsum(z, axis=2, out=z)
+    z -= z[:, :, -1:] * grid_frac
+    np.square(z, out=z)
+    return np.matmul(lam_over_grid, z)
+
+
 def _bridge_sq_path(rng: np.random.Generator, lam_over_grid: np.ndarray,
                     grid_frac: np.ndarray) -> np.ndarray:
     """One realization of sum_l lam_l B_l^2 on the interior grid points."""
-    z = rng.standard_normal((lam_over_grid.size, grid_frac.size))
-    np.cumsum(z, axis=1, out=z)
-    endpoint = z[:, -1].copy()
-    z -= endpoint[:, None] * grid_frac
-    np.square(z, out=z)
-    return lam_over_grid @ z
+    return _bridge_sq_block([rng], lam_over_grid, grid_frac)[0]
 
 
 def _replication_rngs(seed, reps: int):
@@ -126,11 +141,11 @@ def _replication_rngs(seed, reps: int):
         yield np.random.default_rng(child)
 
 
-def _bridge_sq_paths(eigenvalues, reps: int, grid: int, seed):
-    """Per replication, sum_l lam_l B_l^2 at j/grid, j = 1..grid; None if lam = 0.
+def _bridge_weights(eigenvalues, reps: int, grid: int):
+    """Checked arguments as (lam_l / grid for lam_l > 0, j / grid for j = 1..grid).
 
-    The arguments are checked and negative eigenvalues clipped to zero first;
-    increments of variance 1/grid are folded into the weights.
+    Negative eigenvalues are clipped to zero first; None if all are zero.
+    Increments of variance 1/grid are folded into the weights.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
@@ -141,10 +156,40 @@ def _bridge_sq_paths(eigenvalues, reps: int, grid: int, seed):
         raise ValueError("bridge grid must have at least 100 steps")
     if not lam.any():
         return None
-    lam_over_grid = lam[lam > 0] / grid
-    grid_frac = np.arange(1, grid + 1) / grid
-    return (_bridge_sq_path(rng, lam_over_grid, grid_frac)
-            for rng in _replication_rngs(seed, reps))
+    return lam[lam > 0] / grid, np.arange(1, grid + 1) / grid
+
+
+def _bridge_sq_paths(eigenvalues, reps: int, grid: int, seed):
+    """Per replication, sum_l lam_l B_l^2 at j/grid, j = 1..grid; None if lam = 0."""
+    weights = _bridge_weights(eigenvalues, reps, grid)
+    if weights is None:
+        return None
+    return (_bridge_sq_path(rng, *weights) for rng in _replication_rngs(seed, reps))
+
+
+def _bridge_sq_maxima(children, lam_over_grid, grid_frac) -> np.ndarray:
+    """Grid maxima of the paths drawn from the given per-replication seeds."""
+    block = max(1, _BLOCK_NORMALS // (lam_over_grid.size * grid_frac.size))
+    return np.concatenate([
+        _bridge_sq_block([np.random.default_rng(c) for c in children[i:i + block]],
+                         lam_over_grid, grid_frac).max(axis=1)
+        for i in range(0, len(children), block)])
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Threads or processes to use: ``workers`` (default: all CPUs), capped by
+    the environment variable FUNCBREAK_THREADS."""
+    env = os.environ.get("FUNCBREAK_THREADS")
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(
+                f"FUNCBREAK_THREADS must be an integer, got {env!r}") from None
+        workers = min(workers, max(1, cap))
+    return max(1, int(workers))
 
 
 def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
@@ -156,12 +201,27 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     the supremum is approximated by the grid maximum. Negative eigenvalues are
     clipped at zero; an all-zero spectrum yields a degenerate all-zero sample.
     One RNG stream is derived per replication index, so results are
-    deterministic for a given (seed, reps, grid).
+    deterministic for a given (seed, reps, grid). The replications are spread
+    over ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS);
+    each keeps its own stream and slot, so the draws do not depend on the
+    thread count.
     """
-    paths = _bridge_sq_paths(eigenvalues, reps, grid, seed)
-    if paths is None:
+    weights = _bridge_weights(eigenvalues, reps, grid)
+    if weights is None:
         return LimitSample(np.zeros(reps), degenerate=True)
-    draws = np.fromiter((path.max() for path in paths), dtype=float, count=reps)
+    children = np.random.SeedSequence(seed).spawn(reps)
+    threads = min(resolve_workers(None), reps)
+    if threads == 1:
+        draws = _bridge_sq_maxima(children, *weights)
+    else:
+        # numpy releases the GIL while it fills, sums and weights the paths.
+        # The workers call private helpers only: perfbench's tracer wraps the
+        # public functions and keeps one span stack, which threads would corrupt.
+        chunks = [children[i * reps // threads:(i + 1) * reps // threads]
+                  for i in range(threads)]
+        with ThreadPoolExecutor(threads) as pool:
+            draws = np.concatenate(list(pool.map(
+                lambda chunk: _bridge_sq_maxima(chunk, *weights), chunks)))
     return LimitSample(np.sort(draws))
 
 

@@ -10,7 +10,6 @@ replications affect only the fully functional (FF) test.
 """
 
 import hashlib
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +18,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import KieferLaw, estimate_break_date, rejects
+from .detect import KieferLaw, estimate_break_date, rejects, resolve_workers
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
@@ -351,21 +350,6 @@ def validate_grid(kind, dgps, specs, detectors) -> None:
     if problems:
         raise ValueError("invalid experiment grid: "
                          + "; ".join(sorted(set(problems))))
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Pool size: ``workers`` (default: all CPUs), capped by FUNCBREAK_THREADS."""
-    env = os.environ.get("FUNCBREAK_THREADS")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(
-                f"FUNCBREAK_THREADS must be an integer, got {env!r}") from None
-        workers = min(workers, max(1, cap))
-    return max(1, int(workers))
 
 
 @dataclass

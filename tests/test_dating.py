@@ -11,14 +11,13 @@ from funcbreak.dating import (
     confidence_interval,
     date_break,
     estimate_break_function,
-    no_break_argmax_sample,
     sigma2_hat,
-    simulate_fixed_break_limit,
     simulate_xi,
 )
 from funcbreak.detect import estimate_break_date
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
+from limit_oracles import no_break_argmax_sample, simulate_fixed_break_limit
 
 
 def make_series(data):

@@ -9,13 +9,13 @@ from funcbreak.dating import date_break
 from funcbreak.detect import (
     cusum_norm_sq,
     cusum_paths,
-    detector_stat,
     fit_break,
     rejects,
     simulate_null_limit,
     test as ff_test,
 )
 from funcbreak.longrun import LongRunConfig
+from limit_oracles import detector_stat
 
 
 def make_series(data):

@@ -5,7 +5,6 @@ import pytest
 from scipy import linalg as sla
 
 from funcbreak.basis import CurveSeries, FourierBasis
-from funcbreak.detect import detector_stat
 from funcbreak.simlab import (
     CSV_COLUMNS,
     BreakSpec,
@@ -19,6 +18,7 @@ from funcbreak.simlab import (
     snr_to_c,
     validate_grid,
 )
+from limit_oracles import detector_stat
 
 
 # --- coefficient scales -----------------------------------------------------
