@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 data/input errors, 3 numerical degeneracy.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import io
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from array import array
 
 import numpy as np
 
@@ -58,12 +60,17 @@ def _check_options(args) -> None:
         raise DataFormatError(str(exc)) from None
 
 
-def _read_rows(source) -> tuple[list, str]:
-    """The CSV rows of a path or an open text stream, and its name for messages."""
+@contextlib.contextmanager
+def _csv_rows(source):
+    """A CSV reader over a path or an open text stream, and its name for messages.
+
+    Rows are read as they are consumed, so no list of the file's rows is held.
+    """
     if hasattr(source, "read"):
-        return list(csv.reader(source)), "<stream>"
+        yield csv.reader(source), "<stream>"
+        return
     with open(source, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh)), str(source)
+        yield csv.reader(fh), str(source)
 
 
 # day 0 of numpy's datetime64[D]
@@ -85,29 +92,28 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     ``max_missing`` of their days missing (absent rows count as missing) are
     dropped with a warning. Returns (series, labels, dropped_years).
     """
-    rows, origin = _read_rows(source)
-    if not rows or [c.strip().lower() for c in rows[0]] != ["date", "value"]:
-        raise DataFormatError(f"{origin}: expected header 'date,value'")
-
-    ordinals, values, bad_lines = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            bad_lines.append(lineno)
-            continue
-        value_text = row[1].strip()
-        try:
-            ordinal = datetime.date.fromisoformat(row[0].strip()).toordinal()
-            value = float(value_text) if value_text else math.nan
-        except ValueError:
-            bad_lines.append(lineno)
-            continue
-        if math.isinf(value):
-            bad_lines.append(lineno)
-            continue
-        ordinals.append(ordinal)
-        values.append(value)
+    ordinals, values, bad_lines = array("q"), array("d"), []
+    with _csv_rows(source) as (reader, origin):
+        if [c.strip().lower() for c in next(reader, [])] != ["date", "value"]:
+            raise DataFormatError(f"{origin}: expected header 'date,value'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                bad_lines.append(lineno)
+                continue
+            value_text = row[1].strip()
+            try:
+                ordinal = datetime.date.fromisoformat(row[0].strip()).toordinal()
+                value = float(value_text) if value_text else math.nan
+            except ValueError:
+                bad_lines.append(lineno)
+                continue
+            if math.isinf(value):
+                bad_lines.append(lineno)
+                continue
+            ordinals.append(ordinal)
+            values.append(value)
     if bad_lines:
         shown = ", ".join(str(x) for x in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
@@ -161,26 +167,27 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
 
 def read_coeffs(source, basis_size: int = 21):
     """Read a pre-smoothed coefficient CSV with header label,c1,...,cD."""
-    rows, origin = _read_rows(source)
     expected = ["label"] + [f"c{i}" for i in range(1, basis_size + 1)]
-    if not rows or [c.strip() for c in rows[0]] != expected:
-        raise DataFormatError(
-            f"{origin}: expected header label,c1,...,c{basis_size}")
     labels, data = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != basis_size + 1:
-            raise DataFormatError(f"{origin}: wrong column count at line {lineno}")
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
+    with _csv_rows(source) as (reader, origin):
+        if [c.strip() for c in next(reader, [])] != expected:
             raise DataFormatError(
-                f"{origin}: non-numeric coefficient at line {lineno}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DataFormatError(f"{origin}: non-finite coefficient at line {lineno}")
-        data.append(values)
-        labels.append(row[0])
+                f"{origin}: expected header label,c1,...,c{basis_size}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != basis_size + 1:
+                raise DataFormatError(f"{origin}: wrong column count at line {lineno}")
+            try:
+                values = [float(v) for v in row[1:]]
+            except ValueError:
+                raise DataFormatError(
+                    f"{origin}: non-numeric coefficient at line {lineno}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataFormatError(
+                    f"{origin}: non-finite coefficient at line {lineno}")
+            data.append(values)
+            labels.append(row[0])
     if len(data) < 2:
         raise DataFormatError(f"{origin}: fewer than two curve rows")
     return CurveSeries(np.array(data), FourierBasis(basis_size)), labels
