@@ -88,9 +88,9 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     values are least-squares fitted on the Fourier basis. An empty or ``nan``
     value marks a missing day; a row with an unparseable date or value, or an
     infinite value, is an error that names its line. Of rows that repeat a
-    date, the last one counts. Years with more than
-    ``max_missing`` of their days missing (absent rows count as missing) are
-    dropped with a warning. Returns (series, labels, dropped_years).
+    date, the last one counts. Years with more than ``max_missing`` of their
+    days missing (absent rows count as missing) are dropped with a warning.
+    Returns (series, labels, dropped_years).
     """
     ordinals, values, bad_lines = array("q"), array("d"), []
     with _csv_rows(source) as (reader, origin):

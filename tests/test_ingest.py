@@ -188,3 +188,16 @@ def test_matches_the_per_year_oracle_with_gaps_and_a_dropped_year(tmp_path):
     _, labels, dropped = assert_matches_oracle(path)
     assert dropped == [2001] and len(labels) == 8
     assert_matches_oracle(path, basis_size=9, max_missing=0.25)
+
+
+def test_a_year_missing_exactly_the_threshold_is_kept(tmp_path):
+    complete = year_lines(2001)
+    gappy = year_lines(2002)
+    del gappy[100:173]  # 73 of 365 days: exactly a fifth
+    path = write_rows(tmp_path / "edge.csv", complete + gappy + year_lines(2003))
+    assert assert_matches_oracle(path, max_missing=0.2)[1:] == (
+        ["2001", "2002", "2003"], [])
+    # with no missing days allowed, only the complete years stay
+    with pytest.warns(UserWarning, match="threshold: 2002$"):
+        _, labels, dropped = ingest(path, max_missing=0.0)
+    assert labels == ["2001", "2003"] and dropped == [2002]
