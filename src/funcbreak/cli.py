@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import datetime
-import io
 import json
 import math
 import sys
@@ -65,12 +64,17 @@ def _csv_rows(source):
     """A CSV reader over a path or an open text stream, and its name for messages.
 
     Rows are read as they are consumed, so no list of the file's rows is held.
+    Bytes that are not UTF-8 and malformed CSV, such as a field over the csv
+    module's size limit, are data errors that name the input.
     """
-    if hasattr(source, "read"):
-        yield csv.reader(source), "<stream>"
-        return
-    with open(source, newline="", encoding="utf-8") as fh:
-        yield csv.reader(fh), str(source)
+    stream = hasattr(source, "read")
+    origin = "<stream>" if stream else str(source)
+    try:
+        with (contextlib.nullcontext(source) if stream
+              else open(source, newline="", encoding="utf-8")) as fh:
+            yield csv.reader(fh), origin
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{origin}: unreadable CSV: {exc}") from None
 
 
 # day 0 of numpy's datetime64[D]
@@ -339,12 +343,7 @@ def _cmd_simulate(args) -> None:
         null_reps=args.reps, null_grid=args.grid, xi_reps=args.xi_reps,
         conservative=args.conservative, lr_config=_lr_config(args),
     )
-    if args.out:
-        result.to_csv(args.out)
-    else:
-        buf = io.StringIO()
-        result.to_csv(buf)
-        sys.stdout.write(buf.getvalue())
+    result.to_csv(args.out or sys.stdout)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -6,17 +6,18 @@ sum of squared independent Brownian bridges, is approximated by Monte Carlo
 simulation from the estimated long-run covariance spectrum. ``fit_break`` is
 the CUSUM, k_hat and kernel fit that the test, dating and aligned detector share.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
-replications one at a time and stops once the decision is final (sequential
-Monte Carlo, Besag & Clifford 1991), so simlab size and power cells get the
-same decisions as from ``test`` with fewer draws. ``KieferLaw`` is the exact
-law of the sup of a squared d-dimensional Brownian bridge, the null limit of
-the fPCA and aligned detectors.
+replications block by block and stops at the end of the block in which the
+decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
+simlab size and power cells get the same decisions as from ``test`` with fewer
+draws. Both draw through one generator of per-replication grid maxima.
+``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
+bridge, the null limit of the fPCA and aligned detectors.
 
 ``simulate_null_limit``, and so ``test``, spreads its replications over up to
 FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``).
 Every replication draws from its own stream into its own slot, so the draws,
 p-values and critical values do not depend on the thread count. ``rejects``
-draws serially: its simlab callers already run one process per CPU.
+draws on the calling thread: its simlab callers already run one process per CPU.
 """
 
 import math
@@ -94,12 +95,14 @@ def fit_break(series: CurveSeries,
     """CUSUM, break date k_hat and the long-run kernel split at k_hat."""
     paths = cusum_paths(series)
     norms = np.einsum("ij,ij->i", paths, paths)
-    k_hat = _smallest_argmax(norms)
-    kernel, h = estimate_longrun(series, config, split=k_hat)
     # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
     floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
+    flat = bool(norms.max() <= floor)
+    # a flat fit takes the date of an all-zero CUSUM, the smallest k
+    k_hat = 1 if flat else _smallest_argmax(norms)
+    kernel, h = estimate_longrun(series, config, split=k_hat)
     return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h,
-                    flat=bool(norms[k_hat] <= floor))
+                    flat=flat)
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ class LimitSample:
         return float(np.quantile(self.draws, q))
 
 
-# normals per block of replications in simulate_null_limit: blocks share the
-# per-call overhead of the numpy steps, and each thread's buffers stay < 1 MB
+# normals per block of replications: blocks share the per-call overhead of
+# the numpy steps, and each thread's buffers stay < 1 MB
 _BLOCK_NORMALS = 1 << 15
 
 
@@ -128,12 +131,6 @@ def _bridge_sq_block(rngs, lam_over_grid: np.ndarray,
     z -= z[:, :, -1:] * grid_frac
     np.square(z, out=z)
     return np.matmul(lam_over_grid, z)
-
-
-def _bridge_sq_path(rng: np.random.Generator, lam_over_grid: np.ndarray,
-                    grid_frac: np.ndarray) -> np.ndarray:
-    """One realization of sum_l lam_l B_l^2 on the interior grid points."""
-    return _bridge_sq_block([rng], lam_over_grid, grid_frac)[0]
 
 
 def _replication_rngs(seed, reps: int):
@@ -159,21 +156,19 @@ def _bridge_weights(eigenvalues, reps: int, grid: int):
     return lam[lam > 0] / grid, np.arange(1, grid + 1) / grid
 
 
-def _bridge_sq_paths(eigenvalues, reps: int, grid: int, seed):
-    """Per replication, sum_l lam_l B_l^2 at j/grid, j = 1..grid; None if lam = 0."""
-    weights = _bridge_weights(eigenvalues, reps, grid)
+def _null_maxima(children, weights):
+    """Yield the grid maximum of sum_l lam_l B_l^2 drawn from each seed in turn.
+
+    ``weights`` comes from ``_bridge_weights``; None, the all-zero spectrum,
+    yields zeros. The paths are drawn a block of replications at a time.
+    """
     if weights is None:
-        return None
-    return (_bridge_sq_path(rng, *weights) for rng in _replication_rngs(seed, reps))
-
-
-def _bridge_sq_maxima(children, lam_over_grid, grid_frac) -> np.ndarray:
-    """Grid maxima of the paths drawn from the given per-replication seeds."""
-    block = max(1, _BLOCK_NORMALS // (lam_over_grid.size * grid_frac.size))
-    return np.concatenate([
-        _bridge_sq_block([np.random.default_rng(c) for c in children[i:i + block]],
-                         lam_over_grid, grid_frac).max(axis=1)
-        for i in range(0, len(children), block)])
+        yield from repeat(0.0, len(children))
+        return
+    block = max(1, _BLOCK_NORMALS // (weights[0].size * weights[1].size))
+    for i in range(0, len(children), block):
+        rngs = [np.random.default_rng(c) for c in children[i:i + block]]
+        yield from _bridge_sq_block(rngs, *weights).max(axis=1)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -207,12 +202,14 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid)
-    if weights is None:
-        return LimitSample(np.zeros(reps), degenerate=True)
     children = np.random.SeedSequence(seed).spawn(reps)
+
+    def draw(chunk):
+        return np.fromiter(_null_maxima(chunk, weights), float, len(chunk))
+
     threads = min(resolve_workers(None), reps)
     if threads == 1:
-        draws = _bridge_sq_maxima(children, *weights)
+        draws = draw(children)
     else:
         # numpy releases the GIL while it fills, sums and weights the paths.
         # The workers call private helpers only: perfbench's tracer wraps the
@@ -220,9 +217,8 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
         chunks = [children[i * reps // threads:(i + 1) * reps // threads]
                   for i in range(threads)]
         with ThreadPoolExecutor(threads) as pool:
-            draws = np.concatenate(list(pool.map(
-                lambda chunk: _bridge_sq_maxima(chunk, *weights), chunks)))
-    return LimitSample(np.sort(draws))
+            draws = np.concatenate(list(pool.map(draw, chunks)))
+    return LimitSample(np.sort(draws), degenerate=weights is None)
 
 
 def _bisect(below) -> float:
@@ -403,18 +399,17 @@ def rejects(series: CurveSeries, alpha: float,
     """Whether ``test`` with the same arguments gives p_value <= alpha.
 
     The null draws come from the same per-replication streams as in ``test``,
-    one replication at a time, and drawing stops as soon as the count of draws
-    >= the statistic makes (1 + count) / (reps + 1) exceed alpha, so the
-    decision is that of ``test`` at a fraction of the draws under the null.
+    a block of replications at a time, and drawing stops at the end of the
+    block in which the count of draws >= the statistic makes
+    (1 + count) / (reps + 1) exceed alpha, so the decision is that of ``test``
+    at a fraction of the draws under the null.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     _, stat, _, lam = _null_spectrum(series, config or LongRunConfig())
-    paths = _bridge_sq_paths(lam, reps, grid, seed)
-    # an all-zero spectrum gives all-zero draws, as in simulate_null_limit
-    draws = repeat(0.0, reps) if paths is None else (p.max() for p in paths)
+    weights = _bridge_weights(lam, reps, grid)
     exceed = 0
-    for draw in draws:
+    for draw in _null_maxima(np.random.SeedSequence(seed).spawn(reps), weights):
         if draw >= stat:
             exceed += 1
         if (1 + exceed) / (reps + 1) > alpha:

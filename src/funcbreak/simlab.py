@@ -318,11 +318,8 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
     return (bool(lo <= k_star <= hi), hi - lo)
 
 
-def _run_chunk(task: _CellTask, start: int, stop: int):
-    results = []
-    for rep in range(start, stop):
-        results.append(_replicate(task, rep))
-    return results
+def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
+    return [_replicate(task, rep) for rep in range(start, stop)]
 
 
 def validate_grid(kind, dgps, specs, detectors) -> None:
@@ -478,24 +475,16 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
             ))
 
     workers = resolve_workers(workers)
-    rows = []
+    chunk = max(1, -(-reps // (workers * 4)))
+    bounds = [(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
+    jobs = [(task, start, stop) for task in tasks for start, stop in bounds]
     if workers == 1:
-        for task in tasks:
-            rows.extend(_cell_rows(task, _run_chunk(task, 0, reps)))
+        parts = [_run_chunk(*job) for job in jobs]
     else:
-        chunk = max(1, -(-reps // (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for t_idx, task in enumerate(tasks):
-                for start in range(0, reps, chunk):
-                    fut = pool.submit(_run_chunk, task, start, min(start + chunk, reps))
-                    futures[fut] = (t_idx, start)
-            pieces = {}
-            for fut, (t_idx, start) in futures.items():
-                pieces.setdefault(t_idx, []).append((start, fut.result()))
-            for t_idx, task in enumerate(tasks):
-                ordered = []
-                for _, part in sorted(pieces[t_idx]):
-                    ordered.extend(part)
-                rows.extend(_cell_rows(task, ordered))
+            parts = list(pool.map(_run_chunk, *zip(*jobs)))  # in job order
+    rows = []
+    for i, task in enumerate(tasks):
+        cell = parts[i * len(bounds):(i + 1) * len(bounds)]
+        rows.extend(_cell_rows(task, [rep for part in cell for rep in part]))
     return ExperimentResult(rows)

@@ -1,20 +1,42 @@
 """Simulations of the paper's limit theorems that only the tests use.
 
-``detector_stat`` is the FF statistic on its own; ``no_break_argmax_sample``
-draws the no-break law of the relative break date from the null-limit bridge
-paths; ``simulate_fixed_break_limit`` draws the fixed-break law of the dating
-error. The tests check the pipeline in ``src/`` against them.
+``detector_stat`` is the FF statistic on its own; ``serial_null_maxima``
+draws the FF null limit one replication after the other, in draw order;
+``no_break_argmax_sample`` draws the no-break law of the relative break date
+from the null-limit bridge paths; ``simulate_fixed_break_limit`` draws the
+fixed-break law of the dating error. The tests check the pipeline in ``src/``
+against them.
 """
 
 import numpy as np
 
 from funcbreak.basis import Curve, CurveSeries
-from funcbreak.detect import _bridge_sq_paths, _replication_rngs, cusum_norm_sq
+from funcbreak.detect import (_bridge_sq_block, _bridge_weights, _replication_rngs,
+                              cusum_norm_sq)
 
 
 def detector_stat(series: CurveSeries) -> float:
     """Max-type detector: the largest squared CUSUM norm over k = 1..n."""
     return float(cusum_norm_sq(series)[1:].max())
+
+
+def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
+    """Grid maxima of sum_l lam_l B_l^2, replication i drawn from the i-th
+    child of SeedSequence(seed), one replication after the other, unsorted."""
+    lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
+    if not lam.any():
+        return np.zeros(reps)
+    lam_over_grid = lam[lam > 0] / grid
+    grid_frac = np.arange(1, grid + 1) / grid
+    draws = np.empty(reps)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        z = np.random.default_rng(child).standard_normal((lam_over_grid.size, grid))
+        np.cumsum(z, axis=1, out=z)
+        endpoint = z[:, -1].copy()
+        z -= endpoint[:, None] * grid_frac
+        np.square(z, out=z)
+        draws[i] = (lam_over_grid @ z).max()
+    return draws
 
 
 def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
@@ -25,9 +47,11 @@ def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
     use the smallest maximizer on the grid. The paths, and the checks on the
     arguments, are those of ``simulate_null_limit``.
     """
-    paths = _bridge_sq_paths(eigenvalues, reps, grid, seed)
-    if paths is None:
+    weights = _bridge_weights(eigenvalues, reps, grid)
+    if weights is None:
         raise ValueError("all eigenvalues are zero; argmax law is undefined")
+    paths = (_bridge_sq_block([rng], *weights)[0]
+             for rng in _replication_rngs(seed, reps))
     draws = np.fromiter(((int(np.argmax(path)) + 1) / grid for path in paths),
                         dtype=float, count=reps)
     return np.sort(draws)

@@ -1,5 +1,6 @@
 import csv
 import datetime
+import io
 import json
 
 import numpy as np
@@ -222,8 +223,32 @@ def test_constant_daily_series_has_no_break(tmp_path, capsys):
     assert main(["detect", str(path), *FAST]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["stat"] == 0.0 and report["p_value"] == 1.0
+    assert report["k_hat"] == 1
     assert main(["date", str(path), *FAST]) == 3
     assert "break function is zero" in capsys.readouterr().err
+
+
+# a value that is not UTF-8, and a quoted field over the csv module's limit
+BAD_FIELDS = {"not-utf8": b"\xff\xfe", "long-field": b'"' + b"1" * 200_000 + b'"'}
+HEADERS = {"daily": b"date,value",
+           "coeffs": b"label," + b",".join(b"c%d" % i for i in range(1, 22))}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_FIELDS))
+@pytest.mark.parametrize("reader", sorted(HEADERS))
+def test_unreadable_csv_bytes_are_a_data_error(tmp_path, capsys, monkeypatch,
+                                               reader, fault):
+    first = b"2000-01-01" if reader == "daily" else b"2000"
+    rest = [] if reader == "daily" else [b"0"] * 20
+    data = HEADERS[reader] + b"\n" + b",".join([first, BAD_FIELDS[fault], *rest]) + b"\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    extra = ["--coeffs"] if reader == "coeffs" else []
+    assert main(["detect", str(path), *FAST, *extra]) == 2
+    assert f"error: {path}: unreadable CSV" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["detect", "-", *FAST, *extra]) == 2
+    assert "error: <stream>: unreadable CSV" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("years", [2, 3])

@@ -15,7 +15,7 @@ from funcbreak.detect import (
     test as ff_test,
 )
 from funcbreak.longrun import LongRunConfig
-from limit_oracles import detector_stat
+from limit_oracles import detector_stat, serial_null_maxima
 
 
 def make_series(data):
@@ -278,17 +278,23 @@ def test_rounding_level_cusum_counts_as_zero():
     assert ff_test(make_series(step), reps=19, grid=100, seed=0).stat > 0.0
 
 
-def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
+def record_drawn_replications(monkeypatch) -> list:
+    """A list that gets one entry per replication the null sampler draws."""
     import funcbreak.detect as detect
 
     drawn = []
-    bridge_sq_path = detect._bridge_sq_path
+    bridge_sq_block = detect._bridge_sq_block
 
-    def counting(*args):
-        drawn.append(1)
-        return bridge_sq_path(*args)
+    def counting(rngs, *args):
+        drawn.extend(rngs)
+        return bridge_sq_block(rngs, *args)
 
-    monkeypatch.setattr(detect, "_bridge_sq_path", counting)
+    monkeypatch.setattr(detect, "_bridge_sq_block", counting)
+    return drawn
+
+
+def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
+    drawn = record_drawn_replications(monkeypatch)
     rng = np.random.default_rng(21)
     null = random_series(rng, 50, 3)
     assert not rejects(null, 0.05, reps=200, grid=100, seed=3)
@@ -299,6 +305,36 @@ def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
     data[25:, 0] += 1.0
     assert rejects(make_series(data), 0.05, reps=200, grid=100, seed=3)
     assert len(drawn) == 200
+
+
+@pytest.mark.parametrize("d, grid, reps, seed", [
+    (21, 1000, 99, 1),  # one replication per block
+    (21, 1000, 99, 2),
+    (3, 100, 299, 3),  # 109 replications per block, final in the first block
+    (3, 100, 299, 11),  # final in the second block
+    (3, 100, 299, 5),  # a rejection, final only at the last draw
+])
+def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
+                                                           reps, seed):
+    import funcbreak.detect as detect
+
+    rng = np.random.default_rng(seed)
+    series = random_series(rng, 60 if d == 21 else 50, d)
+    report = ff_test(series, reps=reps, grid=grid, seed=seed)
+    lam = report.eigenvalues_used
+    assert np.count_nonzero(lam > 0) == d
+    # the 1-based index of the draw after which p <= alpha is decided
+    final, exceed = reps, 0
+    for i, draw in enumerate(serial_null_maxima(lam, reps, grid, seed), start=1):
+        exceed += draw >= report.stat
+        if (1 + exceed) / (reps + 1) > 0.05:
+            final = i
+            break
+    block = max(1, detect._BLOCK_NORMALS // (d * grid))
+    drawn = record_drawn_replications(monkeypatch)
+    decision = rejects(series, 0.05, reps=reps, grid=grid, seed=seed)
+    assert decision == (report.p_value <= 0.05)
+    assert len(drawn) == min(reps, -(-final // block) * block)
 
 
 def test_rejects_checks_its_arguments_like_test():

@@ -16,6 +16,7 @@ from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
 from funcbreak.detect import resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
+from limit_oracles import serial_null_maxima
 
 # FUNCBREAK_THREADS values; None leaves it unset (then all of the CPUs are used)
 THREAD_CAPS = ["1", "2", None]
@@ -26,20 +27,7 @@ CPUS = 3
 def serial_null_draws(eigenvalues, reps, grid, seed):
     """Sorted grid maxima of sum_l lam_l B_l^2, replication i drawn from the
     i-th child of SeedSequence(seed), one replication after the other."""
-    lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
-    if not lam.any():
-        return np.zeros(reps)
-    lam_over_grid = lam[lam > 0] / grid
-    grid_frac = np.arange(1, grid + 1) / grid
-    draws = np.empty(reps)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        z = np.random.default_rng(child).standard_normal((lam_over_grid.size, grid))
-        np.cumsum(z, axis=1, out=z)
-        endpoint = z[:, -1].copy()
-        z -= endpoint[:, None] * grid_frac
-        np.square(z, out=z)
-        draws[i] = (lam_over_grid @ z).max()
-    return np.sort(draws)
+    return np.sort(serial_null_maxima(eigenvalues, reps, grid, seed))
 
 
 @pytest.fixture(params=THREAD_CAPS, ids=lambda cap: f"cap={cap}")
