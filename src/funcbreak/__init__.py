@@ -19,7 +19,6 @@ from .basis import (
     evaluate,
     fit_curve,
     inner_product,
-    project_to_basis,
 )
 from .dating import (
     DatingReport,

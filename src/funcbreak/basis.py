@@ -5,7 +5,8 @@ orthonormal Fourier basis (constant function first, then sin/cos pairs at
 increasing frequency). Orthonormality makes every L2 inner product, norm and
 kernel operator a finite-dimensional linear-algebra computation on the
 coefficients, which is also how daily observations smoothed over 21 basis
-functions are handled in practice.
+functions are handled in practice. A basis is its size alone: curves are
+fitted and evaluated at whatever points the caller supplies.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ __all__ = [
     "CurveSeries",
     "KernelMatrix",
     "EigenSystem",
-    "project_to_basis",
     "fit_curve",
     "inner_product",
     "evaluate",
@@ -27,15 +27,10 @@ __all__ = [
 ]
 
 DEFAULT_BASIS_SIZE = 21
-DEFAULT_GRID_SIZE = 365
 
 
 class DegenerateFitError(ValueError):
     """A curve has fewer usable sample points than basis functions."""
-
-
-def _midpoint_grid(num: int) -> np.ndarray:
-    return (np.arange(num) + 0.5) / num
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -44,31 +39,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FourierBasis:
     """Orthonormal Fourier basis v_1, ..., v_D on [0, 1].
 
     v_1 is the constant function 1; for j >= 1 the pair
     v_{2j}(t) = sqrt(2) sin(2 pi j t), v_{2j+1}(t) = sqrt(2) cos(2 pi j t)
-    follows. ``grid`` is the default evaluation/projection grid, 365 cell
-    midpoints unless specified.
+    follows. The size D is the whole value: two bases with the same
+    ``n_basis`` are equal.
     """
 
     n_basis: int = DEFAULT_BASIS_SIZE
-    grid: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_basis < 1:
             raise ValueError("basis needs at least one function")
-        grid = self.grid if self.grid is not None else _midpoint_grid(DEFAULT_GRID_SIZE)
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least two points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ValueError("grid must lie within [0, 1]")
-        object.__setattr__(self, "grid", _readonly(grid))
 
     def design_matrix(self, t) -> np.ndarray:
         """Evaluate all basis functions at points ``t``; shape (len(t), D)."""
@@ -80,11 +65,6 @@ class FourierBasis:
             arg = 2.0 * np.pi * freq * t
             out[:, col] = np.sqrt(2.0) * (np.sin(arg) if col % 2 == 1 else np.cos(arg))
         return out
-
-    def same_as(self, other: "FourierBasis") -> bool:
-        return self is other or (
-            self.n_basis == other.n_basis and np.array_equal(self.grid, other.grid)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,37 +171,9 @@ def fit_curve(basis: FourierBasis, t, values) -> np.ndarray:
     return coeffs
 
 
-def project_to_basis(samples, basis: FourierBasis) -> CurveSeries:
-    """Project per-curve samples on ``basis.grid`` onto the basis.
-
-    ``samples`` has one row per curve; NaN entries mark missing values and are
-    excluded from each curve's least-squares fit.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.shape[1] != basis.grid.size:
-        raise ValueError("sample columns must match the basis grid")
-    full_design = basis.design_matrix(basis.grid)
-    coeffs = np.empty((samples.shape[0], basis.n_basis))
-    for i, row in enumerate(samples):
-        mask = np.isfinite(row)
-        if mask.sum() < basis.n_basis:
-            raise DegenerateFitError(
-                f"curve {i}: only {int(mask.sum())} usable points "
-                f"for {basis.n_basis} basis functions"
-            )
-        if mask.all():
-            design, y = full_design, row
-        else:
-            design, y = full_design[mask], row[mask]
-        coeffs[i], *_ = np.linalg.lstsq(design, y, rcond=None)
-    return CurveSeries(coeffs, basis)
-
-
 def inner_product(f: Curve, g: Curve) -> float:
     """L2 inner product; equals the coefficient dot product by orthonormality."""
-    if not f.basis.same_as(g.basis):
+    if f.basis != g.basis:
         raise ValueError("curves live in different bases")
     return float(f.coeffs @ g.coeffs)
 

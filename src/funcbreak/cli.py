@@ -19,7 +19,7 @@ from array import array
 import numpy as np
 
 from . import dating, detect, fpca
-from .basis import CurveSeries, DegenerateFitError, FourierBasis
+from .basis import CurveSeries, FourierBasis
 from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
 from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
 
@@ -64,14 +64,15 @@ def _csv_rows(source):
     """A CSV reader over a path or an open text stream, and its name for messages.
 
     Rows are read as they are consumed, so no list of the file's rows is held.
-    Bytes that are not UTF-8 and malformed CSV, such as a field over the csv
-    module's size limit, are data errors that name the input.
+    Files are read as UTF-8; a leading byte-order mark, as spreadsheet programs
+    write, is skipped. Bytes that are not UTF-8 and malformed CSV, such as a
+    field over the csv module's size limit, are data errors that name the input.
     """
     stream = hasattr(source, "read")
     origin = "<stream>" if stream else str(source)
     try:
         with (contextlib.nullcontext(source) if stream
-              else open(source, newline="", encoding="utf-8")) as fh:
+              else open(source, newline="", encoding="utf-8-sig")) as fh:
             yield csv.reader(fh), origin
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{origin}: unreadable CSV: {exc}") from None
@@ -94,6 +95,7 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     infinite value, is an error that names its line. Of rows that repeat a
     date, the last one counts. Years with more than ``max_missing`` of their
     days missing (absent rows count as missing) are dropped with a warning.
+    A UTF-8 byte-order mark before the header is ignored.
     Returns (series, labels, dropped_years).
     """
     ordinals, values, bad_lines = array("q"), array("d"), []
@@ -444,7 +446,7 @@ def main(argv=None) -> int:
             _emit_json(_cmd_date(args), args.out)
         else:
             _cmd_simulate(args)
-    except (DataFormatError, DegenerateFitError, OSError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, ArithmeticError, AssertionError,

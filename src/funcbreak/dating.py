@@ -276,7 +276,7 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
         config={
             "alpha": alpha,
             "weight": cfg.weight,
-            "bandwidth": cfg.bandwidth if cfg.h is None else "fixed",
+            "bandwidth": cfg.bandwidth,
             "h": fit.h,
             "conservative": conservative,
         },

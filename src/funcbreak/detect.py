@@ -73,9 +73,21 @@ def _smallest_argmax(per_k: np.ndarray) -> int:
     return int(np.argmax(per_k[1:])) + 1
 
 
+def _break_date(series: CurveSeries, norms: np.ndarray) -> tuple[int, bool]:
+    """k_hat from the squared CUSUM norms, and whether the series is flat.
+
+    Flat means the largest norm is rounding noise; a flat series takes the
+    date of an all-zero CUSUM, the smallest k.
+    """
+    # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
+    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
+    flat = bool(norms.max() <= floor)
+    return (1 if flat else _smallest_argmax(norms)), flat
+
+
 def estimate_break_date(series: CurveSeries) -> int:
-    """Smallest k in 1..n maximizing the CUSUM norm (min tie-break)."""
-    return _smallest_argmax(cusum_norm_sq(series))
+    """Smallest k in 1..n maximizing the CUSUM norm (min tie-break); 1 if flat."""
+    return _break_date(series, cusum_norm_sq(series))[0]
 
 
 @dataclass(frozen=True)
@@ -95,11 +107,7 @@ def fit_break(series: CurveSeries,
     """CUSUM, break date k_hat and the long-run kernel split at k_hat."""
     paths = cusum_paths(series)
     norms = np.einsum("ij,ij->i", paths, paths)
-    # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
-    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
-    flat = bool(norms.max() <= floor)
-    # a flat fit takes the date of an all-zero CUSUM, the smallest k
-    k_hat = 1 if flat else _smallest_argmax(norms)
+    k_hat, flat = _break_date(series, norms)
     kernel, h = estimate_longrun(series, config, split=k_hat)
     return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h,
                     flat=flat)
@@ -382,7 +390,7 @@ def test(series: CurveSeries, alpha: float = 0.05,
         config={
             "alpha": alpha,
             "weight": cfg.weight,
-            "bandwidth": cfg.bandwidth if cfg.h is None else "fixed",
+            "bandwidth": cfg.bandwidth,
             "h": fit.h,
             "reps": reps,
             "grid": grid,

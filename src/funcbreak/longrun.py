@@ -99,13 +99,12 @@ def weight(kind, x):
 class LongRunConfig:
     """Estimator configuration: taper choice and bandwidth rule.
 
-    ``bandwidth`` is one of the exponent rules n13/n14/n15, or "adaptive";
-    an explicit ``h`` overrides the rule.
+    ``bandwidth`` is one of the exponent rules n13/n14/n15, or "adaptive".
+    To estimate at a given h, call ``longrun_kernel`` directly.
     """
 
     weight: str = "bartlett"
     bandwidth: str = "n14"
-    h: float | None = None
 
 
 def _split_demean(data: np.ndarray, split: int | None) -> np.ndarray:
@@ -231,11 +230,6 @@ def estimate_longrun(series: CurveSeries, config: LongRunConfig | None = None,
                      split: int | None = None) -> tuple[KernelMatrix, float]:
     """Estimate the long-run kernel under a config; returns (kernel, h used)."""
     cfg = config or LongRunConfig()
-    if cfg.h is not None:
-        h = float(cfg.h)
-        if h < 1.0:
-            raise ValueError("explicit bandwidth must be at least 1")
-    else:
-        h = bandwidth(cfg.bandwidth, series.n, series=series,
-                      weight=cfg.weight, split=split)
+    h = bandwidth(cfg.bandwidth, series.n, series=series,
+                  weight=cfg.weight, split=split)
     return longrun_kernel(series, weight=cfg.weight, h=h, split=split), h

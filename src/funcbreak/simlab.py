@@ -43,11 +43,6 @@ DEFAULT_BURNIN = 100
 _VALID_KINDS = ("size", "power", "dating", "coverage")
 
 
-@lru_cache(maxsize=None)
-def _default_basis(n_basis: int) -> FourierBasis:
-    return FourierBasis(n_basis)
-
-
 def sigma_vector(setting: int, n_basis: int = 21) -> np.ndarray:
     """Innovation standard deviations for the three eigenvalue-decay settings."""
     idx = np.arange(1, n_basis + 1, dtype=float)
@@ -153,7 +148,7 @@ def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
             data[i] = prev
         data = data[burnin:]
     series = CurveSeries(_apply_permutation(data, permutation),
-                         _default_basis(cfg.n_basis))
+                         FourierBasis(cfg.n_basis))
     return (series, psi) if return_operator else series
 
 
@@ -167,7 +162,7 @@ def break_function(m: int, c: float, n_basis: int = 21, permutation=None,
     coeffs = np.zeros(n_basis)
     targets = np.arange(m) if permutation is None else np.asarray(permutation)[:m]
     coeffs[targets] = np.sqrt(c / m)
-    return Curve(coeffs, basis if basis is not None else _default_basis(n_basis))
+    return Curve(coeffs, basis if basis is not None else FourierBasis(n_basis))
 
 
 def snr_to_c(snr: float, theta: float, trace_ceps: float) -> float:
@@ -193,7 +188,7 @@ def far1_longrun_trace(sigma, psi) -> float:
 
 def insert_break(series: CurveSeries, delta: Curve, k_star: int) -> CurveSeries:
     """Add the break curve to observations k_star+1..n; k_star=0 keeps the null."""
-    if not series.basis.same_as(delta.basis):
+    if series.basis != delta.basis:
         raise ValueError("break curve and series use different bases")
     if not 0 <= k_star <= series.n:
         raise ValueError(f"break date must be in [0, {series.n}]")

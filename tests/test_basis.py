@@ -11,7 +11,6 @@ from funcbreak.basis import (
     evaluate,
     fit_curve,
     inner_product,
-    project_to_basis,
 )
 
 
@@ -19,41 +18,47 @@ def fine_grid(num=10_001):
     return np.linspace(0.0, 1.0, num)
 
 
+def day_midpoints(days=365):
+    """t = (j + 0.5) / days for j = 0..days-1, the daily sampling points."""
+    return (np.arange(days) + 0.5) / days
+
+
 def test_constant_curve_projects_to_first_coefficient():
     basis = FourierBasis(7)
-    series = project_to_basis(np.full((2, basis.grid.size), 3.0), basis)
+    t = day_midpoints()
     expected = np.zeros(7)
     expected[0] = 3.0
-    np.testing.assert_allclose(series.data[0], expected, atol=1e-10)
+    np.testing.assert_allclose(fit_curve(basis, t, np.full(t.size, 3.0)),
+                               expected, atol=1e-10)
 
 
 def test_second_basis_function_projects_to_unit_vector():
     basis = FourierBasis(9)
-    samples = np.sqrt(2.0) * np.sin(2.0 * np.pi * basis.grid)
-    series = project_to_basis(np.vstack([samples, samples]), basis)
+    t = day_midpoints()
+    samples = np.sqrt(2.0) * np.sin(2.0 * np.pi * t)
     expected = np.zeros(9)
     expected[1] = 1.0
-    np.testing.assert_allclose(series.data[0], expected, atol=1e-8)
+    np.testing.assert_allclose(fit_curve(basis, t, samples), expected, atol=1e-8)
 
 
 def test_projection_residuals_orthogonal_to_design():
     rng = np.random.default_rng(7)
     basis = FourierBasis(11)
-    samples = rng.standard_normal((3, basis.grid.size))
-    series = project_to_basis(samples, basis)
-    design = basis.design_matrix(basis.grid)
-    for i in range(3):
-        residual = samples[i] - design @ series.data[i]
+    t = day_midpoints()
+    samples = rng.standard_normal((3, t.size))
+    design = basis.design_matrix(t)
+    for row in samples:
+        residual = row - design @ fit_curve(basis, t, row)
         assert np.max(np.abs(design.T @ residual)) <= 1e-8
 
 
-def test_too_few_points_names_the_curve():
+def test_too_few_points_raises_degenerate_fit():
     basis = FourierBasis(21)
-    samples = np.full((4, basis.grid.size), np.nan)
-    samples[:3] = 1.0
-    samples[3, :10] = 1.0  # 10 usable points < 21 basis functions
-    with pytest.raises(DegenerateFitError, match="curve 3"):
-        project_to_basis(samples, basis)
+    t = day_midpoints()
+    samples = np.full(t.size, np.nan)
+    samples[:10] = 1.0  # 10 usable points < 21 basis functions
+    with pytest.raises(DegenerateFitError, match="only 10 usable points"):
+        fit_curve(basis, t, samples)
 
 
 def test_fit_curve_on_irregular_points():
@@ -106,9 +111,10 @@ def test_projection_inverts_evaluation_on_the_span():
     rng = np.random.default_rng(5)
     basis = FourierBasis(8)
     coeffs = rng.standard_normal((4, 8))
-    samples = coeffs @ basis.design_matrix(basis.grid).T
-    series = project_to_basis(samples, basis)
-    np.testing.assert_allclose(series.data, coeffs, atol=1e-8)
+    t = day_midpoints()
+    samples = coeffs @ basis.design_matrix(t).T
+    fitted = np.array([fit_curve(basis, t, row) for row in samples])
+    np.testing.assert_allclose(fitted, coeffs, atol=1e-8)
 
 
 def test_evaluate_constant_and_zero_curves():
@@ -123,8 +129,9 @@ def test_evaluate_constant_and_zero_curves():
 def test_evaluate_matches_closed_form_sine():
     basis = FourierBasis(5)
     v2 = Curve([0.0, 1.0, 0.0, 0.0, 0.0], basis)
-    values = evaluate(v2, basis.grid)
-    closed = np.sqrt(2.0) * np.sin(2.0 * np.pi * basis.grid)
+    t = day_midpoints()
+    values = evaluate(v2, t)
+    closed = np.sqrt(2.0) * np.sin(2.0 * np.pi * t)
     np.testing.assert_allclose(values, closed, atol=1e-10)
 
 

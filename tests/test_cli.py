@@ -150,6 +150,35 @@ def test_coefficient_roundtrip_reproduces_analysis(step_file, tmp_path, capsys):
     assert roundtrip["p_value"] == direct["p_value"]
 
 
+def with_bom(path):
+    """A copy of the file prefixed with the UTF-8 byte-order mark."""
+    marked = path.with_name("bom_" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+def test_daily_csv_with_byte_order_mark_reads_as_plain(step_file, capsys):
+    marked = with_bom(step_file)
+    plain, plain_labels, plain_dropped = ingest(step_file)
+    series, labels, dropped = ingest(marked)
+    assert np.array_equal(series.data, plain.data)
+    assert labels == plain_labels and dropped == plain_dropped
+    assert main(["detect", str(step_file), *FAST]) == 0
+    direct = capsys.readouterr().out
+    assert main(["detect", str(marked), *FAST]) == 0
+    assert capsys.readouterr().out == direct
+
+
+def test_coefficient_csv_with_byte_order_mark_reads_as_plain(step_file, tmp_path):
+    dump = tmp_path / "coeffs.csv"
+    assert main(["detect", str(step_file), *FAST, "--out", str(tmp_path / "r.json"),
+                 "--dump-coeffs", str(dump)]) == 0
+    plain, plain_labels = read_coeffs(dump)
+    series, labels = read_coeffs(with_bom(dump))
+    assert np.array_equal(series.data, plain.data)
+    assert labels == plain_labels
+
+
 def test_date_command_reports_interval_with_labels(step_file, capsys):
     assert main(["date", str(step_file), "--seed", "5", "--reps", "150",
                  "--grid", "150", "--xi-reps", "400"]) == 0

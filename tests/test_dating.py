@@ -14,7 +14,7 @@ from funcbreak.dating import (
     sigma2_hat,
     simulate_xi,
 )
-from funcbreak.detect import estimate_break_date
+from funcbreak.detect import estimate_break_date, fit_break
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
 from limit_oracles import no_break_argmax_sample, simulate_fixed_break_limit
@@ -46,6 +46,12 @@ def test_noiseless_step_is_dated_exactly():
 def test_all_equal_series_dates_at_one():
     series = make_series(np.tile([1.0, 2.0], (9, 1)))
     assert estimate_break_date(series) == 1
+    # constants whose CUSUM is rounding noise, not exactly zero: the date
+    # is that of fit_break's flat rule, not the argmax of the noise
+    for c in (0.1, 1.0 / 3.0, 7.7):
+        series = make_series(np.tile([c, -2.0 * c, 3.0 * c], (37, 1)))
+        assert estimate_break_date(series) == 1
+        assert fit_break(series).k_hat == 1
 
 
 def test_break_date_invariances():

@@ -216,8 +216,9 @@ def test_estimate_longrun_uses_config():
     series = make_series(rng.standard_normal((81, 4)))
     kernel, h = estimate_longrun(series, LongRunConfig(bandwidth="n14"), split=40)
     assert h == pytest.approx(3.0)
-    kernel2, h2 = estimate_longrun(series, LongRunConfig(h=2.0), split=40)
-    assert h2 == 2.0
+    same = longrun_kernel(series, "bartlett", h=h, split=40)
+    np.testing.assert_array_equal(kernel.entries, same.entries)
+    kernel2 = longrun_kernel(series, "bartlett", h=2.0, split=40)
     assert not np.array_equal(kernel.entries, kernel2.entries)
 
 
