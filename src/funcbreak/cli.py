@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import io
 import json
 import math
 import sys
@@ -61,21 +62,38 @@ def _check_options(args) -> None:
 
 @contextlib.contextmanager
 def _csv_rows(source):
-    """A CSV reader over a path or an open text stream, and its name for messages.
+    """A CSV reader over a path or an open stream, and its name for messages.
 
     Rows are read as they are consumed, so no list of the file's rows is held.
-    Files are read as UTF-8; a leading byte-order mark, as spreadsheet programs
-    write, is skipped. Bytes that are not UTF-8 and malformed CSV, such as a
-    field over the csv module's size limit, are data errors that name the input.
+    Files and binary streams (such as ``sys.stdin.buffer``) are read as UTF-8;
+    a leading byte-order mark, as spreadsheet programs write, is skipped. Text
+    streams are read as they decode. Bytes that are not UTF-8 and malformed
+    CSV, such as a field over the csv module's size limit, are data errors
+    that name the input.
     """
     stream = hasattr(source, "read")
     origin = "<stream>" if stream else str(source)
+    if not stream:
+        opened = open(source, newline="", encoding="utf-8-sig")
+    elif isinstance(source, io.TextIOBase):
+        opened = contextlib.nullcontext(source)
+    else:
+        opened = _decoded(source)
     try:
-        with (contextlib.nullcontext(source) if stream
-              else open(source, newline="", encoding="utf-8-sig")) as fh:
+        with opened as fh:
             yield csv.reader(fh), origin
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{origin}: unreadable CSV: {exc}") from None
+
+
+@contextlib.contextmanager
+def _decoded(binary):
+    """A UTF-8 text view of a binary stream that leaves the stream open."""
+    text = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+    try:
+        yield text
+    finally:
+        text.detach()  # closing the view, or collecting it, would close the stream
 
 
 # day 0 of numpy's datetime64[D]
@@ -95,7 +113,8 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     infinite value, is an error that names its line. Of rows that repeat a
     date, the last one counts. Years with more than ``max_missing`` of their
     days missing (absent rows count as missing) are dropped with a warning.
-    A UTF-8 byte-order mark before the header is ignored.
+    ``source`` is a path or an open text or binary stream; a UTF-8 byte-order
+    mark before the header of a file or binary stream is ignored.
     Returns (series, labels, dropped_years).
     """
     ordinals, values, bad_lines = array("q"), array("d"), []
@@ -208,7 +227,7 @@ def _dump_coeffs(series: CurveSeries, labels, path) -> None:
 
 
 def _load_series(args):
-    source = sys.stdin if args.path == "-" else args.path
+    source = sys.stdin.buffer if args.path == "-" else args.path
     if args.coeffs:
         series, labels = read_coeffs(source, args.basis_size)
         dropped = []
@@ -248,16 +267,16 @@ def _year_label(labels, index: int) -> str:
     return labels[index - 1]
 
 
-def _base_config(args, series, h_used, dropped):
+def _base_config(args, series, test_config, dropped):
     return {
         "basis_size": args.basis_size,
         "n_curves": series.n,
         "weight": args.weight,
         "bandwidth": args.bandwidth,
-        "h": h_used,
+        "h": test_config["h"],
         "alpha": args.alpha,
         "reps": args.reps,
-        "grid": args.grid,
+        "grid": test_config["grid"],
         "seed": args.seed,
         "max_missing": args.max_missing,
         "coeffs_input": bool(args.coeffs),
@@ -279,7 +298,7 @@ def _detection_report(args, series, labels, dropped, fit=None) -> dict:
         "k_hat": report.k_hat,
         "k_hat_label": _year_label(labels, report.k_hat),
         "theta_hat": report.k_hat / series.n,
-        "config": _base_config(args, series, report.config["h"], dropped),
+        "config": _base_config(args, series, report.config, dropped),
     }
 
 
@@ -348,7 +367,7 @@ def _cmd_simulate(args) -> None:
     result.to_csv(args.out or sys.stdout)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, grid_default, grid_help) -> None:
     parser.add_argument("--basis-size", "-D", type=int, default=21,
                         dest="basis_size", help="number of Fourier basis functions")
     parser.add_argument("--weight", choices=sorted(WEIGHTS), default="bartlett")
@@ -361,8 +380,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "spread over up to FUNCBREAK_THREADS threads "
                              "(default: one per CPU); the results do not "
                              "depend on the thread count")
-    parser.add_argument("--grid", type=int, default=1000,
-                        help="Brownian bridge grid resolution")
+    parser.add_argument("--grid", type=int, default=grid_default, help=grid_help)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -378,6 +396,13 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                         help="write the smoothed coefficients to this CSV path")
 
 
+_SERIES_GRID_HELP = (
+    "Brownian bridge steps of the null law (default: the number of curves n, "
+    "the exact law of the statistic's maximum over its n points for iid "
+    "Gaussian curves); an explicit grid, at least 100 steps, approximates "
+    "the supremum of the continuous limit")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funcbreak",
@@ -387,11 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="fully functional break test")
     _add_input(p_detect)
-    _add_common(p_detect)
+    _add_common(p_detect, None, _SERIES_GRID_HELP)
 
     p_date = sub.add_parser("date", help="break dating with confidence interval")
     _add_input(p_date)
-    _add_common(p_date)
+    _add_common(p_date, None, _SERIES_GRID_HELP)
     p_date.add_argument("--xi-reps", type=int, default=10_000, dest="xi_reps",
                         help="no effect: the argmax limit law is evaluated "
                              "exactly (accepted and echoed for compatibility)")
@@ -404,7 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulation study tables")
     p_sim.add_argument("kind", choices=["size", "power", "dating", "coverage"])
-    _add_common(p_sim)
+    _add_common(p_sim, 1000,
+                "Brownian bridge steps of the FF null law in each replication "
+                "(at least 100): the grid maximum approximates the supremum "
+                "of the continuous limit")
     p_sim.add_argument("--setting", type=int, nargs="+", default=[1, 2, 3])
     p_sim.add_argument("--dependence", nargs="+", default=["iid"],
                        choices=["iid", "far1"])

@@ -1,10 +1,15 @@
 """Fully functional structural-break detection.
 
 The detector is the maximum of the squared L2 norm of the tied-down functional
-CUSUM process. Its null distribution, the supremum of an eigenvalue-weighted
-sum of squared independent Brownian bridges, is approximated by Monte Carlo
-simulation from the estimated long-run covariance spectrum. ``fit_break`` is
-the CUSUM, k_hat and kernel fit that the test, dating and aligned detector share.
+CUSUM process over its n points k/n. Its null distribution is simulated from
+the estimated long-run covariance spectrum as the maximum of an
+eigenvalue-weighted sum of squared independent Brownian bridges. By default
+the bridges are taken on the series' own n steps: for iid Gaussian curves
+with that kernel this is the exact law of the discrete maximum, and each
+replication draws n normals per eigenvalue. An explicit grid (at least 100
+steps) approximates the supremum over [0, 1] of the continuous limit.
+``fit_break`` is the CUSUM, k_hat and kernel fit that the test, dating and
+aligned detector share.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
@@ -146,18 +151,22 @@ def _replication_rngs(seed, reps: int):
         yield np.random.default_rng(child)
 
 
-def _bridge_weights(eigenvalues, reps: int, grid: int):
+def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
     """Checked arguments as (lam_l / grid for lam_l > 0, j / grid for j = 1..grid).
 
     Negative eigenvalues are clipped to zero first; None if all are zero.
-    Increments of variance 1/grid are folded into the weights.
+    Increments of variance 1/grid are folded into the weights. A grid that
+    approximates the continuous supremum needs at least 100 steps; the
+    ``discrete`` law on a series' own n points needs one.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if grid < 100:
+    if discrete and grid < 1:
+        raise ValueError("bridge grid must have at least 1 step")
+    if not discrete and grid < 100:
         raise ValueError("bridge grid must have at least 100 steps")
     if not lam.any():
         return None
@@ -196,20 +205,26 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
-                        seed=None) -> LimitSample:
-    """Simulate sup over [0,1] of the eigenvalue-weighted sum of squared bridges.
+                        seed=None, *, discrete: bool = False) -> LimitSample:
+    """Simulate the grid maximum of the eigenvalue-weighted sum of squared bridges.
 
     Each Brownian bridge is built on the grid j/grid, j = 0..grid, as
-    B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance 1/G, and
-    the supremum is approximated by the grid maximum. Negative eigenvalues are
-    clipped at zero; an all-zero spectrum yields a degenerate all-zero sample.
+    B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance 1/G.
+    With ``discrete``, G is a series' own length n and the grid maximum
+    max_k sum_l lam_l B_l^2(k/n) is the exact law of the FF statistic
+    max_k ||CUSUM_k||^2 for iid Gaussian curves whose kernel has the
+    eigenvalues lam; any G >= 1 is accepted. Otherwise the grid maximum
+    approximates the supremum over [0, 1] of the continuous limit, and G must
+    be at least 100. Both modes draw the same numbers for the same G. Negative
+    eigenvalues are clipped at zero; an all-zero spectrum yields a degenerate
+    all-zero sample.
     One RNG stream is derived per replication index, so results are
     deterministic for a given (seed, reps, grid). The replications are spread
     over ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS);
     each keeps its own stream and slot, so the draws do not depend on the
     thread count.
     """
-    weights = _bridge_weights(eigenvalues, reps, grid)
+    weights = _bridge_weights(eigenvalues, reps, grid, discrete)
     children = np.random.SeedSequence(seed).spawn(reps)
 
     def draw(chunk):
@@ -358,7 +373,8 @@ def _null_spectrum(series: CurveSeries, cfg: LongRunConfig,
 
 def test(series: CurveSeries, alpha: float = 0.05,
          config: LongRunConfig | None = None, *, reps: int = 1000,
-         grid: int = 1000, seed=None, fit: BreakFit | None = None) -> DetectionReport:
+         grid: int | None = None, seed=None,
+         fit: BreakFit | None = None) -> DetectionReport:
     """Run the fully functional break test at level ``alpha``.
 
     The null long-run kernel is demeaned by the overall mean unless the step
@@ -367,17 +383,25 @@ def test(series: CurveSeries, alpha: float = 0.05,
     trace of the overall-mean kernel (both at the same bandwidth), and
     ``config["split"]`` echoes k_hat then and None otherwise. Under the null,
     splitting at the argmax of the statistic itself would deflate the kernel
-    exactly when the statistic is large and inflate the size. The null limit
-    is simulated from all D estimated eigenvalues (negatives clipped); the
-    report gives the statistic, critical values and the finite-sample Monte
-    Carlo p-value (1 + #{draws >= stat}) / (reps + 1). A caller that already
-    holds ``fit_break(series, config)`` passes it as ``fit``.
+    exactly when the statistic is large and inflate the size. The null law
+    is simulated from all D estimated eigenvalues (negatives clipped). With
+    ``grid`` None, the default, the bridges are taken on the series' own n
+    steps: the exact law of the maximum over k/n for iid Gaussian curves with
+    the estimated kernel. An explicit ``grid`` (at least 100) approximates the
+    supremum of the continuous limit instead; ``config["grid"]`` echoes the
+    grid used. The report gives the statistic, critical values and the
+    finite-sample Monte Carlo p-value (1 + #{draws >= stat}) / (reps + 1). A
+    caller that already holds ``fit_break(series, config)`` passes it as
+    ``fit``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     cfg = config or LongRunConfig()
     fit, stat, split, lam = _null_spectrum(series, cfg, fit)
-    null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
+    discrete = grid is None
+    grid = series.n if discrete else grid
+    null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed,
+                               discrete=discrete)
     p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
     levels = sorted({round(a, 12) for a in (alpha, 0.10, 0.05, 0.01)})
     critical_values = {a: null.quantile(1.0 - a) for a in levels}
@@ -403,19 +427,22 @@ def test(series: CurveSeries, alpha: float = 0.05,
 
 def rejects(series: CurveSeries, alpha: float,
             config: LongRunConfig | None = None, *, reps: int = 1000,
-            grid: int = 1000, seed=None) -> bool:
+            grid: int | None = None, seed=None) -> bool:
     """Whether ``test`` with the same arguments gives p_value <= alpha.
 
     The null draws come from the same per-replication streams as in ``test``,
     a block of replications at a time, and drawing stops at the end of the
     block in which the count of draws >= the statistic makes
     (1 + count) / (reps + 1) exceed alpha, so the decision is that of ``test``
-    at a fraction of the draws under the null.
+    at a fraction of the draws under the null. As in ``test``, ``grid`` None
+    draws the exact law of the maximum over the series' own n points, and an
+    explicit grid (at least 100) approximates the continuous supremum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     _, stat, _, lam = _null_spectrum(series, config or LongRunConfig())
-    weights = _bridge_weights(lam, reps, grid)
+    weights = _bridge_weights(lam, reps, series.n if grid is None else grid,
+                              discrete=grid is None)
     exceed = 0
     for draw in _null_maxima(np.random.SeedSequence(seed).spawn(reps), weights):
         if draw >= stat:

@@ -169,6 +169,17 @@ def test_daily_csv_with_byte_order_mark_reads_as_plain(step_file, capsys):
     assert capsys.readouterr().out == direct
 
 
+def test_piped_daily_csv_with_byte_order_mark_reads_as_plain(step_file, monkeypatch,
+                                                             capsys):
+    assert main(["detect", str(step_file), *FAST]) == 0
+    direct = capsys.readouterr().out
+    piped = io.TextIOWrapper(io.BytesIO(with_bom(step_file).read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", piped)
+    assert main(["detect", "-", *FAST]) == 0
+    assert capsys.readouterr().out == direct
+    assert not piped.closed  # reading the piped bytes leaves stdin open
+
+
 def test_coefficient_csv_with_byte_order_mark_reads_as_plain(step_file, tmp_path):
     dump = tmp_path / "coeffs.csv"
     assert main(["detect", str(step_file), *FAST, "--out", str(tmp_path / "r.json"),
@@ -366,6 +377,41 @@ def test_simulate_grid_validation_exits_before_work(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "m=40" in err and "Aligned" in err
+
+
+def test_detect_grid_defaults_to_the_number_of_curves(tmp_path, capsys):
+    path = tmp_path / "coeffs.csv"
+    data = np.random.default_rng(5).standard_normal((60, 3)) * [1.0, 0.5, 0.25]
+    path.write_text("label,c1,c2,c3\n" + "".join(
+        f"{1900 + i},{','.join(repr(float(v)) for v in row)}\n"
+        for i, row in enumerate(data)))
+    common = ["detect", str(path), "--coeffs", "--basis-size", "3", "--seed", "1",
+              "--reps", "50"]
+    assert main(common) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["grid"] == 60
+    # an explicit grid approximates the continuous supremum and needs 100 steps
+    assert main([*common, "--grid", "50"]) == 2
+    assert "--grid must be at least 100, got 50" in capsys.readouterr().err
+
+
+def test_simulate_grid_defaults_to_1000(tmp_path, monkeypatch):
+    import funcbreak.cli as cli
+
+    grids = []
+    run = cli.run_experiment
+
+    def recording(*args, **kwargs):
+        grids.append(kwargs["null_grid"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    out_default, out_explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    args = ["simulate", "size", "--setting", "2", "--n", "20", "--sim-reps", "3",
+            "--reps", "19", "--detectors", "FF", "--seed", "4", "--workers", "1"]
+    assert main([*args, "--out", str(out_default)]) == 0
+    assert main([*args, "--grid", "1000", "--out", str(out_explicit)]) == 0
+    assert grids == [1000, 1000]
+    assert out_default.read_bytes() == out_explicit.read_bytes()
 
 
 def test_simulate_non_integer_thread_cap_exits_with_data_code(monkeypatch, capsys):

@@ -14,7 +14,7 @@ import pytest
 import funcbreak.detect as detect
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
-from funcbreak.detect import resolve_workers, simulate_null_limit
+from funcbreak.detect import rejects, resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
 from limit_oracles import serial_null_maxima
 
@@ -87,6 +87,19 @@ def test_test_report_equals_the_serial_loop(thread_cap, seed):
     assert report.critical_values == {
         a: float(np.quantile(draws, 1.0 - a)) for a in (0.01, 0.05, 0.10)}
     assert not report.degenerate
+
+
+@pytest.mark.parametrize("n", [30, 149])
+def test_default_grid_draws_the_serial_loop_on_the_series_own_steps(thread_cap, n):
+    series = seeded_series(n, n=n)
+    report = ff_test(series, seed=n)
+    assert report.config["grid"] == n
+    draws = serial_null_draws(report.eigenvalues_used, 1000, n, n)
+    assert report.p_value == (1 + np.count_nonzero(draws >= report.stat)) / 1001
+    assert report.critical_values == {
+        a: float(np.quantile(draws, 1.0 - a)) for a in (0.01, 0.05, 0.10)}
+    for alpha in (0.01, 0.05, 0.10, report.p_value):
+        assert rejects(series, alpha, seed=n) == (report.p_value <= alpha)
 
 
 def test_many_threads_with_frequent_switches_match_the_serial_loop(monkeypatch):
