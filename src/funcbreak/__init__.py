@@ -16,9 +16,7 @@ from .basis import (
     FourierBasis,
     KernelMatrix,
     eigen_decompose,
-    evaluate,
     fit_curve,
-    inner_product,
 )
 from .dating import (
     DatingReport,
@@ -55,12 +53,10 @@ from .fpca import (
 from .longrun import (
     LongRunConfig,
     WeightFunction,
-    autocov_kernel,
     bandwidth,
     estimate_longrun,
     longrun_kernel,
     trace,
-    weight,
 )
 from .simlab import (
     BreakSpec,

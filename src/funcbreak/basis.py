@@ -21,8 +21,6 @@ __all__ = [
     "KernelMatrix",
     "EigenSystem",
     "fit_curve",
-    "inner_product",
-    "evaluate",
     "eigen_decompose",
 ]
 
@@ -169,21 +167,6 @@ def fit_curve(basis: FourierBasis, t, values) -> np.ndarray:
     design = basis.design_matrix(t[mask])
     coeffs, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
     return coeffs
-
-
-def inner_product(f: Curve, g: Curve) -> float:
-    """L2 inner product; equals the coefficient dot product by orthonormality."""
-    if f.basis != g.basis:
-        raise ValueError("curves live in different bases")
-    return float(f.coeffs @ g.coeffs)
-
-
-def evaluate(c: Curve, points) -> np.ndarray:
-    """Evaluate the curve at points in [0, 1]."""
-    t = np.atleast_1d(np.asarray(points, dtype=float))
-    if np.any((t < 0.0) | (t > 1.0)):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    return c.basis.design_matrix(t) @ c.coeffs
 
 
 def eigen_decompose(k: KernelMatrix) -> EigenSystem:

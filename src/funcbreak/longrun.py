@@ -18,8 +18,6 @@ __all__ = [
     "WeightFunction",
     "WEIGHTS",
     "LongRunConfig",
-    "weight",
-    "autocov_kernel",
     "longrun_kernel",
     "bandwidth",
     "trace",
@@ -85,16 +83,6 @@ def _resolve_weight(w) -> WeightFunction:
         raise ValueError(f"unknown weight function {w!r}") from None
 
 
-def weight(kind, x):
-    """Evaluate the named weight function at x (scalar or array)."""
-    wf = _resolve_weight(kind)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("weight argument must be finite")
-    out = wf(x)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LongRunConfig:
     """Estimator configuration: taper choice and bandwidth rule.
@@ -143,21 +131,6 @@ def _lag_window_sum(centered: np.ndarray, wf: WeightFunction, h: float,
         g = _lagged_cov(centered, lag)
         acc += (w_val if order is None else (lag ** order) * w_val) * (g + g.T)
     return acc
-
-
-def autocov_kernel(series: CurveSeries, lag: int,
-                   split: int | None) -> KernelMatrix:
-    """Sample autocovariance at the given lag, demeaned piecewise at ``split``.
-
-    Rows 1..split are centered at the pre-split mean, the rest at the
-    post-split mean; ``split=None`` centers every row at the overall mean.
-    The sum is normalized by n regardless of lag.
-    """
-    n = series.n
-    if abs(lag) >= n:
-        raise ValueError(f"|lag| must be below the sample size {n}")
-    centered = _split_demean(series.data, split)
-    return KernelMatrix(_lagged_cov(centered, lag))
 
 
 def longrun_kernel(series: CurveSeries, weight="bartlett", h: float = 1.0,

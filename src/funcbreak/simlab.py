@@ -3,7 +3,10 @@
 Generates the three eigenvalue-decay settings with iid or first-order
 functional autoregressive errors, inserts mean breaks calibrated to a target
 signal-to-noise ratio, and drives size/power/dating/coverage experiments over
-parameter grids with reproducible per-replication random streams. The fPCA
+parameter grids with reproducible per-replication random streams. A worker
+generates its replications a block at a time, each from its own stream in
+the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
+together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
 replications affect only the fully functional (FF) test.
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_BURNIN = 100
+# replications generated together, about 0.5 MB of far1 draws at n = 100, D = 21
+_BLOCK_REPS = 16
 
 _VALID_KINDS = ("size", "power", "dating", "coverage")
 
@@ -103,13 +108,49 @@ class BreakSpec:
             raise ValueError("theta must lie in (0, 1)")
 
 
-def _innovation_matrix(cfg: DgpConfig, rng: np.random.Generator, count: int,
-                       sigma: np.ndarray) -> np.ndarray:
-    if cfg.innovation == "gaussian":
-        z = rng.standard_normal((count, sigma.size))
-    else:
-        z = rng.standard_t(cfg.df, size=(count, sigma.size))
-    return z * sigma
+def _error_block(cfg: DgpConfig, rngs, burnin: int):
+    """Error sequences of one replication per generator.
+
+    Each generator draws the operator Psi0 (far1 only), then the innovations,
+    so a replication does not depend on the others in its block. Returns the
+    (R, n, D) data after the burn-in and the (R, D, D) operators (a None per
+    replication for iid).
+    """
+    sigma = sigma_vector(cfg.setting, cfg.n_basis)
+    far1 = cfg.dependence == "far1"
+    steps = cfg.n + burnin if far1 else cfg.n
+    z = np.empty((len(rngs), steps, cfg.n_basis))
+    psi = np.empty((len(rngs), cfg.n_basis, cfg.n_basis)) if far1 else None
+    for r, rng in enumerate(rngs):
+        if far1:
+            psi0 = rng.standard_normal((cfg.n_basis, cfg.n_basis)) * np.outer(sigma, sigma)
+            psi0 /= np.linalg.norm(psi0, 2)
+            np.multiply(cfg.kappa, psi0, out=psi[r])
+        if cfg.innovation == "gaussian":
+            draws = rng.standard_normal((steps, cfg.n_basis))
+        else:
+            draws = rng.standard_t(cfg.df, size=(steps, cfg.n_basis))
+        np.multiply(draws, sigma, out=z[r])
+    if not far1:
+        return z, [None] * len(rngs)
+    _far1_filter(psi, z)
+    return z[:, burnin:], psi
+
+
+def _far1_filter(psi: np.ndarray, z: np.ndarray) -> None:
+    """Run x_t = Psi x_{t-1} + z_t from x_{-1} = 0 in place, for a stack.
+
+    ``psi`` is (R, D, D) and ``z`` (R, T, D); one stacked matmul per step
+    serves all R recursions and gives the same bits as a matvec each.
+    """
+    cols = z[..., None]
+    prev = np.zeros((z.shape[0], z.shape[2], 1))
+    buf = np.empty_like(prev)
+    for t in range(z.shape[1]):
+        row = cols[:, t]
+        np.matmul(psi, prev, out=buf)
+        np.add(buf, row, out=row)
+        prev = row
 
 
 def _apply_permutation(data: np.ndarray, permutation) -> np.ndarray:
@@ -131,25 +172,13 @@ def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
     coefficient columns of the finished series. With ``return_operator`` the
     (unpermuted) Psi matrix is returned alongside the series.
     """
+    if burnin < 0:
+        raise ValueError(f"burnin must be nonnegative, got {burnin}")
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    sigma = sigma_vector(cfg.setting, cfg.n_basis)
-    psi = None
-    if cfg.dependence == "iid":
-        data = _innovation_matrix(cfg, rng, cfg.n, sigma)
-    else:
-        psi0 = rng.standard_normal((cfg.n_basis, cfg.n_basis)) * np.outer(sigma, sigma)
-        psi0 /= np.linalg.norm(psi0, 2)
-        psi = cfg.kappa * psi0
-        z = _innovation_matrix(cfg, rng, cfg.n + burnin, sigma)
-        data = np.empty_like(z)
-        prev = np.zeros(cfg.n_basis)
-        for i in range(z.shape[0]):
-            prev = psi @ prev + z[i]
-            data[i] = prev
-        data = data[burnin:]
-    series = CurveSeries(_apply_permutation(data, permutation),
+    data, psi = _error_block(cfg, [rng], burnin)
+    series = CurveSeries(_apply_permutation(data[0], permutation),
                          FourierBasis(cfg.n_basis))
-    return (series, psi) if return_operator else series
+    return (series, psi[0]) if return_operator else series
 
 
 def break_function(m: int, c: float, n_basis: int = 21, permutation=None,
@@ -180,7 +209,9 @@ def far1_longrun_trace(sigma, psi) -> float:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (sigma.size, sigma.size):
         raise ValueError("operator shape does not match sigma")
-    if np.max(np.abs(np.linalg.eigvals(psi))) >= 1.0:
+    # the spectral radius is at most the Frobenius norm, so most draws skip eigvals
+    if (not np.linalg.norm(psi) < 1.0
+            and np.max(np.abs(np.linalg.eigvals(psi))) >= 1.0):
         raise ValueError("operator spectral radius must be below 1")
     binv = np.linalg.inv(np.eye(sigma.size) - psi)
     return float((binv**2 @ sigma**2).sum())
@@ -255,16 +286,10 @@ class _CellTask:
     lr_config: LongRunConfig
 
 
-def _replicate(task: _CellTask, rep: int) -> tuple[dict, dict]:
+def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
+               aux_seed: int) -> tuple[dict, dict]:
     """Run one replication; returns (detector -> outcome, detector -> error)."""
     dgp = task.dgp
-    ss = np.random.SeedSequence((task.seed, task.digest, rep))
-    rng = np.random.default_rng(ss)
-    perm = rng.permutation(dgp.n_basis) if dgp.permute else None
-    series, psi = gen_errors(dgp, rng=rng, permutation=perm, return_operator=True)
-    # drawn after all data randomness, so the draw position is break-invariant
-    aux_seed = int(rng.integers(0, 2**63))
-
     k_star = 0
     spec = task.break_spec
     if spec is not None:
@@ -314,7 +339,20 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
 
 
 def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
-    return [_replicate(task, rep) for rep in range(start, stop)]
+    dgp = task.dgp
+    basis = FourierBasis(dgp.n_basis)
+    out = []
+    for lo in range(start, stop, _BLOCK_REPS):
+        rngs = [np.random.default_rng(np.random.SeedSequence((task.seed, task.digest, rep)))
+                for rep in range(lo, min(lo + _BLOCK_REPS, stop))]
+        perms = [rng.permutation(dgp.n_basis) if dgp.permute else None for rng in rngs]
+        data, psi = _error_block(dgp, rngs, DEFAULT_BURNIN)
+        # drawn after all data randomness, so the draw position is break-invariant
+        aux_seeds = [int(rng.integers(0, 2**63)) for rng in rngs]
+        for r, perm in enumerate(perms):
+            series = CurveSeries(_apply_permutation(data[r], perm), basis)
+            out.append(_replicate(task, series, psi[r], perm, aux_seeds[r]))
+    return out
 
 
 def validate_grid(kind, dgps, specs, detectors) -> None:
@@ -440,6 +478,8 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     empty for size runs, where the null is sampled directly). Replications use
     streams keyed by (seed, DGP digest, replication), so any cell is
     reproducible in isolation and cells sharing a DGP replay identical errors.
+    Replications are generated a block at a time with these streams
+    unchanged, so the rows do not depend on the block size or ``workers``.
     Failed replications are counted per detector in ``failures`` rows.
     FF size and power decisions come from ``detect.rejects``, which stops
     drawing null replications once p <= alpha is decided and gives the same

@@ -8,10 +8,23 @@ from funcbreak.basis import (
     FourierBasis,
     KernelMatrix,
     eigen_decompose,
-    evaluate,
     fit_curve,
-    inner_product,
 )
+
+
+def inner_product(f: Curve, g: Curve) -> float:
+    """L2 inner product; equals the coefficient dot product by orthonormality."""
+    if f.basis != g.basis:
+        raise ValueError("curves live in different bases")
+    return float(f.coeffs @ g.coeffs)
+
+
+def evaluate(c: Curve, points) -> np.ndarray:
+    """Evaluate the curve at points in [0, 1]."""
+    t = np.atleast_1d(np.asarray(points, dtype=float))
+    if np.any((t < 0.0) | (t > 1.0)):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    return c.basis.design_matrix(t) @ c.coeffs
 
 
 def fine_grid(num=10_001):

@@ -6,12 +6,13 @@ from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose, KernelMa
 from funcbreak.longrun import (
     WEIGHTS,
     LongRunConfig,
-    autocov_kernel,
+    _lagged_cov,
+    _resolve_weight,
+    _split_demean,
     bandwidth,
     estimate_longrun,
     longrun_kernel,
     trace,
-    weight,
 )
 from funcbreak.simlab import DgpConfig, far1_longrun_trace, gen_errors, sigma_vector
 
@@ -19,6 +20,31 @@ from funcbreak.simlab import DgpConfig, far1_longrun_trace, gen_errors, sigma_ve
 def make_series(data):
     data = np.asarray(data, dtype=float)
     return CurveSeries(data, FourierBasis(data.shape[1]))
+
+
+def weight(kind, x):
+    """Evaluate the named weight function at x (scalar or array)."""
+    wf = _resolve_weight(kind)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("weight argument must be finite")
+    out = wf(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def autocov_kernel(series: CurveSeries, lag: int,
+                   split: int | None) -> KernelMatrix:
+    """Sample autocovariance at the given lag, demeaned piecewise at ``split``.
+
+    Rows 1..split are centered at the pre-split mean, the rest at the
+    post-split mean; ``split=None`` centers every row at the overall mean.
+    The sum is normalized by n regardless of lag.
+    """
+    n = series.n
+    if abs(lag) >= n:
+        raise ValueError(f"|lag| must be below the sample size {n}")
+    centered = _split_demean(series.data, split)
+    return KernelMatrix(_lagged_cov(centered, lag))
 
 
 # --- weight functions -------------------------------------------------------

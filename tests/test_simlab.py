@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
     CSV_COLUMNS,
     BreakSpec,
     DgpConfig,
+    ExperimentResult,
     break_function,
     far1_longrun_trace,
     gen_errors,
@@ -19,6 +22,73 @@ from funcbreak.simlab import (
     validate_grid,
 )
 from limit_oracles import detector_stat
+
+
+def serial_errors(cfg, rng, permutation=None, burnin=100):
+    """``gen_errors`` data and operator, the FAR(1) recursion run one curve
+    after the other as ``prev = psi @ prev + z[i]``."""
+    sigma = sigma_vector(cfg.setting, cfg.n_basis)
+
+    def innovations(count):
+        if cfg.innovation == "gaussian":
+            z = rng.standard_normal((count, sigma.size))
+        else:
+            z = rng.standard_t(cfg.df, size=(count, sigma.size))
+        return z * sigma
+
+    psi = None
+    if cfg.dependence == "iid":
+        data = innovations(cfg.n)
+    else:
+        psi0 = rng.standard_normal((cfg.n_basis, cfg.n_basis)) * np.outer(sigma, sigma)
+        psi0 /= np.linalg.norm(psi0, 2)
+        psi = cfg.kappa * psi0
+        z = innovations(cfg.n + burnin)
+        data = np.empty_like(z)
+        prev = np.zeros(cfg.n_basis)
+        for i in range(z.shape[0]):
+            prev = psi @ prev + z[i]
+            data[i] = prev
+        data = data[burnin:]
+    if permutation is not None:
+        out = np.empty_like(data)
+        out[:, np.asarray(permutation)] = data
+        data = out
+    return data, psi
+
+
+def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
+                     null_grid):
+    """Rows of one ``run_experiment`` cell, its replications generated one
+    after the other through ``gen_errors`` from their own streams."""
+    task = simlab._CellTask(
+        kind=kind, dgp=dgp, break_spec=spec, detectors=tuple(detectors),
+        alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
+        null_reps=null_reps, null_grid=null_grid, conservative=False,
+        lr_config=LongRunConfig())
+    per_rep = []
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, task.digest, rep)))
+        perm = rng.permutation(dgp.n_basis) if dgp.permute else None
+        series, psi = gen_errors(dgp, rng=rng, permutation=perm,
+                                 return_operator=True)
+        aux_seed = int(rng.integers(0, 2**63))
+        sigma = sigma_vector(dgp.setting, dgp.n_basis)
+        trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
+        c = snr_to_c(spec.snr, spec.theta, trace_c)
+        k_star = int(spec.theta * dgp.n)
+        series = insert_break(series, break_function(spec.m, c, dgp.n_basis,
+                                                     permutation=perm), k_star)
+        per_rep.append(({name: simlab._eval_detector(
+            task, *simlab._parse_detector(name), series, aux_seed, k_star)
+            for name in detectors}, {}))
+    return simlab._cell_rows(task, per_rep)
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    ExperimentResult(rows).to_csv(buf)
+    return buf.getvalue()
 
 
 # --- coefficient scales -----------------------------------------------------
@@ -64,6 +134,30 @@ def test_student_innovations_need_df():
     cfg = DgpConfig(setting=2, innovation="student", df=3, n=40, seed=2,
                     permute=False)
     assert gen_errors(cfg).n == 40
+
+
+@pytest.mark.parametrize("dependence,burnin", [("iid", 100), ("far1", 0),
+                                              ("far1", 100)])
+@pytest.mark.parametrize("innovation,df", [("gaussian", None), ("student", 3)])
+def test_gen_errors_matches_the_per_step_recursion(dependence, burnin,
+                                                   innovation, df):
+    cfg = DgpConfig(setting=3, dependence=dependence, innovation=innovation,
+                    df=df, n=60, seed=21)
+    perm = np.random.default_rng(2).permutation(21)
+    series, psi = gen_errors(cfg, permutation=perm, burnin=burnin,
+                             return_operator=True)
+    data, psi_ref = serial_errors(cfg, np.random.default_rng(21), perm, burnin)
+    assert series.data.tobytes() == data.tobytes()
+    if dependence == "iid":
+        assert psi is None and psi_ref is None
+    else:
+        assert psi.tobytes() == psi_ref.tobytes()
+
+
+def test_negative_burnin_is_rejected():
+    cfg = DgpConfig(setting=1, dependence="far1", n=50, seed=1)
+    with pytest.raises(ValueError, match="burnin"):
+        gen_errors(cfg, burnin=-5)
 
 
 # --- FAR(1) -----------------------------------------------------------------
@@ -139,6 +233,15 @@ def test_far1_longrun_trace_closed_forms():
     assert far1_longrun_trace([1.0], [[0.5]]) == pytest.approx(4.0)
     with pytest.raises(ValueError, match="radius"):
         far1_longrun_trace([1.0], [[1.0]])
+
+
+def test_far1_longrun_trace_checks_the_radius_not_the_norm():
+    # Frobenius norm above 1 with spectral radius 0.5: (I - Psi)^-1 = [[2, 40], [0, 2]]
+    assert far1_longrun_trace([1.0, 1.0], [[0.5, 10.0], [0.0, 0.5]]) == pytest.approx(1608.0)
+    with pytest.raises(ValueError, match="radius"):
+        far1_longrun_trace([1.0, 1.0], [[0.5, 10.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="radius"):
+        far1_longrun_trace([1.0, 1.0], [[0.0, -1.5], [1.0, 0.0]])
 
 
 def test_far1_longrun_trace_matches_long_simulation():
@@ -235,6 +338,25 @@ def test_runner_is_deterministic_across_worker_counts():
     serial = run_experiment("power", dgp, spec, workers=1, **kwargs)
     parallel = run_experiment("power", dgp, spec, workers=2, **kwargs)
     assert serial.rows == parallel.rows
+
+
+@pytest.mark.parametrize("kind,dependence", [("dating", "far1"),
+                                             ("coverage", "far1"),
+                                             ("power", "far1"),
+                                             ("dating", "iid")])
+@pytest.mark.parametrize("reps", [37, 100])
+def test_cell_rows_match_serial_generation(kind, dependence, reps):
+    # worker counts 1 and 2 cut the replications into different chunks and blocks
+    dgp = DgpConfig(setting=3, dependence=dependence, n=50)
+    spec = BreakSpec(m=1, snr=0.5, theta=0.5)
+    detectors = ["FF"] if kind == "coverage" else ["FF", "fPCA@0.90"]
+    kwargs = dict(detectors=detectors, reps=reps, seed=17, null_reps=99,
+                  null_grid=100)
+    serial = csv_text(run_experiment(kind, dgp, [spec], workers=1, **kwargs).rows)
+    parallel = csv_text(run_experiment(kind, dgp, [spec], workers=2, **kwargs).rows)
+    assert serial == parallel
+    del kwargs["detectors"]
+    assert serial == csv_text(serial_cell_rows(kind, dgp, spec, detectors, **kwargs))
 
 
 def test_csv_schema_and_stderr_formula():
