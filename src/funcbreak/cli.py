@@ -118,23 +118,22 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     Returns (series, labels, dropped_years).
     """
     ordinals, values, bad_lines = array("q"), array("d"), []
+    # bound once: lookups in the loop cost as much as the row checks
+    parse_date, nan = datetime.date.fromisoformat, math.nan
+    infinities = (math.inf, -math.inf)
     with _csv_rows(source) as (reader, origin):
         if [c.strip().lower() for c in next(reader, [])] != ["date", "value"]:
             raise DataFormatError(f"{origin}: expected header 'date,value'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                bad_lines.append(lineno)
-                continue
-            value_text = row[1].strip()
-            try:
-                ordinal = datetime.date.fromisoformat(row[0].strip()).toordinal()
-                value = float(value_text) if value_text else math.nan
+            try:  # a row of other than two fields fails to unpack
+                day, text = row
+                value = float(text) if text.strip() else nan
+                ordinal = parse_date(day.strip()).toordinal()
             except ValueError:
-                bad_lines.append(lineno)
+                if len(row) > 1 or (row and row[0].strip()):  # else a blank line
+                    bad_lines.append(lineno)
                 continue
-            if math.isinf(value):
+            if value in infinities:
                 bad_lines.append(lineno)
                 continue
             ordinals.append(ordinal)
@@ -377,9 +376,11 @@ def _add_common(parser: argparse.ArgumentParser, grid_default, grid_help) -> Non
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=1000,
                         help="Monte Carlo draws for the null distribution, "
-                             "spread over up to FUNCBREAK_THREADS threads "
-                             "(default: one per CPU); the results do not "
-                             "depend on the thread count")
+                             "in seeded blocks of 2^15 // (D x grid) draws for "
+                             "D positive kernel eigenvalues (one draw each past "
+                             "2^14 normals), spread over up to FUNCBREAK_THREADS "
+                             "threads (default: one per CPU); the results do "
+                             "not depend on the thread count")
     parser.add_argument("--grid", type=int, default=grid_default, help=grid_help)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Curve, CurveSeries, KernelMatrix, eigen_decompose
-from .detect import BreakFit, LimitSample, _bisect, _replication_rngs, fit_break
+from .detect import BreakFit, LimitSample, _bisect, fit_break
 from .longrun import LongRunConfig
 
 __all__ = [
@@ -71,6 +71,11 @@ class LimitProcessConfig:
         if not 0.0 < step <= half / 100.0:
             raise ValueError("grid step must be positive and at most L/100")
         return float(half), float(step)
+
+
+def _replication_rngs(seed, reps: int):
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        yield np.random.default_rng(child)
 
 
 def simulate_xi(theta: float, sigma2: float,

@@ -14,15 +14,19 @@ aligned detector share.
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
 simlab size and power cells get the same decisions as from ``test`` with fewer
-draws. Both draw through one generator of per-replication grid maxima.
+draws. Both draw through one sampler of grid maxima.
 ``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
 bridge, the null limit of the fPCA and aligned detectors.
 
-``simulate_null_limit``, and so ``test``, spreads its replications over up to
-FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``).
-Every replication draws from its own stream into its own slot, so the draws,
-p-values and critical values do not depend on the thread count. ``rejects``
-draws on the calling thread: its simlab callers already run one process per CPU.
+Null replications come in blocks of B = max(1, 2^15 // (D grid)) for the D
+positive eigenvalues: block b is replications [bB, (b + 1)B), drawn in one call
+from child b of SeedSequence(seed); the last block may be shorter, and when
+D grid > 2^14, B = 1 and replication i has child i to itself.
+``simulate_null_limit``, and so ``test``, spreads the blocks over up to
+FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``), so
+the draws, p-values and critical values do not depend on the thread count.
+``rejects`` reads the same blocks in order on the calling thread: its simlab
+callers already run one process per CPU.
 """
 
 import math
@@ -130,25 +134,19 @@ class LimitSample:
 
 
 # normals per block of replications: blocks share the per-call overhead of
-# the numpy steps, and each thread's buffers stay < 1 MB
+# seeding and of the numpy steps, and each thread's buffers stay at 256 KB
 _BLOCK_NORMALS = 1 << 15
 
 
-def _bridge_sq_block(rngs, lam_over_grid: np.ndarray,
+def _bridge_sq_block(rng, size: int, lam_over_grid: np.ndarray,
                      grid_frac: np.ndarray) -> np.ndarray:
-    """sum_l lam_l B_l^2 on the interior grid points, one row per generator."""
-    z = np.empty((len(rngs), lam_over_grid.size, grid_frac.size))
-    for row, rng in zip(z, rngs):
-        rng.standard_normal(out=row)
+    """sum_l lam_l B_l^2 on the interior grid points of ``size`` replications,
+    one row each, drawn in one call from ``rng``."""
+    z = rng.standard_normal((size, lam_over_grid.size, grid_frac.size))
     np.cumsum(z, axis=2, out=z)
     z -= z[:, :, -1:] * grid_frac
     np.square(z, out=z)
     return np.matmul(lam_over_grid, z)
-
-
-def _replication_rngs(seed, reps: int):
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        yield np.random.default_rng(child)
 
 
 def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
@@ -173,19 +171,22 @@ def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
     return lam[lam > 0] / grid, np.arange(1, grid + 1) / grid
 
 
-def _null_maxima(children, weights):
-    """Yield the grid maximum of sum_l lam_l B_l^2 drawn from each seed in turn.
+def _null_blocks(seed, reps: int, weights) -> list:
+    """The (seed, size) of each block of null replications, in draw order (see
+    the module docstring); the all-zero spectrum is one block."""
+    size = reps if weights is None else max(
+        1, _BLOCK_NORMALS // (weights[0].size * weights[1].size))
+    children = np.random.SeedSequence(seed).spawn(-(-reps // size))
+    return [(child, min(size, reps - b * size)) for b, child in enumerate(children)]
 
-    ``weights`` comes from ``_bridge_weights``; None, the all-zero spectrum,
-    yields zeros. The paths are drawn a block of replications at a time.
-    """
+
+def _null_maxima(block, weights) -> np.ndarray:
+    """Grid maxima of sum_l lam_l B_l^2 for the replications of one block;
+    ``weights`` from ``_bridge_weights``, None (all-zero spectrum) gives zeros."""
+    child, size = block
     if weights is None:
-        yield from repeat(0.0, len(children))
-        return
-    block = max(1, _BLOCK_NORMALS // (weights[0].size * weights[1].size))
-    for i in range(0, len(children), block):
-        rngs = [np.random.default_rng(c) for c in children[i:i + block]]
-        yield from _bridge_sq_block(rngs, *weights).max(axis=1)
+        return np.zeros(size)
+    return _bridge_sq_block(np.random.default_rng(child), size, *weights).max(axis=1)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -218,30 +219,24 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     be at least 100. Both modes draw the same numbers for the same G. Negative
     eigenvalues are clipped at zero; an all-zero spectrum yields a degenerate
     all-zero sample.
-    One RNG stream is derived per replication index, so results are
-    deterministic for a given (seed, reps, grid). The replications are spread
-    over ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS);
-    each keeps its own stream and slot, so the draws do not depend on the
-    thread count.
+    Block b of B = max(1, 2^15 // (D grid)) replications draws from child b of
+    SeedSequence(seed) (B = 1 when D grid > 2^14), so results are deterministic
+    for a given (seed, reps, grid). The blocks are spread over
+    ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS) and
+    the draws do not depend on the thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid, discrete)
-    children = np.random.SeedSequence(seed).spawn(reps)
-
-    def draw(chunk):
-        return np.fromiter(_null_maxima(chunk, weights), float, len(chunk))
-
-    threads = min(resolve_workers(None), reps)
-    if threads == 1:
-        draws = draw(children)
+    blocks = _null_blocks(seed, reps, weights)
+    workers = resolve_workers(None)
+    if workers == 1:
+        parts = [_null_maxima(block, weights) for block in blocks]
     else:
         # numpy releases the GIL while it fills, sums and weights the paths.
         # The workers call private helpers only: perfbench's tracer wraps the
         # public functions and keeps one span stack, which threads would corrupt.
-        chunks = [children[i * reps // threads:(i + 1) * reps // threads]
-                  for i in range(threads)]
-        with ThreadPoolExecutor(threads) as pool:
-            draws = np.concatenate(list(pool.map(draw, chunks)))
-    return LimitSample(np.sort(draws), degenerate=weights is None)
+        with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
+            parts = list(pool.map(_null_maxima, blocks, repeat(weights)))
+    return LimitSample(np.sort(np.concatenate(parts)), degenerate=weights is None)
 
 
 def _bisect(below) -> float:
@@ -430,13 +425,13 @@ def rejects(series: CurveSeries, alpha: float,
             grid: int | None = None, seed=None) -> bool:
     """Whether ``test`` with the same arguments gives p_value <= alpha.
 
-    The null draws come from the same per-replication streams as in ``test``,
-    a block of replications at a time, and drawing stops at the end of the
-    block in which the count of draws >= the statistic makes
-    (1 + count) / (reps + 1) exceed alpha, so the decision is that of ``test``
-    at a fraction of the draws under the null. As in ``test``, ``grid`` None
-    draws the exact law of the maximum over the series' own n points, and an
-    explicit grid (at least 100) approximates the continuous supremum.
+    The null draws come from the same blocks of replications as in ``test``,
+    read in order, and drawing stops at the end of the block in which the
+    count of draws >= the statistic makes (1 + count) / (reps + 1) exceed
+    alpha, so the decision is that of ``test`` at a fraction of the draws under
+    the null. As in ``test``, ``grid`` None draws the exact law of the maximum
+    over the series' own n points, and an explicit grid (at least 100)
+    approximates the continuous supremum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -444,9 +439,8 @@ def rejects(series: CurveSeries, alpha: float,
     weights = _bridge_weights(lam, reps, series.n if grid is None else grid,
                               discrete=grid is None)
     exceed = 0
-    for draw in _null_maxima(np.random.SeedSequence(seed).spawn(reps), weights):
-        if draw >= stat:
-            exceed += 1
+    for block in _null_blocks(seed, reps, weights):
+        exceed += np.count_nonzero(_null_maxima(block, weights) >= stat)
         if (1 + exceed) / (reps + 1) > alpha:
             return False
     return True

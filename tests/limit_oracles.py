@@ -1,7 +1,8 @@
 """Simulations of the paper's limit theorems that only the tests use.
 
 ``detector_stat`` is the FF statistic on its own; ``serial_null_maxima``
-draws the FF null limit one replication after the other, in draw order;
+draws the FF null limit one block of replications after the other, in draw
+order;
 ``no_break_argmax_sample`` draws the no-break law of the relative break date
 from the null-limit bridge paths; ``simulate_fixed_break_limit`` draws the
 fixed-break law of the dating error. The tests check the pipeline in ``src/``
@@ -11,8 +12,11 @@ against them.
 import numpy as np
 
 from funcbreak.basis import Curve, CurveSeries
-from funcbreak.detect import (_bridge_sq_block, _bridge_weights, _replication_rngs,
-                              cusum_norm_sq)
+from funcbreak.dating import _replication_rngs
+from funcbreak.detect import _bridge_sq_block, _bridge_weights, cusum_norm_sq
+
+# normals per block of null replications, part of the seeded null layout
+BLOCK_NORMALS = 1 << 15
 
 
 def detector_stat(series: CurveSeries) -> float:
@@ -21,21 +25,30 @@ def detector_stat(series: CurveSeries) -> float:
 
 
 def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
-    """Grid maxima of sum_l lam_l B_l^2, replication i drawn from the i-th
-    child of SeedSequence(seed), one replication after the other, unsorted."""
+    """Grid maxima of sum_l lam_l B_l^2 in draw order, unsorted.
+
+    For the D positive eigenvalues, replications are drawn in blocks of
+    B = max(1, BLOCK_NORMALS // (D grid)): block b holds replications
+    [bB, min((b + 1)B, reps)), drawn one block after the other from the b-th
+    child of SeedSequence(seed) in one (size, D, grid) call.
+    """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not lam.any():
         return np.zeros(reps)
     lam_over_grid = lam[lam > 0] / grid
     grid_frac = np.arange(1, grid + 1) / grid
+    block = max(1, BLOCK_NORMALS // (lam_over_grid.size * grid))
+    children = np.random.SeedSequence(seed).spawn(-(-reps // block))
     draws = np.empty(reps)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        z = np.random.default_rng(child).standard_normal((lam_over_grid.size, grid))
-        np.cumsum(z, axis=1, out=z)
-        endpoint = z[:, -1].copy()
-        z -= endpoint[:, None] * grid_frac
+    for b, child in enumerate(children):
+        start = b * block
+        size = min(block, reps - start)
+        z = np.random.default_rng(child).standard_normal((size, lam_over_grid.size, grid))
+        np.cumsum(z, axis=2, out=z)
+        endpoint = z[:, :, -1].copy()
+        z -= endpoint[:, :, None] * grid_frac
         np.square(z, out=z)
-        draws[i] = (lam_over_grid @ z).max()
+        draws[start:start + size] = (lam_over_grid @ z).max(axis=1)
     return draws
 
 
@@ -50,7 +63,7 @@ def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
     weights = _bridge_weights(eigenvalues, reps, grid)
     if weights is None:
         raise ValueError("all eigenvalues are zero; argmax law is undefined")
-    paths = (_bridge_sq_block([rng], *weights)[0]
+    paths = (_bridge_sq_block(rng, 1, *weights)[0]
              for rng in _replication_rngs(seed, reps))
     draws = np.fromiter(((int(np.argmax(path)) + 1) / grid for path in paths),
                         dtype=float, count=reps)

@@ -311,9 +311,9 @@ def record_drawn_replications(monkeypatch) -> list:
     drawn = []
     bridge_sq_block = detect._bridge_sq_block
 
-    def counting(rngs, *args):
-        drawn.extend(rngs)
-        return bridge_sq_block(rngs, *args)
+    def counting(rng, size, *args):
+        drawn.extend([rng] * size)
+        return bridge_sq_block(rng, size, *args)
 
     monkeypatch.setattr(detect, "_bridge_sq_block", counting)
     return drawn
@@ -337,7 +337,8 @@ def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
     (21, 1000, 99, 1),  # one replication per block
     (21, 1000, 99, 2),
     (3, 100, 299, 3),  # 109 replications per block, final in the first block
-    (3, 100, 299, 11),  # final in the second block
+    (3, 100, 299, 11),  # final at draw 98, in the first block
+    (3, 100, 299, 29),  # final at draw 189, in the second of three blocks
     (3, 100, 299, 5),  # a rejection, final only at the last draw
 ])
 def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,

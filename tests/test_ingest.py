@@ -134,11 +134,13 @@ def test_bad_rows_are_reported_at_their_line_numbers(tmp_path):
     lines[9] = lines[9].split(",")[0] + ",inf"  # line 11
     lines[12] = lines[12].split(",")[0] + ",-Infinity"  # line 14
     lines[15] = lines[15].split(",")[0] + ",1.2.3"  # line 17
+    lines[18] = " ,1.0"  # line 20: blank date
+    lines[21] = ",,"  # line 23: three blank columns
     path = write_rows(tmp_path / "bad.csv", lines)
     with pytest.raises(DataFormatError) as err:
         ingest(path)
     assert str(err.value) == (
-        f"{path}: unparseable rows at lines 2, 6, 8, 11, 14, 17")
+        f"{path}: unparseable rows at lines 2, 6, 8, 11, 14, 17, 20, 23")
 
 
 def test_more_than_twenty_bad_rows_are_summarised(tmp_path):

@@ -1,7 +1,8 @@
 """The FF null draws run on a thread pool; nothing may depend on its size.
 
-Every check compares with ``serial_null_draws``, the serial loop that
-``simulate_null_limit`` ran before its replications were spread over threads.
+Every check compares with ``serial_null_draws``, a serial loop over the blocks
+of replications that ``simulate_null_limit`` spreads over threads, or, where a
+block is one replication, with a loop over replications.
 """
 
 import os
@@ -25,9 +26,23 @@ CPUS = 3
 
 
 def serial_null_draws(eigenvalues, reps, grid, seed):
-    """Sorted grid maxima of sum_l lam_l B_l^2, replication i drawn from the
-    i-th child of SeedSequence(seed), one replication after the other."""
+    """Sorted grid maxima of sum_l lam_l B_l^2, block b of replications drawn
+    from the b-th child of SeedSequence(seed), one block after the other."""
     return np.sort(serial_null_maxima(eigenvalues, reps, grid, seed))
+
+
+def per_replication_draws(eigenvalues, reps, grid, seed):
+    """Sorted grid maxima of sum_l lam_l B_l^2 for positive lam, replication i
+    drawn alone from the i-th child of SeedSequence(seed)."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    steps = np.arange(1, grid + 1) / grid
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        walks = np.cumsum(np.random.default_rng(child).standard_normal((lam.size, grid)),
+                          axis=1)
+        bridges = walks - walks[:, -1:] * steps
+        draws.append(((lam / grid) @ np.square(bridges)).max())
+    return np.sort(draws)
 
 
 @pytest.fixture(params=THREAD_CAPS, ids=lambda cap: f"cap={cap}")
@@ -61,6 +76,32 @@ def test_null_draws_equal_the_serial_loop(thread_cap, lam, reps, grid, seed):
     sample = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
     assert np.array_equal(sample.draws, serial_null_draws(lam, reps, grid, seed))
     assert sample.degenerate == (max(lam) <= 0.0)
+
+
+# two positive eigenvalues on 100 steps: blocks of 2^15 // 200 = 163 replications
+BLOCK_LAM, BLOCK_GRID, BLOCK = [1.0, 0.5], 100, 163
+
+
+@pytest.mark.parametrize("reps", [1, 20, BLOCK, BLOCK + 1, 2 * BLOCK + 74],
+                         ids=["one", "fewer-than-a-block", "one-block",
+                              "one-in-the-last-block", "partial-last-block"])
+def test_a_short_block_draws_the_start_of_a_full_one(thread_cap, reps):
+    # block b comes from child b whatever reps is, and a block of fewer than B
+    # replications draws the first normals of its child's full block
+    full = serial_null_maxima(BLOCK_LAM, 3 * BLOCK, BLOCK_GRID, 9)
+    sample = simulate_null_limit(BLOCK_LAM, reps=reps, grid=BLOCK_GRID, seed=9)
+    assert np.array_equal(sample.draws, np.sort(full[:reps]))
+
+
+@pytest.mark.parametrize("lam, grid, reps", [
+    (np.linspace(1.0, 0.2, 17), 1000, 23),  # D grid = 17000
+    ([1.0, 0.3], 8193, 5),  # D grid = 16386
+])
+def test_one_replication_blocks_draw_each_replication_from_its_own_child(
+        thread_cap, lam, grid, reps):
+    # past 2^14 normals per replication a block is one replication
+    sample = simulate_null_limit(lam, reps=reps, grid=grid, seed=10, discrete=True)
+    assert np.array_equal(sample.draws, per_replication_draws(lam, reps, grid, 10))
 
 
 def test_draws_run_off_the_calling_thread_only_when_allowed(thread_cap, monkeypatch):
