@@ -3,6 +3,10 @@
 Subcommands: ``detect`` (fully functional test), ``date`` (break dating with
 confidence interval) and ``simulate`` (size/power/dating/coverage tables).
 Reports are JSON documents echoing every tunable; simulation output is CSV.
+Daily CSVs are read in chunks of whole lines: a chunk of plain
+``YYYY-MM-DD,value`` lines is parsed in bulk, and from the first chunk that is
+not plain to the end of the file rows go through the csv module one by one.
+Both read the same numbers, so a file's report does not depend on its layout.
 Exit codes: 0 success, 2 data/input errors, 3 numerical degeneracy.
 """
 
@@ -11,6 +15,7 @@ import contextlib
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 import sys
@@ -43,6 +48,7 @@ _OPTION_RANGES = (
     ("--max-missing", "max_missing", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("--tve", "tve", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("--sim-reps", "sim_reps", lambda v: v >= 1, "at least 1"),
+    ("--workers", "workers", lambda v: v >= 1, "at least 1"),
 )
 
 # levels of the Xi quantiles that ``date`` reports
@@ -62,14 +68,15 @@ def _check_options(args) -> None:
 
 @contextlib.contextmanager
 def _csv_rows(source):
-    """A CSV reader over a path or an open stream, and its name for messages.
+    """The text stream of a CSV path or open stream, and its name for messages.
 
-    Rows are read as they are consumed, so no list of the file's rows is held.
-    Files and binary streams (such as ``sys.stdin.buffer``) are read as UTF-8;
-    a leading byte-order mark, as spreadsheet programs write, is skipped. Text
-    streams are read as they decode. Bytes that are not UTF-8 and malformed
-    CSV, such as a field over the csv module's size limit, are data errors
-    that name the input.
+    The stream is read only as the caller consumes it: ``read_coeffs`` through
+    one csv reader, ``ingest`` in chunks of whole lines. Files and binary
+    streams (such as ``sys.stdin.buffer``) are read as UTF-8; a leading
+    byte-order mark, as spreadsheet programs write, is skipped. Text streams
+    are read as they decode. Bytes that are not UTF-8 and malformed CSV, such
+    as a field over the csv module's size limit, are data errors that name the
+    input.
     """
     stream = hasattr(source, "read")
     origin = "<stream>" if stream else str(source)
@@ -81,7 +88,7 @@ def _csv_rows(source):
         opened = _decoded(source)
     try:
         with opened as fh:
-            yield csv.reader(fh), origin
+            yield fh, origin
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{origin}: unreadable CSV: {exc}") from None
 
@@ -99,9 +106,128 @@ def _decoded(binary):
 # day 0 of numpy's datetime64[D]
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
+# characters per chunk of lines that ``ingest`` parses in bulk: numpy's cost
+# per chunk outweighs the saving on much smaller chunks, and each chunk's
+# buffers add to the peak memory of a request
+_CHUNK_CHARS = 1 << 15
+# days in a common year before the first of each month, and before 1 January
+_DAYS_BEFORE_MONTH = np.array([0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365],
+                              dtype=np.int64)
+# place value of each digit of YYYY-MM-DD in the year, month and day
+_PLACE_VALUES = np.array([[1000, 0, 0], [100, 0, 0], [10, 0, 0], [1, 0, 0],
+                          [0, 10, 0], [0, 1, 0], [0, 0, 10], [0, 0, 1]], dtype=np.int32)
+_ZERO, _DASH, _COMMA, _NEWLINE = b"0-,\n"
+
 
 def _days_in_year(year: int) -> int:
     return 366 if (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)) else 365
+
+
+def _plain_rows(lines, field_limit: int):
+    """Ordinals and values of a chunk of plain ``YYYY-MM-DD,value`` lines, or None.
+
+    The arrays are exactly what the row loop of ``ingest`` reads from the same
+    lines. The chunk is plain when each line is ASCII, ends in LF or CRLF (or
+    the end of the file), has no quote, exactly one comma and at most
+    ``field_limit`` characters, starts with a valid date of year >= 1 in that
+    form, and has a blank value or one that ``float`` reads as anything but
+    an infinity (``nan`` marks a missing day). Any other chunk gives None.
+    """
+    text = "".join(lines)
+    if not text.isascii() or '"' in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:  # a line ending the csv module reads, but not plain
+        return None
+    if not text.endswith("\n"):  # the last line of the file
+        text += "\n"
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts
+    # a comma at column 10 of each line, and no other comma
+    if (widths.max() > field_limit
+            or not np.array_equal(np.flatnonzero(buf == _COMMA), starts + 10)):
+        return None
+    # float strips the line end; a blank value reads as nan
+    texts = [line[11:] for line in lines]
+    for i in np.flatnonzero(widths == 11).tolist():
+        texts[i] = "nan"
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return None
+    if np.isinf(values).any():
+        return None
+    chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - _ZERO  # bytes below "0" wrap past 9
+    if (digits > 9).any() or (chars[:, [4, 7]] != _DASH).any():
+        return None
+    year, month, day = (digits @ _PLACE_VALUES).T
+    if (year < 1).any() or (month < 1).any() or (month > 12).any() or (day < 1).any():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    before = _DAYS_BEFORE_MONTH[month - 1]
+    if (day > _DAYS_BEFORE_MONTH[month] - before + (leap & (month == 2))).any():
+        return None
+    before += leap & (month > 2)
+    past = year - 1  # whole years before this one, in the proleptic Gregorian calendar
+    ordinals = 365 * past + past // 4 - past // 100 + past // 400 + before + day
+    return ordinals, values
+
+
+def _row_loop(rows, first_line: int, ordinals, values, bad_lines: list) -> None:
+    """Append the ordinal and value of each of the csv ``rows`` to the arrays.
+
+    Rows are numbered from ``first_line``. An empty or ``nan`` value is nan;
+    blank rows are skipped. The numbers of rows with an unparseable date or
+    value, or an infinite value, are appended to ``bad_lines``.
+    """
+    # bound once: lookups in the loop cost as much as the row checks
+    parse_date, nan = datetime.date.fromisoformat, math.nan
+    infinities = (math.inf, -math.inf)
+    for lineno, row in enumerate(rows, start=first_line):
+        try:  # a row of other than two fields fails to unpack
+            day, text = row
+            value = float(text) if text.strip() else nan
+            ordinal = parse_date(day.strip()).toordinal()
+        except ValueError:
+            if len(row) > 1 or (row and row[0].strip()):  # else a blank line
+                bad_lines.append(lineno)
+            continue
+        if value in infinities:
+            bad_lines.append(lineno)
+            continue
+        ordinals.append(ordinal)
+        values.append(value)
+
+
+def _daily_rows(fh, origin: str):
+    """Ordinals and values of the rows of a daily CSV stream after its header.
+
+    Chunks of plain lines are parsed in bulk until the first chunk that is
+    not plain; that chunk and the rest of the stream go through the row loop.
+    Bad rows, or no row at all, are a data error that names ``origin``.
+    """
+    ordinals, values, bad_lines = array("q"), array("d"), []
+    field_limit, lineno = csv.field_size_limit(), 2
+    for chunk in iter(lambda: fh.readlines(_CHUNK_CHARS), []):
+        plain = _plain_rows(chunk, field_limit)
+        if plain is None:
+            # accepted chunks hold no quote, so this chunk starts a record
+            rows = csv.reader(itertools.chain(chunk, fh))
+            _row_loop(rows, lineno, ordinals, values, bad_lines)
+            break
+        ordinals.frombytes(plain[0].tobytes())
+        values.frombytes(plain[1].tobytes())
+        lineno += len(chunk)
+    if bad_lines:
+        shown = ", ".join(str(x) for x in bad_lines[:20])
+        more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
+        raise DataFormatError(f"{origin}: unparseable rows at lines {shown}{more}")
+    if not ordinals:
+        raise DataFormatError(f"{origin}: no observations found")
+    return np.frombuffer(ordinals, dtype=np.int64), np.frombuffer(values)
 
 
 def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
@@ -115,38 +241,21 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     days missing (absent rows count as missing) are dropped with a warning.
     ``source`` is a path or an open text or binary stream; a UTF-8 byte-order
     mark before the header of a file or binary stream is ignored.
+    After the header the input is read in chunks of whole lines of about 32K
+    characters. A chunk of plain ``YYYY-MM-DD,value`` lines is parsed in bulk.
+    From the first chunk that is not plain (one with, say, a quote, a
+    non-ASCII character, a padded date, a blank line, a value of spaces,
+    another date form, a bad row or a line over the csv field limit) to the
+    end, rows go through the csv module one by one.
+    Both read the same numbers, so the chunking does not change the result.
     Returns (series, labels, dropped_years).
     """
-    ordinals, values, bad_lines = array("q"), array("d"), []
-    # bound once: lookups in the loop cost as much as the row checks
-    parse_date, nan = datetime.date.fromisoformat, math.nan
-    infinities = (math.inf, -math.inf)
-    with _csv_rows(source) as (reader, origin):
-        if [c.strip().lower() for c in next(reader, [])] != ["date", "value"]:
+    with _csv_rows(source) as (fh, origin):
+        if [c.strip().lower() for c in next(csv.reader(fh), [])] != ["date", "value"]:
             raise DataFormatError(f"{origin}: expected header 'date,value'")
-        for lineno, row in enumerate(reader, start=2):
-            try:  # a row of other than two fields fails to unpack
-                day, text = row
-                value = float(text) if text.strip() else nan
-                ordinal = parse_date(day.strip()).toordinal()
-            except ValueError:
-                if len(row) > 1 or (row and row[0].strip()):  # else a blank line
-                    bad_lines.append(lineno)
-                continue
-            if value in infinities:
-                bad_lines.append(lineno)
-                continue
-            ordinals.append(ordinal)
-            values.append(value)
-    if bad_lines:
-        shown = ", ".join(str(x) for x in bad_lines[:20])
-        more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
-        raise DataFormatError(f"{origin}: unparseable rows at lines {shown}{more}")
-    if not ordinals:
-        raise DataFormatError(f"{origin}: no observations found")
+        ordinals, values = _daily_rows(fh, origin)
 
     # sort by date; of a repeated date the last row wins
-    ordinals, values = np.array(ordinals), np.array(values)
     order = np.argsort(ordinals, kind="stable")
     ordinals, values = ordinals[order], values[order]
     last = np.append(ordinals[1:] != ordinals[:-1], True)
@@ -193,7 +302,8 @@ def read_coeffs(source, basis_size: int = 21):
     """Read a pre-smoothed coefficient CSV with header label,c1,...,cD."""
     expected = ["label"] + [f"c{i}" for i in range(1, basis_size + 1)]
     labels, data = [], []
-    with _csv_rows(source) as (reader, origin):
+    with _csv_rows(source) as (fh, origin):
+        reader = csv.reader(fh)
         if [c.strip() for c in next(reader, [])] != expected:
             raise DataFormatError(
                 f"{origin}: expected header label,c1,...,c{basis_size}")

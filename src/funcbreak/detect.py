@@ -25,8 +25,9 @@ D grid > 2^14, B = 1 and replication i has child i to itself.
 ``simulate_null_limit``, and so ``test``, spreads the blocks over up to
 FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``), so
 the draws, p-values and critical values do not depend on the thread count.
-``rejects`` reads the same blocks in order on the calling thread: its simlab
-callers already run one process per CPU.
+``rejects`` reads the same blocks in order on the calling thread (its simlab
+callers already run one process per CPU) and spawns the child of a block only
+when it reads the block.
 """
 
 import math
@@ -171,13 +172,16 @@ def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
     return lam[lam > 0] / grid, np.arange(1, grid + 1) / grid
 
 
-def _null_blocks(seed, reps: int, weights) -> list:
+def _null_blocks(seed, reps: int, weights):
     """The (seed, size) of each block of null replications, in draw order (see
-    the module docstring); the all-zero spectrum is one block."""
+    the module docstring); the all-zero spectrum is one block. Each child is
+    spawned as its block is read: spawning one at a time numbers the children
+    as one call for all of them does."""
     size = reps if weights is None else max(
         1, _BLOCK_NORMALS // (weights[0].size * weights[1].size))
-    children = np.random.SeedSequence(seed).spawn(-(-reps // size))
-    return [(child, min(size, reps - b * size)) for b, child in enumerate(children)]
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, reps, size):
+        yield parent.spawn(1)[0], min(size, reps - start)
 
 
 def _null_maxima(block, weights) -> np.ndarray:
@@ -226,7 +230,7 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     the draws do not depend on the thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid, discrete)
-    blocks = _null_blocks(seed, reps, weights)
+    blocks = list(_null_blocks(seed, reps, weights))
     workers = resolve_workers(None)
     if workers == 1:
         parts = [_null_maxima(block, weights) for block in blocks]

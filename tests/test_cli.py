@@ -414,6 +414,14 @@ def test_simulate_grid_defaults_to_1000(tmp_path, monkeypatch):
     assert out_default.read_bytes() == out_explicit.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_simulate_workers_below_one_exit_with_data_code(capsys, workers):
+    code = main(["simulate", "size", "--setting", "1", "--n", "20", "--sim-reps", "1",
+                 "--detectors", "FF", "--reps", "19", "--workers", workers])
+    assert code == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 def test_simulate_non_integer_thread_cap_exits_with_data_code(monkeypatch, capsys):
     monkeypatch.setenv("FUNCBREAK_THREADS", "2.5")
     code = main(["simulate", "size", "--setting", "1", "--n", "20",

@@ -364,6 +364,31 @@ def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
     assert len(drawn) == min(reps, -(-final // block) * block)
 
 
+@pytest.mark.parametrize("d, grid, reps, seed", [
+    (21, 1000, 99, 1),  # one replication per block, stops early
+    (3, 100, 299, 29),  # stops in the second of three blocks
+    (3, 100, 299, 5),  # a rejection reads every block
+])
+def test_rejects_spawns_only_the_blocks_it_reads(monkeypatch, d, grid, reps, seed):
+    import funcbreak.detect as detect
+
+    spawned = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    rng = np.random.default_rng(seed)
+    series = random_series(rng, 60 if d == 21 else 50, d)
+    drawn = record_drawn_replications(monkeypatch)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    decision = rejects(series, 0.05, reps=reps, grid=grid, seed=seed)
+    block = max(1, detect._BLOCK_NORMALS // (d * grid))
+    assert sum(spawned) == len(set(map(id, drawn))) == -(-len(drawn) // block)
+    assert (sum(spawned) < -(-reps // block)) != decision
+
+
 def test_rejects_checks_its_arguments_like_test():
     series = seeded_series(1)
     with pytest.raises(ValueError, match="alpha"):

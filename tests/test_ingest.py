@@ -4,12 +4,16 @@ oracle that reads the file row by row."""
 
 import csv
 import datetime
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from funcbreak import cli
 from funcbreak.basis import FourierBasis, fit_curve
 from funcbreak.cli import DataFormatError, ingest
 
@@ -43,6 +47,25 @@ def oracle_ingest(path, basis_size=21, max_missing=0.10):
     return np.vstack(curves), labels, dropped
 
 
+def oracle_bad_lines(path):
+    """Line numbers of the rows the oracle cannot read: an unparseable date
+    or value, or an infinite value (rows are numbered from the header, 1)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    bad = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            day, text = row
+            datetime.date.fromisoformat(day.strip())
+            if math.isinf(float(text) if text.strip() else 0.0):
+                bad.append(lineno)
+        except ValueError:
+            bad.append(lineno)
+    return bad
+
+
 def write_rows(path, lines):
     path.write_text("\n".join(["date,value", *lines]) + "\n", encoding="utf-8")
     return path
@@ -64,6 +87,21 @@ def assert_matches_oracle(path, **kwargs):
     assert dropped == want_dropped
     assert np.array_equal(series.data, data)
     return series, labels, dropped
+
+
+def chunked_lines():
+    """Rows of 14 years: more than two chunks of the bulk reader."""
+    lines = [line for year in range(1990, 2004) for line in year_lines(year)]
+    assert len("\n".join(lines)) > 1.2 * cli._CHUNK_CHARS
+    return lines
+
+
+def after_first_chunk(lines, back=0):
+    """The index of a row well past the first chunk, ``back`` rows before the
+    last one; the bulk reader accepts the first chunk before reaching it."""
+    index = len(lines) - 1 - back
+    assert len("\n".join(lines[:index])) > 1.1 * cli._CHUNK_CHARS
+    return index
 
 
 def test_duplicate_date_keeps_the_last_row(tmp_path):
@@ -203,3 +241,125 @@ def test_a_year_missing_exactly_the_threshold_is_kept(tmp_path):
     with pytest.warns(UserWarning, match="threshold: 2002$"):
         _, labels, dropped = ingest(path, max_missing=0.0)
     assert labels == ["2001", "2003"] and dropped == [2002]
+
+
+def test_bad_rows_after_the_first_chunk_keep_their_line_numbers(tmp_path):
+    lines = chunked_lines()
+    bad_date, bad_value = after_first_chunk(lines, back=700), after_first_chunk(lines, 2)
+    lines[bad_date] = "2001-02-29,1.0"
+    lines[bad_value] = lines[bad_value].split(",")[0] + ",inf"
+    path = write_rows(tmp_path / "late.csv", lines)
+    with pytest.raises(DataFormatError) as err:
+        ingest(path)
+    assert str(err.value) == (
+        f"{path}: unparseable rows at lines {bad_date + 2}, {bad_value + 2}")
+    assert oracle_bad_lines(path) == [bad_date + 2, bad_value + 2]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_crlf_and_a_missing_last_newline_read_the_same_rows(tmp_path, newline,
+                                                           last_newline):
+    lines = chunked_lines()
+    lines[-1] = lines[-1].split(",")[0] + ","  # the last row is a blank value
+    lf = write_rows(tmp_path / "lf.csv", lines)
+    path = tmp_path / "copy.csv"
+    text = newline.join(["date,value", *lines]) + (newline if last_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    series, labels, _ = assert_matches_oracle(path)
+    assert np.array_equal(series.data, ingest(lf)[0].data)
+    assert labels == [str(y) for y in range(1990, 2004)]
+
+
+def test_quoted_and_padded_fields_after_the_first_chunk_match_the_oracle(tmp_path):
+    lines = chunked_lines()
+    plain = ingest(write_rows(tmp_path / "plain.csv", lines))[0].data
+    quoted = list(lines)
+    for i in range(after_first_chunk(lines, back=900), len(lines)):
+        day, value = lines[i].split(",")
+        quoted[i] = f'"{day}","{value}"' if i % 2 else f'{day},"{value}"'
+    series, _, _ = assert_matches_oracle(write_rows(tmp_path / "quoted.csv", quoted))
+    assert np.array_equal(series.data, plain)
+    padded = list(lines)
+    for i in range(after_first_chunk(lines, back=900), len(lines), 3):
+        day, value = lines[i].split(",")
+        padded[i] = f" {day} ,  {value}\t"
+    series, _, _ = assert_matches_oracle(write_rows(tmp_path / "padded.csv", padded))
+    assert np.array_equal(series.data, plain)
+
+
+def test_a_value_over_the_csv_field_limit_is_unreadable(tmp_path):
+    lines = chunked_lines()
+    limit = csv.field_size_limit()
+    late = after_first_chunk(lines, back=10)
+    # a finite value, which only the field limit keeps from the bulk reader
+    lines[late] = lines[late].split(",")[0] + "," + "0" * limit + "1"
+    path = write_rows(tmp_path / "long.csv", lines)
+    with pytest.raises(DataFormatError) as err:
+        ingest(path)
+    assert str(err.value) == (
+        f"{path}: unreadable CSV: field larger than field limit ({limit})")
+
+
+@pytest.mark.parametrize("row", [
+    "0000-01-01,1.0", "2001/02/03,1.0", "+001-01-01,1.0", "200a-01-01,1.0",
+    "2002-02-29,1.0", "20020304,1.0", "2002-03-04;1.0", "2002-03-04,1,5",
+    "2002-03-04,-Infinity", "2002-03-04,  ", "2002-03-04,1_0", "2002-03-04,\u0661",
+    '2002-03-04,"1.5"',
+])
+def test_an_edge_row_after_the_first_chunk_matches_the_oracle(tmp_path, row):
+    lines = chunked_lines()
+    late = after_first_chunk(lines, back=50)
+    lines[late] = row
+    path = write_rows(tmp_path / "edge.csv", lines)
+    if oracle_bad_lines(path):
+        with pytest.raises(DataFormatError) as err:
+            ingest(path)
+        assert str(err.value) == f"{path}: unparseable rows at lines {late + 2}"
+    else:
+        assert_matches_oracle(path)
+
+
+def test_a_carriage_return_inside_a_row_of_a_text_stream_is_unreadable():
+    # a text stream that splits lines at LF only hands the csv module the CR
+    lines = chunked_lines()
+    late = after_first_chunk(lines, back=50)
+    lines[late] = lines[late].replace(",", ",\r")
+    with pytest.raises(DataFormatError, match="^<stream>: unreadable CSV: new-line"):
+        ingest(io.StringIO("\n".join(["date,value", *lines]) + "\n"))
+
+
+EDGE_DATES = ["2001-02-29", "0000-01-01", "20010101", " 2002-03-04", "2002-3-04",
+              "2001/02/03", "+001-01-01", "200a-01-01"]
+EDGE_VALUES = ["", "  ", "nan", "1_0", "-Infinity", " 2.5 ", "1e3", "0x1", "\u0661", "1,5"]
+BASE_LINES = year_lines(2001) + year_lines(2002)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(st.tuples(st.integers(0, len(BASE_LINES) - 1),
+                             st.sampled_from([None, *EDGE_DATES]),
+                             st.sampled_from([",", ";"]),
+                             st.sampled_from([None, *EDGE_VALUES])), max_size=6),
+    chunk=st.sampled_from([1, 300, 4000, 1 << 16]),
+    newline=st.sampled_from(["\n", "\r\n", "\r\r\n"]),
+)
+def test_edge_rows_in_any_chunk_match_the_oracle(tmp_path, monkeypatch, edits,
+                                                 chunk, newline):
+    lines = list(BASE_LINES)
+    for index, day, sep, value in edits:
+        old_day, old_value = BASE_LINES[index].split(",")
+        lines[index] = (old_day if day is None else day) + sep
+        lines[index] += old_value if value is None else value
+    path = tmp_path / "edges.csv"
+    path.write_bytes((newline.join(["date,value", *lines]) + newline).encode("utf-8"))
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+    bad = oracle_bad_lines(path)
+    if bad:
+        with pytest.raises(DataFormatError) as err:
+            ingest(path, basis_size=5)
+        assert str(err.value) == (
+            f"{path}: unparseable rows at lines {', '.join(map(str, bad))}")
+    else:
+        assert_matches_oracle(path, basis_size=5)
