@@ -32,7 +32,9 @@ class DegenerateFitError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only copy: the caller's array, and any array it views, stay
+    writeable, and later writes to them do not reach the copy."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -80,9 +82,6 @@ class Curve:
             raise ValueError("curve coefficients must be finite")
         object.__setattr__(self, "coeffs", _readonly(c))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True, eq=False)
 class CurveSeries:
@@ -104,9 +103,6 @@ class CurveSeries:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def curve(self, i: int) -> Curve:
-        return Curve(self.data[i], self.basis)
 
 
 @dataclass(frozen=True, eq=False)

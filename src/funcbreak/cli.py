@@ -4,9 +4,10 @@ Subcommands: ``detect`` (fully functional test), ``date`` (break dating with
 confidence interval) and ``simulate`` (size/power/dating/coverage tables).
 Reports are JSON documents echoing every tunable; simulation output is CSV.
 Daily CSVs are read in chunks of whole lines: a chunk of plain
-``YYYY-MM-DD,value`` lines is parsed in bulk, and from the first chunk that is
-not plain to the end of the file rows go through the csv module one by one.
-Both read the same numbers, so a file's report does not depend on its layout.
+``YYYY-MM-DD,value`` lines is parsed in bulk on numpy's calendar, and from the
+first chunk that is not plain to the end of the file rows go through the csv
+module one by one. Both read the same days and values, so a file's report
+does not depend on its layout.
 Exit codes: 0 success, 2 data/input errors, 3 numerical degeneracy.
 """
 
@@ -20,7 +21,6 @@ import json
 import math
 import sys
 import warnings
-from array import array
 
 import numpy as np
 
@@ -103,35 +103,25 @@ def _decoded(binary):
         text.detach()  # closing the view, or collecting it, would close the stream
 
 
-# day 0 of numpy's datetime64[D]
-_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
-
 # characters per chunk of lines that ``ingest`` parses in bulk: numpy's cost
 # per chunk outweighs the saving on much smaller chunks, and each chunk's
 # buffers add to the peak memory of a request
 _CHUNK_CHARS = 1 << 15
-# days in a common year before the first of each month, and before 1 January
-_DAYS_BEFORE_MONTH = np.array([0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365],
-                              dtype=np.int64)
-# place value of each digit of YYYY-MM-DD in the year, month and day
-_PLACE_VALUES = np.array([[1000, 0, 0], [100, 0, 0], [10, 0, 0], [1, 0, 0],
-                          [0, 10, 0], [0, 1, 0], [0, 0, 10], [0, 0, 1]], dtype=np.int32)
+# the first day that ``datetime.date`` represents: numpy also reads year 0
+_FIRST_DAY = np.datetime64("0001-01-01")
 _ZERO, _DASH, _COMMA, _NEWLINE = b"0-,\n"
 
 
-def _days_in_year(year: int) -> int:
-    return 366 if (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)) else 365
-
-
 def _plain_rows(lines, field_limit: int):
-    """Ordinals and values of a chunk of plain ``YYYY-MM-DD,value`` lines, or None.
+    """Days and values of a chunk of plain ``YYYY-MM-DD,value`` lines, or None.
 
     The arrays are exactly what the row loop of ``ingest`` reads from the same
     lines. The chunk is plain when each line is ASCII, ends in LF or CRLF (or
     the end of the file), has no quote, exactly one comma and at most
-    ``field_limit`` characters, starts with a valid date of year >= 1 in that
-    form, and has a blank value or one that ``float`` reads as anything but
-    an infinity (``nan`` marks a missing day). Any other chunk gives None.
+    ``field_limit`` characters, starts with a date in that form that numpy's
+    calendar holds, of year 1 or later, and has a blank value or one that
+    ``float`` reads as anything but an infinity (``nan`` marks a missing day).
+    Any other chunk gives None.
     """
     text = "".join(lines)
     if not text.isascii() or '"' in text:
@@ -159,38 +149,39 @@ def _plain_rows(lines, field_limit: int):
         return None
     if np.isinf(values).any():
         return None
+    # the shape check comes first: numpy also reads signed years (+001-01-01)
+    # and other forms that fromisoformat rejects
     chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
     digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - _ZERO  # bytes below "0" wrap past 9
     if (digits > 9).any() or (chars[:, [4, 7]] != _DASH).any():
         return None
-    year, month, day = (digits @ _PLACE_VALUES).T
-    if (year < 1).any() or (month < 1).any() or (month > 12).any() or (day < 1).any():
+    # from str: numpy 2.4.6 crashes casting ``chars.view("S10")`` on a bad date
+    try:
+        days = np.array([line[:10] for line in lines], "datetime64[D]")
+    except ValueError:  # a month or day outside the calendar
         return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    before = _DAYS_BEFORE_MONTH[month - 1]
-    if (day > _DAYS_BEFORE_MONTH[month] - before + (leap & (month == 2))).any():
+    if (days < _FIRST_DAY).any():
         return None
-    before += leap & (month > 2)
-    past = year - 1  # whole years before this one, in the proleptic Gregorian calendar
-    ordinals = 365 * past + past // 4 - past // 100 + past // 400 + before + day
-    return ordinals, values
+    return days, values
 
 
-def _row_loop(rows, first_line: int, ordinals, values, bad_lines: list) -> None:
-    """Append the ordinal and value of each of the csv ``rows`` to the arrays.
+def _row_loop(rows, first_line: int, bad_lines: list):
+    """Days and values of the csv ``rows``, as ``_plain_rows`` gives them.
 
-    Rows are numbered from ``first_line``. An empty or ``nan`` value is nan;
-    blank rows are skipped. The numbers of rows with an unparseable date or
-    value, or an infinite value, are appended to ``bad_lines``.
+    Rows are numbered from ``first_line``. ``datetime.date.fromisoformat``
+    decides which dates are read. An empty or ``nan`` value is nan; blank
+    rows are skipped. The numbers of rows with an unparseable date or value,
+    or an infinite value, are appended to ``bad_lines``.
     """
     # bound once: lookups in the loop cost as much as the row checks
     parse_date, nan = datetime.date.fromisoformat, math.nan
     infinities = (math.inf, -math.inf)
+    days, values = [], []
     for lineno, row in enumerate(rows, start=first_line):
         try:  # a row of other than two fields fails to unpack
             day, text = row
             value = float(text) if text.strip() else nan
-            ordinal = parse_date(day.strip()).toordinal()
+            date = parse_date(day.strip())
         except ValueError:
             if len(row) > 1 or (row and row[0].strip()):  # else a blank line
                 bad_lines.append(lineno)
@@ -198,36 +189,36 @@ def _row_loop(rows, first_line: int, ordinals, values, bad_lines: list) -> None:
         if value in infinities:
             bad_lines.append(lineno)
             continue
-        ordinals.append(ordinal)
+        days.append(date)
         values.append(value)
+    return np.array(days, "datetime64[D]"), np.array(values, float)
 
 
 def _daily_rows(fh, origin: str):
-    """Ordinals and values of the rows of a daily CSV stream after its header.
+    """Days and values of the rows of a daily CSV stream after its header.
 
     Chunks of plain lines are parsed in bulk until the first chunk that is
     not plain; that chunk and the rest of the stream go through the row loop.
     Bad rows, or no row at all, are a data error that names ``origin``.
     """
-    ordinals, values, bad_lines = array("q"), array("d"), []
+    parts, bad_lines = [], []
     field_limit, lineno = csv.field_size_limit(), 2
     for chunk in iter(lambda: fh.readlines(_CHUNK_CHARS), []):
         plain = _plain_rows(chunk, field_limit)
         if plain is None:
             # accepted chunks hold no quote, so this chunk starts a record
             rows = csv.reader(itertools.chain(chunk, fh))
-            _row_loop(rows, lineno, ordinals, values, bad_lines)
+            parts.append(_row_loop(rows, lineno, bad_lines))
             break
-        ordinals.frombytes(plain[0].tobytes())
-        values.frombytes(plain[1].tobytes())
+        parts.append(plain)
         lineno += len(chunk)
     if bad_lines:
         shown = ", ".join(str(x) for x in bad_lines[:20])
         more = "" if len(bad_lines) <= 20 else f" (+{len(bad_lines) - 20} more)"
         raise DataFormatError(f"{origin}: unparseable rows at lines {shown}{more}")
-    if not ordinals:
+    if not any(days.size for days, _ in parts):
         raise DataFormatError(f"{origin}: no observations found")
-    return np.frombuffer(ordinals, dtype=np.int64), np.frombuffer(values)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
@@ -242,38 +233,41 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     ``source`` is a path or an open text or binary stream; a UTF-8 byte-order
     mark before the header of a file or binary stream is ignored.
     After the header the input is read in chunks of whole lines of about 32K
-    characters. A chunk of plain ``YYYY-MM-DD,value`` lines is parsed in bulk.
-    From the first chunk that is not plain (one with, say, a quote, a
-    non-ASCII character, a padded date, a blank line, a value of spaces,
-    another date form, a bad row or a line over the csv field limit) to the
-    end, rows go through the csv module one by one.
-    Both read the same numbers, so the chunking does not change the result.
+    characters. A chunk of plain ``YYYY-MM-DD,value`` lines, each date a
+    calendar day of year 1 or later, is parsed in bulk by numpy. From the
+    first chunk that is not plain (one with, say, a quote, a non-ASCII
+    character, a padded date, a blank line, a value of spaces, another date
+    form, a day outside the calendar, a bad row or a line over the csv field
+    limit) to the end, rows go through the csv module one by one.
+    Both read the same days and numbers, so the chunking does not change the
+    result.
     Returns (series, labels, dropped_years).
     """
     with _csv_rows(source) as (fh, origin):
         if [c.strip().lower() for c in next(csv.reader(fh), [])] != ["date", "value"]:
             raise DataFormatError(f"{origin}: expected header 'date,value'")
-        ordinals, values = _daily_rows(fh, origin)
+        dates, values = _daily_rows(fh, origin)
 
     # sort by date; of a repeated date the last row wins
-    order = np.argsort(ordinals, kind="stable")
-    ordinals, values = ordinals[order], values[order]
-    last = np.append(ordinals[1:] != ordinals[:-1], True)
-    dates = (ordinals[last] - _EPOCH_ORDINAL).astype("datetime64[D]")
-    values = values[last]
-    year_starts = dates.astype("datetime64[Y]")
-    years = year_starts.astype(int) + 1970
-    day_index = (dates - year_starts.astype("datetime64[D]")).astype(int)  # from 0
-    starts = np.flatnonzero(np.diff(years, prepend=years[0] - 1))
+    order = np.argsort(dates, kind="stable")
+    dates, values = dates[order], values[order]
+    last = np.append(dates[1:] != dates[:-1], True)
+    dates, values = dates[last], values[last]
+    years = dates.astype("datetime64[Y]")
+    day_index = (dates - years).astype(int)  # from 0
+    starts = np.flatnonzero(np.append(True, years[1:] != years[:-1]))
+    firsts = years[starts]
+    # a year's length is the gap between its 1 January and the next one
+    lengths = (firsts + 1 - firsts.astype("datetime64[D]")).astype(int)
 
     basis = FourierBasis(basis_size)
     # the basis at every day of a year of each length: the elementwise values
     # fit_curve would compute at t = (k - 0.5) / days, k = 1..days
     designs = {}
     labels, curves, dropped = [], [], []
-    for year, idx, y in zip(years[starts].tolist(), np.split(day_index, starts[1:]),
-                            np.split(values, starts[1:])):
-        days = _days_in_year(year)
+    for year, days, idx, y in zip((firsts.astype(int) + 1970).tolist(), lengths.tolist(),
+                                  np.split(day_index, starts[1:]),
+                                  np.split(values, starts[1:])):
         usable = ~np.isnan(y)
         present = int(np.count_nonzero(usable))
         if (days - present) / days > max_missing:

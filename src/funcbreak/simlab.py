@@ -21,7 +21,8 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import KieferLaw, estimate_break_date, rejects, resolve_workers
+from .detect import (KieferLaw, _bridge_weights, estimate_break_date, rejects,
+                     resolve_workers)
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
@@ -496,6 +497,8 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     dgps = [dgp] if isinstance(dgp, DgpConfig) else list(dgp)
     specs = list(break_specs) if break_specs else []
     validate_grid(kind, dgps, specs, detectors)
+    # the checks ``rejects`` makes of the FF null arguments, before any work
+    _bridge_weights((), null_reps, null_grid or 1, discrete=null_grid is None)
 
     tasks = []
     for cfg in dgps:

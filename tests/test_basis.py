@@ -5,6 +5,7 @@ from funcbreak.basis import (
     Curve,
     CurveSeries,
     DegenerateFitError,
+    EigenSystem,
     FourierBasis,
     KernelMatrix,
     eigen_decompose,
@@ -198,3 +199,22 @@ def test_series_validation():
         CurveSeries(np.ones((1, 3)), basis)
     with pytest.raises(ValueError, match="match basis"):
         CurveSeries(np.ones((4, 5)), basis)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda a: Curve(a, FourierBasis(9)), "coeffs"),
+    (lambda a: CurveSeries(a, FourierBasis(3)), "data"),
+    (KernelMatrix, "entries"),
+    (lambda a: EigenSystem(np.array([3.0, 2.0, 1.0]), a), "vectors"),
+], ids=["Curve", "CurveSeries", "KernelMatrix", "EigenSystem"])
+def test_construction_copies_the_callers_array(make, field):
+    base = np.zeros(9)
+    base[::4] = 1.0
+    a = base.reshape(3, 3)  # a view of ``base``
+    held = getattr(make(a), field)
+    kept = held.copy()
+    assert not held.flags.writeable
+    assert a.flags.writeable and not np.shares_memory(a, held)
+    a[0, 0] = 5.0
+    base[4] = 7.0
+    assert np.array_equal(held, kept)

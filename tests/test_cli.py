@@ -438,7 +438,7 @@ def test_simulate_size_emits_schema_and_is_seed_stable(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    rows = list(csv.DictReader(out1.open()))
+    rows = list(csv.DictReader(out1.read_text().splitlines()))
     assert {r["detector"] for r in rows} == {"FF", "fPCA@0.90"}
     assert all(r["metric"] == "rejection_rate" for r in rows)
 
@@ -450,6 +450,6 @@ def test_simulate_table_has_full_grid_shape(tmp_path):
             "40", "--grid", "100", "--seed", "1", "--workers", "2",
             "--out", str(out)]
     assert main(args) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     rate_rows = [r for r in rows if r["metric"] == "rejection_rate"]
     assert len(rate_rows) == 3 * 2 * 2 * 5  # settings x dgps x n x detectors

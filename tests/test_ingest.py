@@ -2,6 +2,7 @@
 daily ``date,value`` CSVs, and bit-equality with a per-year ``fit_curve``
 oracle that reads the file row by row."""
 
+import calendar
 import csv
 import datetime
 import io
@@ -152,14 +153,18 @@ def test_whitespace_nan_blank_and_blank_lines(tmp_path):
     assert not np.array_equal(series.data[0], clean[0].data[0])
 
 
-def test_feb_29_is_day_60_of_a_366_day_year(tmp_path):
-    lines = year_lines(2004) + year_lines(2005)
-    assert "2004-02-29" in lines[59]
+# every fourth year is a leap year, except centuries not divisible by 400
+@pytest.mark.parametrize("year", [1900, 2000, 2004])
+def test_feb_29_is_day_60_of_a_366_day_year(tmp_path, year):
+    leap = calendar.isleap(year)
+    lines = year_lines(year) + year_lines(year + 1)
+    assert lines[59].startswith(f"{year}-02-29" if leap else f"{year}-03-01")
     series, labels, _ = assert_matches_oracle(
         write_rows(tmp_path / "leap.csv", lines), basis_size=5)
-    assert labels == ["2004", "2005"]
+    assert labels == [str(year), str(year + 1)]
     # in a common year the same date is an unparseable row
-    bad = write_rows(tmp_path / "bad.csv", lines + ["2005-02-29,1.0"])
+    common = year + 1 if leap else year
+    bad = write_rows(tmp_path / "bad.csv", lines + [f"{common}-02-29,1.0"])
     with pytest.raises(DataFormatError, match=f"lines {len(lines) + 2}$"):
         ingest(bad)
 

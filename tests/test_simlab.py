@@ -412,6 +412,21 @@ def test_coverage_run_reports_rates_and_widths():
     assert again.value(metric="median_width", detector="FF") == width
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("null_reps", 0, "at least one replication"),
+    ("null_grid", 50, "at least 100 steps"),
+])
+def test_null_options_are_checked_before_any_replication(monkeypatch, option,
+                                                         value, message):
+    def no_work(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simlab, "_run_chunk", no_work)
+    with pytest.raises(ValueError, match=message):
+        run_experiment("size", DgpConfig(setting=1, n=30), detectors=["FF"],
+                       reps=6, workers=1, **{option: value})
+
+
 def test_non_integer_thread_cap_names_the_variable(monkeypatch):
     monkeypatch.setenv("FUNCBREAK_THREADS", "2.5")
     with pytest.raises(ValueError, match="FUNCBREAK_THREADS"):
