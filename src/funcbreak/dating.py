@@ -249,18 +249,18 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
     that law is taken at the top long-run eigenvalue instead of sigma^2, which
     can only widen the interval. A caller that already holds
     ``fit_break(series, config)`` passes it as ``fit``. A flat fit (a CUSUM at
-    rounding level) has no break to date.
+    rounding level) has no break to date. Unlike the test, the interval always
+    reads the kernel split at k_hat: it is built at the estimated break.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     n = series.n
     fit = fit or fit_break(series, config)
-    k_hat = fit.k_hat
-    delta = estimate_break_function(series, k_hat)
-    eig = eigen_decompose(fit.kernel)
-    lambda1 = float(max(eig.values[0], 0.0))
     if fit.flat:
         raise ValueError("estimated break function is zero; cannot date a break")
+    k_hat = fit.k_hat
+    delta = estimate_break_function(series, k_hat)
+    lambda1 = float(max(eigen_decompose(fit.kernel).values[0], 0.0))
     # a variance: non-PSD tapers can push the raw quadratic form slightly negative
     sigma2 = max(sigma2_hat(fit.kernel, delta), 0.0)
     theta_hat = k_hat / n

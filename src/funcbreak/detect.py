@@ -9,7 +9,8 @@ with that kernel this is the exact law of the discrete maximum, and each
 replication draws n normals per eigenvalue. An explicit grid (at least 100
 steps) approximates the supremum over [0, 1] of the continuous limit.
 ``fit_break`` is the CUSUM, k_hat and kernel fit that the test, dating and
-aligned detector share.
+aligned detector share; the test and the aligned detector read the null kernel
+that ``_null_spectrum`` picks.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
@@ -352,22 +353,32 @@ class DetectionReport:
             raise ValueError("critical values must decrease in alpha")
 
 
-def _null_spectrum(series: CurveSeries, cfg: LongRunConfig,
+def _null_spectrum(series: CurveSeries, config: LongRunConfig | None = None,
                    fit: BreakFit | None = None):
-    """The fit, statistic, kernel split and clipped eigenvalues behind ``test``.
+    """The fit, statistic, split, null kernel and its eigensystem of a break test.
 
-    The split is k_hat when the null kernel is demeaned piecewise there and
-    None when it is demeaned by the overall mean (see ``test``). The statistic
-    of a flat fit (a CUSUM at rounding level) is 0.
+    The one H0 kernel rule of ``test``, ``rejects`` and the aligned detector:
+    the kernel split at the CUSUM argmax k_hat (split = k_hat) if its trace is
+    below half that of the overall-mean kernel at the same bandwidth, that is
+    if the fitted step carries most of the variance; else the overall-mean
+    kernel (split = None). Splitting at the statistic's own argmax would
+    deflate the kernel exactly when the statistic is large. A flat fit (a
+    CUSUM at rounding level) has statistic 0.
     """
-    fit = fit or fit_break(series, cfg)
+    fit = fit or fit_break(series, config)
     stat = 0.0 if fit.flat else float(fit.norms[fit.k_hat])
     kernel, split = fit.kernel, fit.k_hat
-    pooled = longrun_kernel(series, cfg.weight, h=fit.h)
+    pooled = longrun_kernel(series, (config or LongRunConfig()).weight, h=fit.h)
     if trace(kernel) >= 0.5 * trace(pooled):
         kernel, split = pooled, None
-    lam = np.clip(eigen_decompose(kernel).values, 0.0, None)
-    return fit, stat, split, lam
+    return fit, stat, split, kernel, eigen_decompose(kernel)
+
+
+def _null_grid(alpha: float, grid: int | None, n: int) -> tuple[int, bool]:
+    """Check alpha; the null grid (None: the n steps) and whether it is discrete."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    return (n, True) if grid is None else (grid, False)
 
 
 def test(series: CurveSeries, alpha: float = 0.05,
@@ -376,29 +387,21 @@ def test(series: CurveSeries, alpha: float = 0.05,
          fit: BreakFit | None = None) -> DetectionReport:
     """Run the fully functional break test at level ``alpha``.
 
-    The null long-run kernel is demeaned by the overall mean unless the step
-    fitted at the CUSUM argmax k_hat carries most of the variance: the kernel
-    demeaned piecewise at k_hat is used only when its trace is below half the
-    trace of the overall-mean kernel (both at the same bandwidth), and
-    ``config["split"]`` echoes k_hat then and None otherwise. Under the null,
-    splitting at the argmax of the statistic itself would deflate the kernel
-    exactly when the statistic is large and inflate the size. The null law
-    is simulated from all D estimated eigenvalues (negatives clipped). With
-    ``grid`` None, the default, the bridges are taken on the series' own n
-    steps: the exact law of the maximum over k/n for iid Gaussian curves with
-    the estimated kernel. An explicit ``grid`` (at least 100) approximates the
-    supremum of the continuous limit instead; ``config["grid"]`` echoes the
-    grid used. The report gives the statistic, critical values and the
-    finite-sample Monte Carlo p-value (1 + #{draws >= stat}) / (reps + 1). A
-    caller that already holds ``fit_break(series, config)`` passes it as
-    ``fit``.
+    The null law is simulated from all D eigenvalues (negatives clipped) of the
+    kernel ``_null_spectrum`` picks; ``config["split"]`` echoes its split
+    (k_hat or None). With ``grid`` None, the default, the bridges are taken on
+    the series' own n steps: the exact law of the maximum over k/n for iid
+    Gaussian curves with the estimated kernel. An explicit ``grid`` (at least
+    100) approximates the supremum of the continuous limit instead;
+    ``config["grid"]`` echoes the grid used. The report gives the statistic,
+    critical values and the finite-sample Monte Carlo p-value
+    (1 + #{draws >= stat}) / (reps + 1). A caller that already holds
+    ``fit_break(series, config)`` passes it as ``fit``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    grid, discrete = _null_grid(alpha, grid, series.n)
     cfg = config or LongRunConfig()
-    fit, stat, split, lam = _null_spectrum(series, cfg, fit)
-    discrete = grid is None
-    grid = series.n if discrete else grid
+    fit, stat, split, _, eig = _null_spectrum(series, cfg, fit)
+    lam = np.clip(eig.values, 0.0, None)
     null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed,
                                discrete=discrete)
     p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
@@ -433,15 +436,11 @@ def rejects(series: CurveSeries, alpha: float,
     read in order, and drawing stops at the end of the block in which the
     count of draws >= the statistic makes (1 + count) / (reps + 1) exceed
     alpha, so the decision is that of ``test`` at a fraction of the draws under
-    the null. As in ``test``, ``grid`` None draws the exact law of the maximum
-    over the series' own n points, and an explicit grid (at least 100)
-    approximates the continuous supremum.
+    the null. Kernel and grid are those of ``test``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    _, stat, _, lam = _null_spectrum(series, config or LongRunConfig())
-    weights = _bridge_weights(lam, reps, series.n if grid is None else grid,
-                              discrete=grid is None)
+    grid, discrete = _null_grid(alpha, grid, series.n)
+    _, stat, _, _, eig = _null_spectrum(series, config)
+    weights = _bridge_weights(eig.values, reps, grid, discrete)  # clips negatives
     exceed = 0
     for block in _null_blocks(seed, reps, weights):
         exceed += np.count_nonzero(_null_maxima(block, weights) >= stat)

@@ -9,7 +9,10 @@ the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test.
+replications affect only the fully functional (FF) test. The aligned detector
+reads the FF test's null long-run kernel (``detect._null_spectrum``); in
+setting 1 its tilt picks the best of three equal-variance directions, and it
+rejects 11% (iid) and 15% (far1) of null replications at 5% (n = 100).
 """
 
 import hashlib
@@ -84,6 +87,8 @@ class DgpConfig:
             raise ValueError("innovation must be 'gaussian' or 'student'")
         if self.innovation == "student" and self.df not in (2, 3, 4):
             raise ValueError("student innovations need df in {2, 3, 4}")
+        if self.innovation != "student" and self.df is not None:
+            raise ValueError("df applies to student innovations only")
         if not -1.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (-1, 1)")
         if self.n < 10:
@@ -265,9 +270,11 @@ def _bridge_critical_value(d: int, alpha: float) -> float:
 
 def _cell_digest(dgp: DgpConfig) -> int:
     # data-generating parameters only: break parameters are excluded so that
-    # cells differing only in the break replay identical error sequences
+    # cells differing only in the break replay identical error sequences, and
+    # iid cells, which ignore kappa, are keyed at its default
+    kappa = dgp.kappa if dgp.dependence == "far1" else DgpConfig.kappa
     key = (dgp.setting, dgp.dependence, dgp.innovation, dgp.df, dgp.n,
-           dgp.n_basis, dgp.kappa, dgp.permute)
+           dgp.n_basis, kappa, dgp.permute)
     blob = hashlib.sha256(repr(key).encode()).digest()
     return int.from_bytes(blob[:8], "big")
 
@@ -390,11 +397,8 @@ class ExperimentResult:
     rows: list
 
     def select(self, **filters) -> list:
-        out = []
-        for row in self.rows:
-            if all(row.get(key) == val for key, val in filters.items()):
-                out.append(row)
-        return out
+        return [row for row in self.rows
+                if all(row.get(key) == val for key, val in filters.items())]
 
     def value(self, **filters) -> float:
         rows = self.select(**filters)
@@ -408,14 +412,9 @@ class ExperimentResult:
         def _write(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                record = []
-                for col in CSV_COLUMNS:
-                    val = row[col]
-                    if isinstance(val, float) and np.isnan(val):
-                        val = ""
-                    record.append(val)
-                writer.writerow(record)
+            for row in self.rows:  # a NaN is written as an empty field
+                writer.writerow(["" if isinstance(val, float) and np.isnan(val)
+                                 else val for val in map(row.__getitem__, CSV_COLUMNS)])
 
         if hasattr(target, "write"):
             _write(target)

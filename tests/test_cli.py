@@ -238,8 +238,9 @@ def test_bad_rows_exit_with_data_code(tmp_path, capsys):
     (["--reps", "0"], "--reps must be at least 1, got 0"),
     (["--grid", "10"], "--grid must be at least 100, got 10"),
     (["--tve", "2"], "--tve must be in (0, 1], got 2.0"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
     (["--coeffs", "--basis-size", "3"], "coeffs.csv: non-finite coefficient at line 3"),
-], ids=["alpha", "reps", "grid", "tve", "nan-coefficient"])
+], ids=["alpha", "reps", "grid", "tve", "seed", "nan-coefficient"])
 def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys,
                                                       extra, fragment):
     path = step_file

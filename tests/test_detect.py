@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose
 from funcbreak.dating import date_break
 from funcbreak.detect import (
     cusum_norm_sq,
@@ -14,7 +14,8 @@ from funcbreak.detect import (
     simulate_null_limit,
     test as ff_test,
 )
-from funcbreak.longrun import LongRunConfig
+from funcbreak.fpca import _aligned_direction
+from funcbreak.longrun import LongRunConfig, longrun_kernel
 from limit_oracles import detector_stat, serial_null_maxima
 
 
@@ -207,6 +208,16 @@ def test_null_kernel_demeaning_rule():
     assert step.p_value == pytest.approx(1.0 / 20.0)
 
 
+def hand_aligned_stat(series, fit, kernel, gamma=0.25):
+    """The aligned statistic written out from a given long-run kernel."""
+    lead = eigen_decompose(kernel).vectors[:, 0]
+    direction = _aligned_direction(lead, fit.paths[fit.k_hat], gamma, series.n)
+    proj = (series.data - series.data.mean(axis=0)) @ direction
+    cusum = np.cumsum(proj) - np.arange(1, series.n + 1) / series.n * proj.sum()
+    variance = direction @ kernel.entries @ direction
+    return float(np.max(cusum**2) / (series.n * variance))
+
+
 def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     import funcbreak.dating as dating
     import funcbreak.detect as detect
@@ -216,6 +227,7 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     data = 0.3 * rng.standard_normal((60, 4))
     data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
     series = make_series(data)
+    noise = make_series(0.3 * rng.standard_normal((60, 4)))
     cfg = LongRunConfig(weight="parzen", bandwidth="adaptive")
     reference = fit_break(series, cfg)
 
@@ -225,11 +237,12 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
         fits.append(fit_break(series, config))
         return fits[-1]
 
-    for module in (detect, dating, fpca):
+    # the aligned detector fits through detect's namespace
+    for module in (detect, dating):
         monkeypatch.setattr(module, "fit_break", recording)
     report = ff_test(series, 0.05, cfg, reps=19, grid=100, seed=0)
     dated = date_break(series, 0.05, cfg)
-    fpca.aligned_statistic(series, config=cfg)
+    aligned = fpca.aligned_statistic(series, config=cfg)
 
     # one fit per call, all equal to the reference fit
     assert len(fits) == 3
@@ -242,6 +255,20 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     assert report.config["h"] == reference.h
     assert dated.k_hat == reference.k_hat
     assert dated.config["h"] == reference.h
+
+    # the aligned detector reads the kernel the test chose: split at k_hat for
+    # the dominant step, the overall-mean kernel for noise
+    noise_report = ff_test(noise, 0.05, cfg, reps=19, grid=100, seed=0)
+    noise_aligned = fpca.aligned_statistic(noise, config=cfg)
+    assert len(fits) == 5 and noise_report.config["split"] is None
+    for s, rep, stat, fit in ((series, report, aligned, reference),
+                              (noise, noise_report, noise_aligned, fits[-1])):
+        kernels = {fit.k_hat: fit.kernel,
+                   None: longrun_kernel(s, cfg.weight, h=fit.h)}
+        chosen = kernels.pop(rep.config["split"])
+        assert stat == pytest.approx(hand_aligned_stat(s, fit, chosen), rel=1e-12)
+        other = hand_aligned_stat(s, fit, kernels.popitem()[1])
+        assert stat != pytest.approx(other, rel=1e-3)
 
 
 def seeded_series(seed):

@@ -193,9 +193,12 @@ def test_aligned_statistic_validates_gamma():
         aligned_statistic(series, gamma=0.7)
 
 
-def test_aligned_level_on_fast_decay_gaussian_noise():
-    # empirical size close to nominal for the fast-eigenvalue-decay DGP
-    res = run_experiment("size", DgpConfig(setting=2, dependence="iid", n=100),
-                         detectors=["Aligned"], reps=400, seed=99, workers=2)
+@pytest.mark.parametrize("setting, dependence",
+                         [(2, "iid"), (2, "far1"), (3, "iid"), (3, "far1")])
+def test_aligned_level_on_fast_decay_gaussian_noise(setting, dependence):
+    # empirical size close to nominal for the two decaying-eigenvalue DGPs
+    dgp = DgpConfig(setting=setting, dependence=dependence, n=100)
+    res = run_experiment("size", dgp, detectors=["Aligned"], reps=400, seed=99,
+                         workers=2)
     rate = res.value(metric="rejection_rate", detector="Aligned")
     assert rate == pytest.approx(0.05, abs=0.04)

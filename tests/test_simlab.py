@@ -154,6 +154,24 @@ def test_gen_errors_matches_the_per_step_recursion(dependence, burnin,
         assert psi.tobytes() == psi_ref.tobytes()
 
 
+def test_gaussian_innovations_take_no_df():
+    with pytest.raises(ValueError, match="df"):
+        DgpConfig(setting=3, df=3)
+
+
+def test_iid_cells_replay_the_same_streams_whatever_kappa():
+    # an iid cell ignores kappa, so its rows must too; a far1 cell does not
+    def rows(dependence, kappa):
+        dgp = DgpConfig(setting=3, dependence=dependence, n=30, kappa=kappa)
+        out = io.StringIO()
+        run_experiment("dating", dgp, [BreakSpec(1, 0.2, 0.5)], detectors=["FF"],
+                       reps=50, workers=1).to_csv(out)
+        return out.getvalue()
+
+    assert rows("iid", 0.3) == rows("iid", 0.5)
+    assert rows("far1", 0.3) != rows("far1", 0.5)
+
+
 def test_negative_burnin_is_rejected():
     cfg = DgpConfig(setting=1, dependence="far1", n=50, seed=1)
     with pytest.raises(ValueError, match="burnin"):
