@@ -471,7 +471,7 @@ def _cmd_simulate(args) -> None:
     result.to_csv(args.out or sys.stdout)
 
 
-def _add_common(parser: argparse.ArgumentParser, grid_default, grid_help) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--basis-size", "-D", type=int, default=21,
                         dest="basis_size", help="number of Fourier basis functions")
     parser.add_argument("--weight", choices=sorted(WEIGHTS), default="bartlett")
@@ -480,13 +480,18 @@ def _add_common(parser: argparse.ArgumentParser, grid_default, grid_help) -> Non
                         default="n14")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=1000,
-                        help="Monte Carlo draws for the null distribution, "
-                             "in seeded blocks of 2^15 // (D x grid) draws for "
-                             "D positive kernel eigenvalues (one draw each past "
-                             "2^14 normals), spread over up to FUNCBREAK_THREADS "
-                             "threads (default: one per CPU); the results do "
-                             "not depend on the thread count")
-    parser.add_argument("--grid", type=int, default=grid_default, help=grid_help)
+                        help="Monte Carlo draws for the FF null law, in seeded "
+                             "blocks of 2^15 // (D x grid) draws for the D kernel "
+                             "eigenvalues above rounding level (one draw each past "
+                             "2^14 normals); detect and date spread the blocks "
+                             "over up to FUNCBREAK_THREADS threads (default: one "
+                             "per CPU); no result depends on the thread count")
+    parser.add_argument("--grid", type=int, default=None,
+                        help="Brownian bridge steps of the null law (default: the "
+                             "number of curves n, the exact law of the statistic's "
+                             "maximum over its n points for iid Gaussian curves); "
+                             "an explicit grid, at least 100 steps, approximates "
+                             "the supremum of the continuous limit")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -502,13 +507,6 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
                         help="write the smoothed coefficients to this CSV path")
 
 
-_SERIES_GRID_HELP = (
-    "Brownian bridge steps of the null law (default: the number of curves n, "
-    "the exact law of the statistic's maximum over its n points for iid "
-    "Gaussian curves); an explicit grid, at least 100 steps, approximates "
-    "the supremum of the continuous limit")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funcbreak",
@@ -518,11 +516,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="fully functional break test")
     _add_input(p_detect)
-    _add_common(p_detect, None, _SERIES_GRID_HELP)
+    _add_common(p_detect)
 
     p_date = sub.add_parser("date", help="break dating with confidence interval")
     _add_input(p_date)
-    _add_common(p_date, None, _SERIES_GRID_HELP)
+    _add_common(p_date)
     p_date.add_argument("--xi-reps", type=int, default=10_000, dest="xi_reps",
                         help="no effect: the argmax limit law is evaluated "
                              "exactly (accepted and echoed for compatibility)")
@@ -535,10 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulation study tables")
     p_sim.add_argument("kind", choices=["size", "power", "dating", "coverage"])
-    _add_common(p_sim, 1000,
-                "Brownian bridge steps of the FF null law in each replication "
-                "(at least 100): the grid maximum approximates the supremum "
-                "of the continuous limit")
+    _add_common(p_sim)
     p_sim.add_argument("--setting", type=int, nargs="+", default=[1, 2, 3])
     p_sim.add_argument("--dependence", nargs="+", default=["iid"],
                        choices=["iid", "far1"])

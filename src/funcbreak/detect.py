@@ -4,10 +4,10 @@ The detector is the maximum of the squared L2 norm of the tied-down functional
 CUSUM process over its n points k/n. Its null distribution is simulated from
 the estimated long-run covariance spectrum as the maximum of an
 eigenvalue-weighted sum of squared independent Brownian bridges. By default
-the bridges are taken on the series' own n steps: for iid Gaussian curves
-with that kernel this is the exact law of the discrete maximum, and each
-replication draws n normals per eigenvalue. An explicit grid (at least 100
-steps) approximates the supremum over [0, 1] of the continuous limit.
+(in ``test``, the CLI and simlab) the bridges are taken on the series' own n
+steps: for iid Gaussian curves with that kernel this is the exact law of the
+discrete maximum, and each replication draws n normals per eigenvalue. An
+explicit grid (at least 100 steps) approximates the continuous supremum.
 ``fit_break`` is the CUSUM, k_hat and kernel fit that the test, dating and
 aligned detector share; the test and the aligned detector read the null kernel
 that ``_null_spectrum`` picks.
@@ -20,9 +20,9 @@ draws. Both draw through one sampler of grid maxima.
 bridge, the null limit of the fPCA and aligned detectors.
 
 Null replications come in blocks of B = max(1, 2^15 // (D grid)) for the D
-positive eigenvalues: block b is replications [bB, (b + 1)B), drawn in one call
-from child b of SeedSequence(seed); the last block may be shorter, and when
-D grid > 2^14, B = 1 and replication i has child i to itself.
+eigenvalues above rounding level: block b is replications [bB, (b + 1)B),
+drawn in one call from child b of SeedSequence(seed); the last block may be
+shorter, and when D grid > 2^14, B = 1 and replication i has child i alone.
 ``simulate_null_limit``, and so ``test``, spreads the blocks over up to
 FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``), so
 the draws, p-values and critical values do not depend on the thread count.
@@ -152,12 +152,13 @@ def _bridge_sq_block(rng, size: int, lam_over_grid: np.ndarray,
 
 
 def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
-    """Checked arguments as (lam_l / grid for lam_l > 0, j / grid for j = 1..grid).
+    """Checked arguments as (resolved lam_l / grid, j / grid for j = 1..grid).
 
-    Negative eigenvalues are clipped to zero first; None if all are zero.
-    Increments of variance 1/grid are folded into the weights. A grid that
-    approximates the continuous supremum needs at least 100 steps; the
-    ``discrete`` law on a series' own n points needs one.
+    Negatives are clipped to zero; None if all are zero. Resolved means above
+    D eps max(lam), the resolution of ``eigh`` on D values: a smaller lam_l is
+    rounding noise. Increments of variance 1/grid are folded into the weights.
+    A grid that approximates the continuous supremum needs at least 100 steps;
+    the ``discrete`` law on a series' own n points needs one.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
@@ -170,7 +171,8 @@ def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
         raise ValueError("bridge grid must have at least 100 steps")
     if not lam.any():
         return None
-    return lam[lam > 0] / grid, np.arange(1, grid + 1) / grid
+    return (lam[lam > lam.size * np.finfo(float).eps * lam.max()] / grid,
+            np.arange(1, grid + 1) / grid)
 
 
 def _null_blocks(seed, reps: int, weights):
@@ -222,8 +224,8 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     eigenvalues lam; any G >= 1 is accepted. Otherwise the grid maximum
     approximates the supremum over [0, 1] of the continuous limit, and G must
     be at least 100. Both modes draw the same numbers for the same G. Negative
-    eigenvalues are clipped at zero; an all-zero spectrum yields a degenerate
-    all-zero sample.
+    eigenvalues are clipped at zero and those at or below D eps max(lam) are
+    dropped; an all-zero spectrum yields a degenerate all-zero sample.
     Block b of B = max(1, 2^15 // (D grid)) replications draws from child b of
     SeedSequence(seed) (B = 1 when D grid > 2^14), so results are deterministic
     for a given (seed, reps, grid). The blocks are spread over

@@ -8,11 +8,12 @@ generates its replications a block at a time, each from its own stream in
 the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
-of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. The aligned detector
-reads the FF test's null long-run kernel (``detect._null_spectrum``); in
-setting 1 its tilt picks the best of three equal-variance directions, and it
-rejects 11% (iid) and 15% (far1) of null replications at 5% (n = 100).
+of a squared Brownian bridge (``detect.KieferLaw``); the null grid (default:
+n steps, as in ``detect.test``) and replications affect only the fully
+functional (FF) test. The aligned detector reads the FF test's null long-run
+kernel (``detect._null_spectrum``); in setting 1 its tilt picks the best of
+three equal-variance directions, and it rejects 11% (iid) and 15% (far1) of
+null replications at 5% (n = 100).
 """
 
 import hashlib
@@ -289,7 +290,7 @@ class _CellTask:
     seed: int
     digest: int
     null_reps: int
-    null_grid: int
+    null_grid: int | None
     conservative: bool
     lr_config: LongRunConfig
 
@@ -468,7 +469,7 @@ def _cell_rows(task: _CellTask, per_rep: list) -> list:
 def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
                    reps: int = 1000, alpha: float = 0.05, seed: int = 0,
                    workers: int | None = None, null_reps: int = 1000,
-                   null_grid: int = 1000, xi_reps: int = 2000,
+                   null_grid: int | None = None, xi_reps: int = 2000,
                    conservative: bool = False,
                    lr_config: LongRunConfig | None = None) -> ExperimentResult:
     """Run a simulation experiment over DGP x break grids.
@@ -483,11 +484,13 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     Failed replications are counted per detector in ``failures`` rows.
     FF size and power decisions come from ``detect.rejects``, which stops
     drawing null replications once p <= alpha is decided and gives the same
-    decisions as ``detect.test``; ``null_reps`` and ``null_grid`` affect only
-    these FF decisions. fPCA and aligned critical values are the exact
-    quantiles of the continuous sup of a squared d-dimensional Brownian bridge
-    (``detect.KieferLaw``). ``xi_reps`` has no effect: coverage intervals use
-    the exact Xi law.
+    decisions as ``detect.test``. ``null_grid`` None, the default (as in
+    ``detect.test``), takes the bridges on each series' own n steps; an
+    explicit grid (at least 100) approximates the continuous supremum.
+    ``null_reps`` and ``null_grid`` affect only these FF decisions. fPCA and
+    aligned critical values are the exact quantiles of the continuous sup of a
+    squared d-dimensional Brownian bridge (``detect.KieferLaw``). ``xi_reps``
+    has no effect: coverage intervals use the exact Xi law.
     """
     if reps < 1:
         raise ValueError("need at least one replication")

@@ -27,7 +27,8 @@ def detector_stat(series: CurveSeries) -> float:
 def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
     """Grid maxima of sum_l lam_l B_l^2 in draw order, unsorted.
 
-    For the D positive eigenvalues, replications are drawn in blocks of
+    For the D eigenvalues above L eps max(lam), L the length of the spectrum,
+    replications are drawn in blocks of
     B = max(1, BLOCK_NORMALS // (D grid)): block b holds replications
     [bB, min((b + 1)B, reps)), drawn one block after the other from the b-th
     child of SeedSequence(seed) in one (size, D, grid) call.
@@ -35,7 +36,7 @@ def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not lam.any():
         return np.zeros(reps)
-    lam_over_grid = lam[lam > 0] / grid
+    lam_over_grid = lam[lam > lam.size * np.finfo(float).eps * lam.max()] / grid
     grid_frac = np.arange(1, grid + 1) / grid
     block = max(1, BLOCK_NORMALS // (lam_over_grid.size * grid))
     children = np.random.SeedSequence(seed).spawn(-(-reps // block))

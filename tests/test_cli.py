@@ -395,24 +395,26 @@ def test_detect_grid_defaults_to_the_number_of_curves(tmp_path, capsys):
     assert "--grid must be at least 100, got 50" in capsys.readouterr().err
 
 
-def test_simulate_grid_defaults_to_1000(tmp_path, monkeypatch):
+def test_simulate_grid_defaults_to_the_series_steps(tmp_path, monkeypatch):
     import funcbreak.cli as cli
+    from funcbreak.simlab import DgpConfig, run_experiment
 
     grids = []
-    run = cli.run_experiment
 
     def recording(*args, **kwargs):
         grids.append(kwargs["null_grid"])
-        return run(*args, **kwargs)
+        return run_experiment(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_experiment", recording)
-    out_default, out_explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
-    args = ["simulate", "size", "--setting", "2", "--n", "20", "--sim-reps", "3",
-            "--reps", "19", "--detectors", "FF", "--seed", "4", "--workers", "1"]
-    assert main([*args, "--out", str(out_default)]) == 0
-    assert main([*args, "--grid", "1000", "--out", str(out_explicit)]) == 0
-    assert grids == [1000, 1000]
-    assert out_default.read_bytes() == out_explicit.read_bytes()
+    out = tmp_path / "default.csv"
+    assert main(["simulate", "size", "--setting", "2", "--n", "20", "--sim-reps", "3",
+                 "--reps", "19", "--detectors", "FF", "--seed", "4", "--workers", "1",
+                 "--out", str(out)]) == 0
+    assert grids == [None]
+    direct = io.StringIO()
+    run_experiment("size", DgpConfig(setting=2, n=20), detectors=["FF"], reps=3,
+                   seed=4, workers=1, null_reps=19, null_grid=None).to_csv(direct)
+    assert out.read_text(encoding="utf-8") == direct.getvalue()
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -143,6 +143,22 @@ def test_null_simulation_clips_negative_eigenvalues():
     np.testing.assert_array_equal(a.draws, b.draws)
 
 
+def test_null_simulation_drops_rounding_level_eigenvalues():
+    # below D eps max(lam) an eigenvalue is eigh's rounding noise, not a bridge
+    a = simulate_null_limit([1.0, 1.0, 1.0, 1e-17, 1e-33, -8e-17], reps=100,
+                            grid=150, seed=6)
+    b = simulate_null_limit([1.0, 1.0, 1.0], reps=100, grid=150, seed=6)
+    np.testing.assert_array_equal(a.draws, b.draws)
+
+
+def test_null_simulation_of_a_tiny_spectrum_draws_its_resolvable_part():
+    # the floor is relative to the largest eigenvalue, not absolute
+    a = simulate_null_limit([1e-20, 3e-21, 1e-37, 5e-36], reps=100, grid=150, seed=8)
+    b = simulate_null_limit([1e-20, 3e-21], reps=100, grid=150, seed=8)
+    assert not a.degenerate and np.all(a.draws > 0.0)
+    np.testing.assert_array_equal(a.draws, b.draws)
+
+
 def test_null_simulation_validates_inputs():
     with pytest.raises(ValueError, match="replication"):
         simulate_null_limit([1.0], reps=0)

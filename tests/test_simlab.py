@@ -6,6 +6,7 @@ from scipy import linalg as sla
 
 import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.detect import test as ff_test
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
     CSV_COLUMNS,
@@ -57,18 +58,13 @@ def serial_errors(cfg, rng, permutation=None, burnin=100):
     return data, psi
 
 
-def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
-                     null_grid):
-    """Rows of one ``run_experiment`` cell, its replications generated one
-    after the other through ``gen_errors`` from their own streams."""
-    task = simlab._CellTask(
-        kind=kind, dgp=dgp, break_spec=spec, detectors=tuple(detectors),
-        alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
-        null_reps=null_reps, null_grid=null_grid, conservative=False,
-        lr_config=LongRunConfig())
-    per_rep = []
+def serial_replications(dgp, spec, reps, seed):
+    """(series, aux seed, k_star) of each replication of a ``run_experiment``
+    cell, generated one after the other through ``gen_errors`` from their own
+    streams."""
+    digest = simlab._cell_digest(dgp)
     for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, task.digest, rep)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, digest, rep)))
         perm = rng.permutation(dgp.n_basis) if dgp.permute else None
         series, psi = gen_errors(dgp, rng=rng, permutation=perm,
                                  return_operator=True)
@@ -79,9 +75,21 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, break_function(spec.m, c, dgp.n_basis,
                                                      permutation=perm), k_star)
-        per_rep.append(({name: simlab._eval_detector(
-            task, *simlab._parse_detector(name), series, aux_seed, k_star)
-            for name in detectors}, {}))
+        yield series, aux_seed, k_star
+
+
+def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
+                     null_grid):
+    """Rows of one ``run_experiment`` cell from ``serial_replications``."""
+    task = simlab._CellTask(
+        kind=kind, dgp=dgp, break_spec=spec, detectors=tuple(detectors),
+        alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
+        null_reps=null_reps, null_grid=null_grid, conservative=False,
+        lr_config=LongRunConfig())
+    per_rep = [({name: simlab._eval_detector(
+        task, *simlab._parse_detector(name), series, aux_seed, k_star)
+        for name in detectors}, {})
+        for series, aux_seed, k_star in serial_replications(dgp, spec, reps, seed)]
     return simlab._cell_rows(task, per_rep)
 
 
@@ -375,6 +383,19 @@ def test_cell_rows_match_serial_generation(kind, dependence, reps):
     assert serial == parallel
     del kwargs["detectors"]
     assert serial == csv_text(serial_cell_rows(kind, dgp, spec, detectors, **kwargs))
+
+
+@pytest.mark.parametrize("setting", [1, 3])
+def test_default_ff_decision_is_that_of_the_shipped_test(setting):
+    # simlab's default null grid is detect.test's: the series' own n steps
+    dgp = DgpConfig(setting=setting, n=40)
+    spec = BreakSpec(m=1, snr=0.1, theta=0.5)  # p-values on both sides of 5%
+    res = run_experiment("power", dgp, [spec], detectors=["FF"], reps=8, seed=19,
+                         workers=1, null_reps=99)
+    decisions = [ff_test(series, 0.05, reps=99, seed=aux_seed).p_value <= 0.05
+                 for series, aux_seed, _ in serial_replications(dgp, spec, 8, 19)]
+    assert 0.0 < np.mean(decisions) < 1.0
+    assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
 
 
 def test_csv_schema_and_stderr_formula():
