@@ -4,10 +4,10 @@ Subcommands: ``detect`` (fully functional test), ``date`` (break dating with
 confidence interval) and ``simulate`` (size/power/dating/coverage tables).
 Reports are JSON documents echoing every tunable; simulation output is CSV.
 Daily CSVs are read in chunks of whole lines: a chunk of plain
-``YYYY-MM-DD,value`` lines is parsed in bulk on numpy's calendar, and from the
+``YYYY-MM-DD,value`` lines is parsed in bulk from its digits, and from the
 first chunk that is not plain to the end of the file rows go through the csv
 module one by one. Both read the same days and values, so a file's report
-does not depend on its layout.
+does not depend on its layout. All years are fitted in one stacked solve.
 Exit codes: 0 success, 2 data/input errors, 3 numerical degeneracy.
 """
 
@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import dating, detect, fpca
-from .basis import CurveSeries, FourierBasis
+from .basis import CurveSeries, FourierBasis, _least_squares
 from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
 from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
 
@@ -107,10 +107,51 @@ def _decoded(binary):
 # characters per chunk of lines that ``ingest`` parses in bulk: numpy's cost
 # per chunk outweighs the saving on much smaller chunks, and each chunk's
 # buffers add to the peak memory of a request
-_CHUNK_CHARS = 1 << 15
-# the first day that ``datetime.date`` represents: numpy also reads year 0
-_FIRST_DAY = np.datetime64("0001-01-01")
-_ZERO, _DASH, _COMMA, _NEWLINE = b"0-,\n"
+_CHUNK_CHARS = 1 << 16
+_ZERO, _DASH, _COMMA, _NEWLINE, _DOT = b"0-,\n."
+# YYYY-MM-DD less "0000-00-00" is a digit at most 9 in each column, 0 at a dash,
+# and gives year, month and day by its place values (exact in doubles)
+_DATE_ZERO = np.frombuffer(b"0000-00-00", np.uint8)
+_DATE_SPAN = np.where(_DATE_ZERO == _DASH, 0, 9).astype(np.uint8)
+_DATE_PLACES = np.array([[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 0, 0, 10, 1]], float).T
+# a value -?digits[.digits] of at most 15 digits is an exact double, as is 10^k
+_MAX_DIGITS = 15
+_POWERS = 10 ** np.arange(_MAX_DIGITS + 3)
+
+
+def _plain_values(text: str, buf, first, ends):
+    """The values ``float`` reads from the fields ``text[first:ends]``, or None.
+
+    A field -?digits[.digits] of at most 15 digits is its integer mantissa over
+    10^k, for k fraction digits: both are exact doubles, so one division rounds
+    as ``float`` does (Clinger 1990). A blank field is nan; ``float`` reads the
+    others.
+    """
+    width = ends - first
+    # row j: each field's (j + 1)-th character from its end, or 0 past its start
+    cols = np.arange(min(max(width.max(), 1), _MAX_DIGITS + 2))[:, None]
+    chars = np.where(cols < width, buf.take(ends - 1 - cols, mode="clip"), 0)
+    code = chars - _ZERO
+    digit, dot = code < 10, chars == _DOT  # bytes below "0" wrap past 9
+    count, dots, minus = digit.sum(axis=0), dot.sum(axis=0), buf[first] == _DASH
+    fast = ((count + dots + minus == width) & (dots <= 1)
+            & (count > 0) & (count <= _MAX_DIGITS))
+    # the digits as one integer with a 0 in the dot's place, then without it
+    spaced = (code * digit * _POWERS[:cols.size, None]).sum(axis=0)
+    fraction = (dot * cols).sum(axis=0)  # 0 without a dot
+    low = spaced % _POWERS[np.where(dots, fraction, _MAX_DIGITS + 2)]
+    values = (low + (spaced - low) // 10) / _POWERS[fraction]
+    np.negative(values, out=values, where=minus)
+    values[width == 0] = np.nan
+    slow = np.flatnonzero(~fast & (width > 0))
+    try:
+        values[slow] = [float(text[a:b])
+                        for a, b in zip(first[slow].tolist(), ends[slow].tolist())]
+    except ValueError:
+        return None
+    return values
 
 
 def _plain_rows(lines, field_limit: int):
@@ -127,43 +168,35 @@ def _plain_rows(lines, field_limit: int):
     text = "".join(lines)
     if not text.isascii() or '"' in text:
         return None
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:  # a line ending the csv module reads, but not plain
-        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:  # a line ending the csv module reads, but not plain
+            return None
     if not text.endswith("\n"):  # the last line of the file
         text += "\n"
     buf = np.frombuffer(text.encode("ascii"), np.uint8)
     ends = np.flatnonzero(buf == _NEWLINE)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    widths = ends - starts
     # a comma at column 10 of each line, and no other comma
-    if (widths.max() > field_limit
+    if ((ends - starts).max() > field_limit
             or not np.array_equal(np.flatnonzero(buf == _COMMA), starts + 10)):
         return None
-    # float strips the line end; a blank value reads as nan
-    texts = [line[11:] for line in lines]
-    for i in np.flatnonzero(widths == 11).tolist():
-        texts[i] = "nan"
-    try:
-        values = np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
+    values = _plain_values(text, buf, starts + 11, ends)
+    if values is None or np.isinf(values).any():
         return None
-    if np.isinf(values).any():
+    code = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts] - _DATE_ZERO
+    if (code > _DATE_SPAN).any():  # bytes below "0" wrap past 9
         return None
-    # the shape check comes first: numpy also reads signed years (+001-01-01)
-    # and other forms that fromisoformat rejects
-    chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
-    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - _ZERO  # bytes below "0" wrap past 9
-    if (digits > 9).any() or (chars[:, [4, 7]] != _DASH).any():
+    year, month, day = (code @ _DATE_PLACES).astype(int).T
+    months = 12 * (year - 1970) + month - 1
+    # the first day of each month from the chunk's first to the one after its last
+    firsts = np.arange(months.min(), months.max() + 2).astype("datetime64[M]")
+    firsts, months = firsts.astype("datetime64[D]"), months - months.min()
+    # digits give no negative year, month or day, so one below 1 is 0
+    if ((year == 0) | (month == 0) | (month > 12) | (day == 0)
+            | (day > np.diff(firsts).astype(int)[months])).any():
         return None
-    # from str: numpy 2.4.6 crashes casting ``chars.view("S10")`` on a bad date
-    try:
-        days = np.array([line[:10] for line in lines], "datetime64[D]")
-    except ValueError:  # a month or day outside the calendar
-        return None
-    if (days < _FIRST_DAY).any():
-        return None
-    return days, values
+    return firsts[months] + (day - 1), values
 
 
 def _row_loop(rows, first_line: int, bad_lines: list):
@@ -226,22 +259,24 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     """Read a ``date,value`` CSV into one curve per year.
 
     Day k of a Y-day year maps to t = (k - 0.5) / Y; each year's available
-    values are least-squares fitted on the Fourier basis. An empty or ``nan``
-    value marks a missing day; a row with an unparseable date or value, or an
-    infinite value, is an error that names its line. Of rows that repeat a
-    date, the last one counts. Years with more than ``max_missing`` of their
-    days missing (absent rows count as missing) are dropped with a warning.
-    ``source`` is a path or an open text or binary stream; a UTF-8 byte-order
-    mark before the header of a file or binary stream is ignored.
-    After the header the input is read in chunks of whole lines of about 32K
-    characters. A chunk of plain ``YYYY-MM-DD,value`` lines, each date a
-    calendar day of year 1 or later, is parsed in bulk by numpy. From the
-    first chunk that is not plain (one with, say, a quote, a non-ASCII
-    character, a padded date, a blank line, a value of spaces, another date
-    form, a day outside the calendar, a bad row or a line over the csv field
-    limit) to the end, rows go through the csv module one by one.
-    Both read the same days and numbers, so the chunking does not change the
-    result.
+    values are least-squares fitted on the Fourier basis as ``fit_curve``
+    fits them, all years in one stacked normal-equations solve. An empty or
+    ``nan`` value marks a missing day; a row with an unparseable date or
+    value, or an infinite value, is an error that names its line. Of rows that
+    repeat a date, the last one counts. Years with more than ``max_missing`` of
+    their days missing (absent rows count as missing) are dropped with a
+    warning. ``source`` is a path or an open text or binary stream; a UTF-8
+    byte-order mark before the header of a file or binary stream is ignored.
+    After the header the input is read in chunks of whole lines of about 64K
+    characters. A chunk of plain ``YYYY-MM-DD,value`` lines is parsed in bulk:
+    each date from its digits, a day of numpy's calendar in year 1 or later,
+    and a value -?digits[.digits] of at most 15 digits as its integer mantissa
+    over a power of ten (any other value by ``float``). From the first chunk
+    that is not plain (one with, say, a quote, a non-ASCII character, a padded
+    date, a blank line, a value of spaces, another date form, a day outside the
+    calendar, a bad row or a line over the csv field limit) to the end, rows go
+    through the csv module one by one. Both read the same days and values, bit
+    for bit, so the chunking does not change the result.
     Returns (series, labels, dropped_years).
     """
     with _csv_rows(source) as (fh, origin):
@@ -249,26 +284,26 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
             raise DataFormatError(f"{origin}: expected header 'date,value'")
         dates, values = _daily_rows(fh, origin)
 
-    # sort by date; of a repeated date the last row wins
-    order = np.argsort(dates, kind="stable")
-    dates, values = dates[order], values[order]
-    last = np.append(dates[1:] != dates[:-1], True)
-    dates, values = dates[last], values[last]
-    years = dates.astype("datetime64[Y]")
-    day_index = (dates - years).astype(int)  # from 0
-    starts = np.flatnonzero(np.append(True, years[1:] != years[:-1]))
-    firsts = years[starts]
-    # a year's length is the gap between its 1 January and the next one
-    lengths = (firsts + 1 - firsts.astype("datetime64[D]")).astype(int)
+    if not (dates[1:] > dates[:-1]).all():
+        # sort by date; of a repeated date the last row wins
+        dates, last = np.unique(dates[::-1], return_index=True)
+        values = values[::-1][last]
+    first_year, last_year = dates[[0, -1]].astype("datetime64[Y]")
+    # 1 January of each year from the first date's to the one after the last's
+    jan1 = np.arange(first_year, last_year + 2).astype("datetime64[D]")
+    bounds = np.searchsorted(dates, jan1).tolist()
+    day_index = (dates - np.repeat(jan1[:-1], np.diff(bounds))).astype(int)  # from 0
 
     basis = FourierBasis(basis_size)
     # the basis at every day of a year of each length: the elementwise values
     # fit_curve would compute at t = (k - 0.5) / days, k = 1..days
     designs = {}
-    labels, curves, dropped = [], [], []
-    for year, days, idx, y in zip((firsts.astype(int) + 1970).tolist(), lengths.tolist(),
-                                  np.split(day_index, starts[1:]),
-                                  np.split(values, starts[1:])):
+    labels, kept, dropped = [], [], []
+    for year, days, lo, hi in zip(itertools.count(first_year.item().year),
+                                  np.diff(jan1).astype(int).tolist(), bounds, bounds[1:]):
+        if lo == hi:  # no row in this year
+            continue
+        idx, y = day_index[lo:hi], values[lo:hi]
         usable = ~np.isnan(y)
         present = int(np.count_nonzero(usable))
         if (days - present) / days > max_missing:
@@ -279,18 +314,17 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
                                   f"points for {basis_size} basis functions")
         if days not in designs:
             designs[days] = basis.design_matrix((np.arange(1, days + 1) - 0.5) / days)
-        coeffs, *_ = np.linalg.lstsq(designs[days][idx[usable]], y[usable], rcond=None)
         labels.append(str(year))
-        curves.append(coeffs)
+        kept.append((designs[days], idx[usable], y[usable]))
     if dropped:
         warnings.warn(
             "dropped years exceeding the missing-data threshold: "
             + ", ".join(str(y) for y in dropped),
             stacklevel=2,
         )
-    if len(curves) < 2:
+    if len(kept) < 2:
         raise DataFormatError(f"{origin}: fewer than two usable years")
-    return CurveSeries(np.vstack(curves), basis), labels, dropped
+    return CurveSeries(_least_squares(kept), basis), labels, dropped
 
 
 def read_coeffs(source, basis_size: int = 21):

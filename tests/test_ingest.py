@@ -35,7 +35,7 @@ def oracle_ingest(path, basis_size=21, max_missing=0.10):
     basis = FourierBasis(basis_size)
     labels, curves, dropped = [], [], []
     for year in sorted(per_year):
-        days = (datetime.date(year + 1, 1, 1) - datetime.date(year, 1, 1)).days
+        days = 366 if calendar.isleap(year) else 365  # datetime stops at year 9999
         values = per_year[year]
         present = sum(not math.isnan(v) for v in values.values())
         if (days - present) / days > max_missing:
@@ -120,6 +120,10 @@ def test_duplicate_date_keeps_the_last_row(tmp_path):
     assert_matches_oracle(later, basis_size=5)
     blank = write_rows(tmp_path / "blank.csv", lines + ["2001-03-01,"])
     assert_matches_oracle(blank, basis_size=5)
+    # a repeat right after its first row leaves the dates in order, not increasing
+    assert lines[59].startswith("2001-03-01,")
+    next_row = write_rows(tmp_path / "next.csv", lines[:60] + ["2001-03-01,999.0"] + lines[60:])
+    assert_matches_oracle(next_row, basis_size=5)
 
 
 def test_row_order_does_not_matter(tmp_path):
@@ -248,6 +252,48 @@ def test_a_year_missing_exactly_the_threshold_is_kept(tmp_path):
     assert labels == ["2001", "2003"] and dropped == [2002]
 
 
+def count_lstsq_calls(monkeypatch) -> list:
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def test_a_year_too_sparse_for_the_normal_equations_is_fitted_by_lstsq(tmp_path,
+                                                                       monkeypatch):
+    # 25 days of one month: a Gram far from diagonally dominant
+    sparse = year_lines(2002)[31:56]
+    path = write_rows(tmp_path / "sparse.csv",
+                      year_lines(2001) + sparse + year_lines(2003))
+    calls = count_lstsq_calls(monkeypatch)
+    series, labels, _ = ingest(path, max_missing=0.95)
+    assert labels == ["2001", "2002", "2003"] and calls == [(25, 21)]
+    monkeypatch.undo()
+    assert_matches_oracle(path, max_missing=0.95)
+    days = np.arange(32, 57)
+    direct, *_ = np.linalg.lstsq(FourierBasis(21).design_matrix((days - 0.5) / 365),
+                                 [float(line.split(",")[1]) for line in sparse],
+                                 rcond=None)
+    np.testing.assert_allclose(series.data[1], direct, rtol=1e-10)
+
+
+def test_years_missing_one_percent_of_days_take_no_lstsq(tmp_path, monkeypatch):
+    lines = []
+    for year in (2001, 2002, 2003):
+        lines += [line for k, line in enumerate(year_lines(year)) if k % 100 != 7]
+    path = write_rows(tmp_path / "gaps.csv", lines)
+    calls = count_lstsq_calls(monkeypatch)
+    assert ingest(path)[1] == ["2001", "2002", "2003"]
+    assert calls == []
+    monkeypatch.undo()
+    assert_matches_oracle(path)
+
+
 def test_bad_rows_after_the_first_chunk_keep_their_line_numbers(tmp_path):
     lines = chunked_lines()
     bad_date, bad_value = after_first_chunk(lines, back=700), after_first_chunk(lines, 2)
@@ -310,7 +356,8 @@ def test_a_value_over_the_csv_field_limit_is_unreadable(tmp_path):
     "0000-01-01,1.0", "2001/02/03,1.0", "+001-01-01,1.0", "200a-01-01,1.0",
     "2002-02-29,1.0", "20020304,1.0", "2002-03-04;1.0", "2002-03-04,1,5",
     "2002-03-04,-Infinity", "2002-03-04,  ", "2002-03-04,1_0", "2002-03-04,\u0661",
-    '2002-03-04,"1.5"',
+    '2002-03-04,"1.5"', "2001-04-31,1.0", "2001-13-01,1.0", "2001-00-10,1.0",
+    "2001-02-00,1.0", "9999-12-31,-.5", "0001-01-01,007.25", "2002-03-04,-",
 ])
 def test_an_edge_row_after_the_first_chunk_matches_the_oracle(tmp_path, row):
     lines = chunked_lines()
@@ -335,8 +382,12 @@ def test_a_carriage_return_inside_a_row_of_a_text_stream_is_unreadable():
 
 
 EDGE_DATES = ["2001-02-29", "0000-01-01", "20010101", " 2002-03-04", "2002-3-04",
-              "2001/02/03", "+001-01-01", "200a-01-01"]
-EDGE_VALUES = ["", "  ", "nan", "1_0", "-Infinity", " 2.5 ", "1e3", "0x1", "\u0661", "1,5"]
+              "2001/02/03", "+001-01-01", "200a-01-01", "2001-13-01", "2001-00-10",
+              "2001-04-31", "2001-02-00", "2000-02-29", "1900-02-29", "0001-01-01",
+              "9999-12-31"]
+EDGE_VALUES = ["", "  ", "nan", "1_0", "-Infinity", " 2.5 ", "1e3", "0x1", "\u0661", "1,5",
+               "-0.000", ".5", "5.", "-.5", "+1.5", "007.25", "123456789012345",
+               "1234567890123456", "0.12345678901234567", "-", "."]
 BASE_LINES = year_lines(2001) + year_lines(2002)
 
 
