@@ -145,27 +145,25 @@ class EigenSystem:
         object.__setattr__(self, "vectors", _readonly(w))
 
 
-# a Gram X'X whose Gershgorin bounds on its eigenvalues are not positive, or
-# further apart than this ratio, is left to lstsq: the normal equations square
-# the condition number of X, and lose at most about 6 of 16 digits under it
-_GRAM_BOUND_RATIO = 1e6
+# the largest condition number of a Gram X'X solved as such (about 6 of 16 digits lost)
+_GRAM_CONDITION = 1e6
 
 
 def _least_squares(problems) -> np.ndarray:
     """Coefficients of a list of (table, rows, values) fits, stacked.
 
-    Of each design X = ``table.take(rows, axis=0)`` only X'X and X'y are kept.
-    One stacked ``np.linalg.solve`` takes the normal equations X'X c = X'y of
-    each fit whose Gram passes the conditioning test; ``lstsq`` fits the others.
+    Of each design X = ``table.take(rows, axis=0)`` only X'X and X'y are kept;
+    one stacked ``solve`` takes every well-conditioned X'X c = X'y, lstsq the rest.
     """
-    count, size = len(problems), problems[0][0].shape[1]
-    grams, rhs = np.empty((count, size, size)), np.empty((count, size))
-    for i, (table, rows, y) in enumerate(problems):
-        design = table.take(rows, axis=0)
-        grams[i], rhs[i] = design.T @ design, design.T @ y
+    designs = ((table.take(rows, axis=0), y) for table, rows, y in problems)
+    grams, rhs = map(np.array, zip(*((x.T @ x, x.T @ y) for x, y in designs)))
+    # Gershgorin bounds on the eigenvalues clear most Grams; eigvalsh the rest
     radii = np.abs(grams).sum(axis=2)
     lower = (2.0 * grams.diagonal(axis1=1, axis2=2) - radii).min(axis=1)
-    solvable = (lower > 0) & (radii.max(axis=1) <= _GRAM_BOUND_RATIO * lower)
+    solvable = (lower > 0) & (radii.max(axis=1) <= _GRAM_CONDITION * lower)
+    unsure = np.flatnonzero(~solvable)
+    low, high = np.linalg.eigvalsh(grams[unsure])[:, [0, -1]].T
+    solvable[unsure] = (low > 0) & (high <= _GRAM_CONDITION * low)
     coeffs = np.empty_like(rhs)
     coeffs[solvable] = np.linalg.solve(grams[solvable], rhs[solvable, :, None])[..., 0]
     for i in np.flatnonzero(~solvable):
@@ -178,9 +176,8 @@ def fit_curve(basis: FourierBasis, t, values) -> np.ndarray:
     """Least-squares coefficients for samples ``values`` at points ``t``.
 
     NaN values are treated as missing and excluded from the fit. The normal
-    equations are solved directly, unless the Gram of the design fails a
-    fixed Gershgorin conditioning test; then ``np.linalg.lstsq`` fits the
-    design. Raises DegenerateFitError when fewer than D usable points remain.
+    equations are solved unless ill-conditioned, when ``np.linalg.lstsq`` fits
+    the design. Raises DegenerateFitError when fewer than D usable points remain.
     """
     t = np.asarray(t, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()
@@ -191,7 +188,8 @@ def fit_curve(basis: FourierBasis, t, values) -> np.ndarray:
         raise DegenerateFitError(
             f"only {int(mask.sum())} usable points for {basis.n_basis} basis functions"
         )
-    return _least_squares([(basis.design_matrix(t), np.flatnonzero(mask), y[mask])])[0]
+    rows = np.arange(mask.sum())
+    return _least_squares([(basis.design_matrix(t[mask]), rows, y[mask])])[0]
 
 
 def eigen_decompose(k: KernelMatrix) -> EigenSystem:

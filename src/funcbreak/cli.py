@@ -109,25 +109,17 @@ def _decoded(binary):
 # buffers add to the peak memory of a request
 _CHUNK_CHARS = 1 << 16
 _ZERO, _DASH, _COMMA, _NEWLINE, _DOT = b"0-,\n."
-# YYYY-MM-DD less "0000-00-00" is a digit at most 9 in each column, 0 at a dash,
-# and gives year, month and day by its place values (exact in doubles)
-_DATE_ZERO = np.frombuffer(b"0000-00-00", np.uint8)
-_DATE_SPAN = np.where(_DATE_ZERO == _DASH, 0, 9).astype(np.uint8)
-_DATE_PLACES = np.array([[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 0, 0, 0, 10, 1]], float).T
 # a value -?digits[.digits] of at most 15 digits is an exact double, as is 10^k
 _MAX_DIGITS = 15
 _POWERS = 10 ** np.arange(_MAX_DIGITS + 3)
 
 
-def _plain_values(text: str, buf, first, ends):
-    """The values ``float`` reads from the fields ``text[first:ends]``, or None.
+def _plain_values(lines, buf, first, ends):
+    """The values ``float`` reads after column 11 of ``lines``, or None.
 
-    A field -?digits[.digits] of at most 15 digits is its integer mantissa over
-    10^k, for k fraction digits: both are exact doubles, so one division rounds
-    as ``float`` does (Clinger 1990). A blank field is nan; ``float`` reads the
-    others.
+    Of the fields ``buf[first:ends]``, one -?digits[.digits] of at most 15 digits
+    is its integer mantissa over 10^k, k fraction digits: one division of exact
+    doubles, rounded as ``float`` rounds (Clinger 1990). A blank one is nan.
     """
     width = ends - first
     # row j: each field's (j + 1)-th character from its end, or 0 past its start
@@ -140,15 +132,14 @@ def _plain_values(text: str, buf, first, ends):
             & (count > 0) & (count <= _MAX_DIGITS))
     # the digits as one integer with a 0 in the dot's place, then without it
     spaced = (code * digit * _POWERS[:cols.size, None]).sum(axis=0)
-    fraction = (dot * cols).sum(axis=0)  # 0 without a dot
-    low = spaced % _POWERS[np.where(dots, fraction, _MAX_DIGITS + 2)]
+    fraction = dot.argmax(axis=0)  # the first dot's column, or 0
+    low = spaced % _POWERS[np.where(dots, fraction, -1)]
     values = (low + (spaced - low) // 10) / _POWERS[fraction]
     np.negative(values, out=values, where=minus)
     values[width == 0] = np.nan
-    slow = np.flatnonzero(~fast & (width > 0))
-    try:
-        values[slow] = [float(text[a:b])
-                        for a, b in zip(first[slow].tolist(), ends[slow].tolist())]
+    slow = np.flatnonzero(~fast & (width > 0)).tolist()
+    try:  # float strips the line end
+        values[slow] = list(map(float, [lines[i][11:] for i in slow]))
     except ValueError:
         return None
     return values
@@ -181,19 +172,20 @@ def _plain_rows(lines, field_limit: int):
     if ((ends - starts).max() > field_limit
             or not np.array_equal(np.flatnonzero(buf == _COMMA), starts + 10)):
         return None
-    values = _plain_values(text, buf, starts + 11, ends)
+    values = _plain_values(lines, buf, starts + 11, ends)
     if values is None or np.isinf(values).any():
         return None
-    code = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts] - _DATE_ZERO
-    if (code > _DATE_SPAN).any():  # bytes below "0" wrap past 9
+    chars = np.lib.stride_tricks.sliding_window_view(buf, 10)[starts]
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - _ZERO  # bytes below "0" wrap past 9
+    if (digits > 9).any() or (chars[:, [4, 7]] != _DASH).any():
         return None
-    year, month, day = (code @ _DATE_PLACES).astype(int).T
+    pairs = 10 * digits[:, ::2].astype(int) + digits[:, 1::2]
+    year, month, day = 100 * pairs[:, 0] + pairs[:, 1], pairs[:, 2], pairs[:, 3]
     months = 12 * (year - 1970) + month - 1
     # the first day of each month from the chunk's first to the one after its last
     firsts = np.arange(months.min(), months.max() + 2).astype("datetime64[M]")
     firsts, months = firsts.astype("datetime64[D]"), months - months.min()
-    # digits give no negative year, month or day, so one below 1 is 0
-    if ((year == 0) | (month == 0) | (month > 12) | (day == 0)
+    if ((year < 1) | (month < 1) | (month > 12) | (day < 1)
             | (day > np.diff(firsts).astype(int)[months])).any():
         return None
     return firsts[months] + (day - 1), values
@@ -259,24 +251,22 @@ def ingest(source, basis_size: int = 21, max_missing: float = 0.10):
     """Read a ``date,value`` CSV into one curve per year.
 
     Day k of a Y-day year maps to t = (k - 0.5) / Y; each year's available
-    values are least-squares fitted on the Fourier basis as ``fit_curve``
-    fits them, all years in one stacked normal-equations solve. An empty or
-    ``nan`` value marks a missing day; a row with an unparseable date or
-    value, or an infinite value, is an error that names its line. Of rows that
-    repeat a date, the last one counts. Years with more than ``max_missing`` of
-    their days missing (absent rows count as missing) are dropped with a
-    warning. ``source`` is a path or an open text or binary stream; a UTF-8
-    byte-order mark before the header of a file or binary stream is ignored.
-    After the header the input is read in chunks of whole lines of about 64K
-    characters. A chunk of plain ``YYYY-MM-DD,value`` lines is parsed in bulk:
-    each date from its digits, a day of numpy's calendar in year 1 or later,
-    and a value -?digits[.digits] of at most 15 digits as its integer mantissa
-    over a power of ten (any other value by ``float``). From the first chunk
-    that is not plain (one with, say, a quote, a non-ASCII character, a padded
-    date, a blank line, a value of spaces, another date form, a day outside the
-    calendar, a bad row or a line over the csv field limit) to the end, rows go
-    through the csv module one by one. Both read the same days and values, bit
-    for bit, so the chunking does not change the result.
+    values are fitted on the Fourier basis as ``fit_curve`` fits them, all
+    years in one stacked solve. An empty or ``nan`` value marks a missing day;
+    a row with an unparseable date or value, or an infinite value, is an error
+    that names its line. Of rows that repeat a date, the last one counts.
+    Years with more than ``max_missing`` of their days missing (absent rows
+    count as missing) are dropped with a warning. ``source`` is a path or an
+    open text or binary stream; a UTF-8 byte-order mark before the header of a
+    file or binary stream is ignored. After the header the input is read in
+    chunks of whole lines of about 64K characters. A chunk of plain
+    ``YYYY-MM-DD,value`` lines (days of numpy's calendar from year 1) is read
+    in bulk: a date from its digits, a value -?digits[.digits] of at most 15
+    digits as its mantissa over a power of ten, any other value by ``float``.
+    From the first chunk that is not plain (with, say, a quote, a non-ASCII
+    character, a padded date, a blank line, another date form, a day outside
+    the calendar, a bad row or a line over the csv field limit) to the end,
+    rows go through the csv module one by one; both read the same bits.
     Returns (series, labels, dropped_years).
     """
     with _csv_rows(source) as (fh, origin):

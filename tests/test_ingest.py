@@ -282,6 +282,17 @@ def test_a_year_too_sparse_for_the_normal_equations_is_fitted_by_lstsq(tmp_path,
     np.testing.assert_allclose(series.data[1], direct, rtol=1e-10)
 
 
+def test_a_year_with_an_ill_conditioned_gram_is_fitted_by_lstsq(tmp_path, monkeypatch):
+    # 200 days in a row: a positive definite Gram of condition number near 5e12
+    path = write_rows(tmp_path / "span.csv",
+                      year_lines(2001) + year_lines(2002)[31:231] + year_lines(2003))
+    calls = count_lstsq_calls(monkeypatch)
+    assert ingest(path, max_missing=0.95)[1] == ["2001", "2002", "2003"]
+    assert calls == [(200, 21)]
+    monkeypatch.undo()
+    assert_matches_oracle(path, max_missing=0.95)
+
+
 def test_years_missing_one_percent_of_days_take_no_lstsq(tmp_path, monkeypatch):
     lines = []
     for year in (2001, 2002, 2003):
@@ -292,6 +303,26 @@ def test_years_missing_one_percent_of_days_take_no_lstsq(tmp_path, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert_matches_oracle(path)
+
+
+def test_years_missing_a_stretch_of_weeks_take_no_lstsq(tmp_path, monkeypatch):
+    # a lost stretch of 3 to 5 weeks: the Gram is far from diagonally dominant,
+    # yet its condition number is below 100
+    lines = year_lines(2000)
+    for year, start, weeks in ((2001, 0, 3), (2002, 150, 4), (2003, 320, 5)):
+        lines += [line for k, line in enumerate(year_lines(year))
+                  if not start <= k < start + 7 * weeks]
+    path = write_rows(tmp_path / "weeks.csv", lines)
+    calls = count_lstsq_calls(monkeypatch)
+    series, labels, _ = ingest(path)
+    assert labels == ["2000", "2001", "2002", "2003"] and calls == []
+    monkeypatch.undo()
+    assert_matches_oracle(path)
+    days = np.array([k for k in range(1, 366) if not 151 <= k < 179])
+    values = [float(line.split(",")[1]) for line in year_lines(2002)]
+    direct, *_ = np.linalg.lstsq(FourierBasis(21).design_matrix((days - 0.5) / 365),
+                                 [values[k - 1] for k in days], rcond=None)
+    np.testing.assert_allclose(series.data[2], direct, rtol=1e-10)
 
 
 def test_bad_rows_after_the_first_chunk_keep_their_line_numbers(tmp_path):
@@ -358,6 +389,7 @@ def test_a_value_over_the_csv_field_limit_is_unreadable(tmp_path):
     "2002-03-04,-Infinity", "2002-03-04,  ", "2002-03-04,1_0", "2002-03-04,\u0661",
     '2002-03-04,"1.5"', "2001-04-31,1.0", "2001-13-01,1.0", "2001-00-10,1.0",
     "2001-02-00,1.0", "9999-12-31,-.5", "0001-01-01,007.25", "2002-03-04,-",
+    "2002-03-04,1.234.567.890", "2002-03-04,1.2.3.4.5.6",
 ])
 def test_an_edge_row_after_the_first_chunk_matches_the_oracle(tmp_path, row):
     lines = chunked_lines()
@@ -387,7 +419,8 @@ EDGE_DATES = ["2001-02-29", "0000-01-01", "20010101", " 2002-03-04", "2002-3-04"
               "9999-12-31"]
 EDGE_VALUES = ["", "  ", "nan", "1_0", "-Infinity", " 2.5 ", "1e3", "0x1", "\u0661", "1,5",
                "-0.000", ".5", "5.", "-.5", "+1.5", "007.25", "123456789012345",
-               "1234567890123456", "0.12345678901234567", "-", "."]
+               "1234567890123456", "0.12345678901234567", "-", ".", "1.234.567.890",
+               "1.2.3.4.5.6"]
 BASE_LINES = year_lines(2001) + year_lines(2002)
 
 
