@@ -209,5 +209,4 @@ def eigen_decompose(k: KernelMatrix) -> EigenSystem:
     vectors = vectors[:, order]
     anchor = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[anchor, np.arange(values.size)])
-    signs[signs == 0] = 1.0
     return EigenSystem(values, vectors * signs)

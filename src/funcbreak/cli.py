@@ -43,7 +43,6 @@ class DataFormatError(ValueError):
 _OPTION_RANGES = (
     ("--alpha", "alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("--reps", "reps", lambda v: v >= 1, "at least 1"),
-    ("--grid", "grid", lambda v: v >= 100, "at least 100"),
     ("--basis-size", "basis_size", lambda v: v >= 1, "at least 1"),
     ("--max-missing", "max_missing", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("--tve", "tve", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
@@ -61,6 +60,11 @@ def _check_options(args) -> None:
         value = getattr(args, attr, None)
         if value is not None and not valid(value):
             raise DataFormatError(f"{flag} must be {requirement}, got {value}")
+    try:  # the explicit null grid, under the grid rule of the test
+        detect._null_grid(args.alpha, args.grid, 1)
+    except ValueError:
+        raise DataFormatError(
+            f"--grid must be at least {detect._MIN_GRID}, got {args.grid}") from None
     try:  # the thread cap in the environment, read by the null simulation
         detect.resolve_workers(None)
     except ValueError as exc:
@@ -512,10 +516,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "per CPU); no result depends on the thread count")
     parser.add_argument("--grid", type=int, default=None,
                         help="Brownian bridge steps of the null law (default: the "
-                             "number of curves n, the exact law of the statistic's "
-                             "maximum over its n points for iid Gaussian curves); "
-                             "an explicit grid, at least 100 steps, approximates "
-                             "the supremum of the continuous limit")
+                             "number of curves n, the exact law for iid Gaussian "
+                             f"curves); an explicit grid of at least {detect._MIN_GRID} "
+                             "steps approximates the continuous supremum")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 

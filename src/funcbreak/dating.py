@@ -261,8 +261,9 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
     k_hat = fit.k_hat
     delta = estimate_break_function(series, k_hat)
     lambda1 = float(max(eigen_decompose(fit.kernel).values[0], 0.0))
-    # a variance: non-PSD tapers can push the raw quadratic form slightly negative
-    sigma2 = max(sigma2_hat(fit.kernel, delta), 0.0)
+    # a Rayleigh quotient in [0, lambda1]: non-PSD tapers can push it slightly
+    # below 0, and rounding past lambda1 (at D = 1 the two are equal)
+    sigma2 = min(max(sigma2_hat(fit.kernel, delta), 0.0), lambda1)
     theta_hat = k_hat / n
     xi = XiLaw(theta_hat, lambda1 if conservative else sigma2)
     ci_raw = confidence_interval(k_hat, delta, xi, alpha)

@@ -2,12 +2,13 @@
 
 The detector is the maximum of the squared L2 norm of the tied-down functional
 CUSUM process over its n points k/n. Its null distribution is simulated from
-the estimated long-run covariance spectrum as the maximum of an
-eigenvalue-weighted sum of squared independent Brownian bridges. By default
-(in ``test``, the CLI and simlab) the bridges are taken on the series' own n
-steps: for iid Gaussian curves with that kernel this is the exact law of the
-discrete maximum, and each replication draws n normals per eigenvalue. An
-explicit grid (at least 100 steps) approximates the continuous supremum.
+the estimated long-run covariance spectrum as the maximum over G grid steps of
+an eigenvalue-weighted sum of squared independent Brownian bridges. One rule,
+``_null_grid``, sets G for ``test``, ``rejects``, the CLI and simlab: by
+default G is the series' own n, which for iid Gaussian curves with that kernel
+gives the exact law of the statistic, at n normals per eigenvalue and
+replication; an explicit grid must have at least 100 steps and approximates
+the supremum of the continuous limit.
 ``fit_break`` is the CUSUM, k_hat and kernel fit that the test, dating and
 aligned detector share; the test and the aligned detector read the null kernel
 that ``_null_spectrum`` picks.
@@ -151,24 +152,20 @@ def _bridge_sq_block(rng, size: int, lam_over_grid: np.ndarray,
     return np.matmul(lam_over_grid, z)
 
 
-def _bridge_weights(eigenvalues, reps: int, grid: int, discrete: bool = False):
+def _bridge_weights(eigenvalues, reps: int, grid: int):
     """Checked arguments as (resolved lam_l / grid, j / grid for j = 1..grid).
 
     Negatives are clipped to zero; None if all are zero. Resolved means above
     D eps max(lam), the resolution of ``eigh`` on D values: a smaller lam_l is
     rounding noise. Increments of variance 1/grid are folded into the weights.
-    A grid that approximates the continuous supremum needs at least 100 steps;
-    the ``discrete`` law on a series' own n points needs one.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if discrete and grid < 1:
+    if grid < 1:
         raise ValueError("bridge grid must have at least 1 step")
-    if not discrete and grid < 100:
-        raise ValueError("bridge grid must have at least 100 steps")
     if not lam.any():
         return None
     return (lam[lam > lam.size * np.finfo(float).eps * lam.max()] / grid,
@@ -213,26 +210,21 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
-                        seed=None, *, discrete: bool = False) -> LimitSample:
+                        seed=None) -> LimitSample:
     """Simulate the grid maximum of the eigenvalue-weighted sum of squared bridges.
 
-    Each Brownian bridge is built on the grid j/grid, j = 0..grid, as
-    B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance 1/G.
-    With ``discrete``, G is a series' own length n and the grid maximum
-    max_k sum_l lam_l B_l^2(k/n) is the exact law of the FF statistic
-    max_k ||CUSUM_k||^2 for iid Gaussian curves whose kernel has the
-    eigenvalues lam; any G >= 1 is accepted. Otherwise the grid maximum
-    approximates the supremum over [0, 1] of the continuous limit, and G must
-    be at least 100. Both modes draw the same numbers for the same G. Negative
-    eigenvalues are clipped at zero and those at or below D eps max(lam) are
-    dropped; an all-zero spectrum yields a degenerate all-zero sample.
+    Each Brownian bridge is built on the grid j/G, j = 0..G, for any G = grid
+    >= 1, as B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance
+    1/G; the module docstring gives the G of a test. Negative eigenvalues are
+    clipped at zero and those at or below D eps max(lam) are dropped; an
+    all-zero spectrum yields a degenerate all-zero sample.
     Block b of B = max(1, 2^15 // (D grid)) replications draws from child b of
     SeedSequence(seed) (B = 1 when D grid > 2^14), so results are deterministic
     for a given (seed, reps, grid). The blocks are spread over
     ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS) and
     the draws do not depend on the thread count.
     """
-    weights = _bridge_weights(eigenvalues, reps, grid, discrete)
+    weights = _bridge_weights(eigenvalues, reps, grid)
     blocks = list(_null_blocks(seed, reps, weights))
     workers = resolve_workers(None)
     if workers == 1:
@@ -376,11 +368,18 @@ def _null_spectrum(series: CurveSeries, config: LongRunConfig | None = None,
     return fit, stat, split, kernel, eigen_decompose(kernel)
 
 
-def _null_grid(alpha: float, grid: int | None, n: int) -> tuple[int, bool]:
-    """Check alpha; the null grid (None: the n steps) and whether it is discrete."""
+# the fewest steps of an explicit null grid
+_MIN_GRID = 100
+
+
+def _null_grid(alpha: float, grid: int | None, n: int) -> int:
+    """Check alpha; the G of a caller's null ``grid`` (None: the n steps)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return (n, True) if grid is None else (grid, False)
+    if grid is not None and grid < _MIN_GRID:
+        raise ValueError(f"an explicit null grid must have at least {_MIN_GRID} "
+                         f"steps, got {grid}")
+    return n if grid is None else grid
 
 
 def test(series: CurveSeries, alpha: float = 0.05,
@@ -391,21 +390,17 @@ def test(series: CurveSeries, alpha: float = 0.05,
 
     The null law is simulated from all D eigenvalues (negatives clipped) of the
     kernel ``_null_spectrum`` picks; ``config["split"]`` echoes its split
-    (k_hat or None). With ``grid`` None, the default, the bridges are taken on
-    the series' own n steps: the exact law of the maximum over k/n for iid
-    Gaussian curves with the estimated kernel. An explicit ``grid`` (at least
-    100) approximates the supremum of the continuous limit instead;
-    ``config["grid"]`` echoes the grid used. The report gives the statistic,
-    critical values and the finite-sample Monte Carlo p-value
-    (1 + #{draws >= stat}) / (reps + 1). A caller that already holds
+    (k_hat or None), and ``config["grid"]`` the G of ``grid`` (None, the
+    default: the series' own n steps; see the module docstring). The report
+    gives the statistic, critical values and the finite-sample Monte Carlo
+    p-value (1 + #{draws >= stat}) / (reps + 1). A caller that already holds
     ``fit_break(series, config)`` passes it as ``fit``.
     """
-    grid, discrete = _null_grid(alpha, grid, series.n)
+    grid = _null_grid(alpha, grid, series.n)
     cfg = config or LongRunConfig()
     fit, stat, split, _, eig = _null_spectrum(series, cfg, fit)
     lam = np.clip(eig.values, 0.0, None)
-    null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed,
-                               discrete=discrete)
+    null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
     p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
     levels = sorted({round(a, 12) for a in (alpha, 0.10, 0.05, 0.01)})
     critical_values = {a: null.quantile(1.0 - a) for a in levels}
@@ -440,9 +435,9 @@ def rejects(series: CurveSeries, alpha: float,
     alpha, so the decision is that of ``test`` at a fraction of the draws under
     the null. Kernel and grid are those of ``test``.
     """
-    grid, discrete = _null_grid(alpha, grid, series.n)
+    grid = _null_grid(alpha, grid, series.n)
     _, stat, _, _, eig = _null_spectrum(series, config)
-    weights = _bridge_weights(eig.values, reps, grid, discrete)  # clips negatives
+    weights = _bridge_weights(eig.values, reps, grid)  # clips negatives
     exceed = 0
     for block in _null_blocks(seed, reps, weights):
         exceed += np.count_nonzero(_null_maxima(block, weights) >= stat)

@@ -8,12 +8,11 @@ generates its replications a block at a time, each from its own stream in
 the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
-of a squared Brownian bridge (``detect.KieferLaw``); the null grid (default:
-n steps, as in ``detect.test``) and replications affect only the fully
-functional (FF) test. The aligned detector reads the FF test's null long-run
-kernel (``detect._null_spectrum``); in setting 1 its tilt picks the best of
-three equal-variance directions, and it rejects 11% (iid) and 15% (far1) of
-null replications at 5% (n = 100).
+of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
+replications affect only the fully functional (FF) test. The aligned detector
+reads the FF test's null long-run kernel (``detect._null_spectrum``); in
+setting 1 its tilt picks the best of three equal-variance directions, and it
+rejects 11% (iid) and 15% (far1) of null replications at 5% (n = 100).
 """
 
 import hashlib
@@ -25,7 +24,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import (KieferLaw, _bridge_weights, estimate_break_date, rejects,
+from .detect import (KieferLaw, _null_grid, estimate_break_date, rejects,
                      resolve_workers)
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
@@ -386,6 +385,8 @@ def validate_grid(kind, dgps, specs, detectors) -> None:
         for spec in specs:
             if spec.m > cfg.n_basis:
                 problems.append(f"m={spec.m} exceeds the basis size {cfg.n_basis}")
+            if int(spec.theta * cfg.n) < 1:  # the break date k* of ``_replicate``
+                problems.append(f"theta={spec.theta} places no break at n={cfg.n}")
     if problems:
         raise ValueError("invalid experiment grid: "
                          + "; ".join(sorted(set(problems))))
@@ -484,23 +485,19 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     Failed replications are counted per detector in ``failures`` rows.
     FF size and power decisions come from ``detect.rejects``, which stops
     drawing null replications once p <= alpha is decided and gives the same
-    decisions as ``detect.test``. ``null_grid`` None, the default (as in
-    ``detect.test``), takes the bridges on each series' own n steps; an
-    explicit grid (at least 100) approximates the continuous supremum.
-    ``null_reps`` and ``null_grid`` affect only these FF decisions. fPCA and
-    aligned critical values are the exact quantiles of the continuous sup of a
-    squared d-dimensional Brownian bridge (``detect.KieferLaw``). ``xi_reps``
-    has no effect: coverage intervals use the exact Xi law.
+    decisions as ``detect.test``, under the grid rule of ``detect`` (None,
+    the default: each series' own n steps). ``null_reps`` and ``null_grid``
+    affect only these FF decisions. fPCA and aligned critical values are the
+    exact quantiles of the continuous sup of a squared d-dimensional Brownian
+    bridge (``detect.KieferLaw``). ``xi_reps`` has no effect: coverage
+    intervals use the exact Xi law.
     """
-    if reps < 1:
+    if reps < 1 or null_reps < 1:
         raise ValueError("need at least one replication")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _null_grid(alpha, null_grid, 1)  # alpha and the FF null grid, before any work
     dgps = [dgp] if isinstance(dgp, DgpConfig) else list(dgp)
     specs = list(break_specs) if break_specs else []
     validate_grid(kind, dgps, specs, detectors)
-    # the checks ``rejects`` makes of the FF null arguments, before any work
-    _bridge_weights((), null_reps, null_grid or 1, discrete=null_grid is None)
 
     tasks = []
     for cfg in dgps:

@@ -380,6 +380,15 @@ def test_simulate_grid_validation_exits_before_work(capsys):
     assert "m=40" in err and "Aligned" in err
 
 
+def test_simulate_break_spec_that_places_no_break_exits_before_work(capsys):
+    # int(0.005 * 100) = 0 would shift every curve: a power run without a break
+    code = main(["simulate", "power", "--setting", "2", "--n", "100", "--snr", "5.0",
+                 "--theta", "0.005", "--detectors", "FF", "--sim-reps", "40",
+                 "--reps", "99"])
+    assert code == 2
+    assert "theta=0.005 places no break at n=100" in capsys.readouterr().err
+
+
 def test_detect_grid_defaults_to_the_number_of_curves(tmp_path, capsys):
     path = tmp_path / "coeffs.csv"
     data = np.random.default_rng(5).standard_normal((60, 3)) * [1.0, 0.5, 0.25]

@@ -299,6 +299,18 @@ def test_date_break_report_invariants():
     assert report.ci_raw[0] <= report.ci[0]
 
 
+def test_date_break_keeps_the_rayleigh_bound_at_large_data_scales():
+    # at D = 1 sigma^2 and lambda1 are one number up to rounding, which at a
+    # scale of 1e8 passes the report's absolute slack of 1e-10
+    for seed in range(21):  # sigma^2 rounds above lambda1 at seeds 10, 12 and 20
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 1))
+        x[30:] += 1.0
+        report = date_break(make_series(1e4 * x))
+        assert report.sigma2_hat <= report.lambda1_hat
+        assert report.sigma2_hat == pytest.approx(report.lambda1_hat, rel=1e-12)
+
+
 def test_date_break_conservative_is_not_narrower():
     rng = np.random.default_rng(13)
     data = rng.standard_normal((80, 5)) * 0.5

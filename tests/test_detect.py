@@ -162,11 +162,9 @@ def test_null_simulation_of_a_tiny_spectrum_draws_its_resolvable_part():
 def test_null_simulation_validates_inputs():
     with pytest.raises(ValueError, match="replication"):
         simulate_null_limit([1.0], reps=0)
-    with pytest.raises(ValueError, match="grid"):
-        simulate_null_limit([1.0], reps=10, grid=50)
 
 
-def test_discrete_null_law_is_the_law_of_the_statistic():
+def test_null_law_on_the_n_steps_is_the_law_of_the_statistic():
     # for iid N(0, diag lam) curves, max_k ||CUSUM_k||^2 has exactly the law
     # of max_k sum_l lam_l B_l^2(k/n) with the bridges on the n steps
     rng = np.random.default_rng(20)
@@ -174,22 +172,18 @@ def test_discrete_null_law_is_the_law_of_the_statistic():
     statistic = np.array([
         cusum_norm_sq(make_series(rng.standard_normal((n, 3)) * np.sqrt(lam))).max()
         for _ in range(reps)])
-    discrete = simulate_null_limit(lam, reps=reps, grid=n, seed=21, discrete=True)
-    assert stats.ks_2samp(statistic, discrete.draws).pvalue > 0.01
+    on_n_steps = simulate_null_limit(lam, reps=reps, grid=n, seed=21)
+    assert stats.ks_2samp(statistic, on_n_steps.draws).pvalue > 0.01
     # the fine grid approximates the continuous supremum, which lies above
     continuous = simulate_null_limit(lam, reps=reps, grid=1000, seed=22)
-    assert continuous.quantile(0.5) > max(np.median(statistic), discrete.quantile(0.5))
+    assert continuous.quantile(0.5) > max(np.median(statistic), on_n_steps.quantile(0.5))
 
 
-def test_discrete_mode_takes_any_positive_grid():
-    coarse = simulate_null_limit([1.0, 0.5], reps=30, grid=7, seed=2, discrete=True)
+def test_null_simulation_takes_any_positive_grid():
+    coarse = simulate_null_limit([1.0, 0.5], reps=30, grid=7, seed=2)
     assert coarse.draws.shape == (30,) and np.all(coarse.draws > 0.0)
-    # the same grid in both modes draws the same numbers
-    assert np.array_equal(
-        simulate_null_limit([1.0, 0.5], reps=30, grid=120, seed=2, discrete=True).draws,
-        simulate_null_limit([1.0, 0.5], reps=30, grid=120, seed=2).draws)
     with pytest.raises(ValueError, match="grid"):
-        simulate_null_limit([1.0], reps=10, grid=0, discrete=True)
+        simulate_null_limit([1.0], reps=10, grid=0)
 
 
 def test_single_rep_pvalue_uses_finite_sample_convention():
@@ -440,6 +434,9 @@ def test_rejects_checks_its_arguments_like_test():
         rejects(series, 0.05, reps=0)
     with pytest.raises(ValueError, match="grid"):
         rejects(series, 0.05, reps=10, grid=50)
+    # an explicit grid approximates the continuous supremum and needs 100 steps
+    with pytest.raises(ValueError, match="grid"):
+        ff_test(series, reps=10, grid=50)
 
 
 def test_report_echoes_configuration():

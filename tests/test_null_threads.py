@@ -100,7 +100,7 @@ def test_a_short_block_draws_the_start_of_a_full_one(thread_cap, reps):
 def test_one_replication_blocks_draw_each_replication_from_its_own_child(
         thread_cap, lam, grid, reps):
     # past 2^14 normals per replication a block is one replication
-    sample = simulate_null_limit(lam, reps=reps, grid=grid, seed=10, discrete=True)
+    sample = simulate_null_limit(lam, reps=reps, grid=grid, seed=10)
     assert np.array_equal(sample.draws, per_replication_draws(lam, reps, grid, 10))
 
 

@@ -330,6 +330,15 @@ def test_grid_validation_lists_all_problems():
     assert "bogus" in message
 
 
+def test_grid_validation_rejects_a_break_spec_that_places_no_break():
+    # the break date is int(theta n): 0 at theta < 1/n, where every curve shifts
+    short, long = DgpConfig(setting=1, n=20), DgpConfig(setting=1, n=200)
+    spec = BreakSpec(m=1, snr=1.0, theta=0.04)
+    with pytest.raises(ValueError, match=r"theta=0.04 places no break at n=20\b"):
+        validate_grid("power", [short, long], [spec], ["FF"])
+    validate_grid("power", [long], [spec], ["FF"])  # int(0.04 * 200) = 8
+
+
 def test_size_run_rejects_break_grid():
     dgp = DgpConfig(setting=1, n=20)
     with pytest.raises(ValueError, match="no break grid"):
