@@ -27,7 +27,7 @@ import numpy as np
 from . import dating, detect, fpca
 from .basis import CurveSeries, FourierBasis, _least_squares
 from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
-from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
+from .simlab import _VALID_KINDS, BreakSpec, DgpConfig, run_experiment, validate_grid
 
 __all__ = ["DataFormatError", "ingest", "read_coeffs", "main"]
 
@@ -434,10 +434,6 @@ def _detection_report(args, series, labels, dropped, fit=None) -> dict:
     }
 
 
-def _cmd_detect(args) -> dict:
-    return _detection_report(args, *_load_series(args))
-
-
 def _cmd_date(args) -> dict:
     series, labels, dropped = _load_series(args)
     # one CUSUM, k_hat and kernel fit serves both the test and the dating
@@ -559,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="total variation explained for --fpca")
 
     p_sim = sub.add_parser("simulate", help="simulation study tables")
-    p_sim.add_argument("kind", choices=["size", "power", "dating", "coverage"])
+    p_sim.add_argument("kind", choices=_VALID_KINDS)
     _add_common(p_sim)
     p_sim.add_argument("--setting", type=int, nargs="+", default=[1, 2, 3])
     p_sim.add_argument("--dependence", nargs="+", default=["iid"],
@@ -597,7 +593,7 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         if args.command == "detect":
-            _emit_json(_cmd_detect(args), args.out)
+            _emit_json(_detection_report(args, *_load_series(args)), args.out)
         elif args.command == "date":
             _emit_json(_cmd_date(args), args.out)
         else:

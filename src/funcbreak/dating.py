@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Curve, CurveSeries, KernelMatrix, eigen_decompose
+from .basis import Curve, CurveSeries, KernelMatrix
 from .detect import BreakFit, LimitSample, _bisect, fit_break
 from .longrun import LongRunConfig
 
@@ -248,9 +248,10 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
     The interval takes quantiles of the exact Xi law. With ``conservative``
     that law is taken at the top long-run eigenvalue instead of sigma^2, which
     can only widen the interval. A caller that already holds
-    ``fit_break(series, config)`` passes it as ``fit``. A flat fit (a CUSUM at
-    rounding level) has no break to date. Unlike the test, the interval always
-    reads the kernel split at k_hat: it is built at the estimated break.
+    ``fit_break(series, config)`` passes it as ``fit``, whose spectra are
+    computed on first use. A flat fit (a CUSUM at rounding level) has no break
+    to date. Unlike the test, the interval always reads the kernel split at
+    k_hat (``BreakFit.eig``): it is built at the estimated break.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -260,7 +261,7 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
         raise ValueError("estimated break function is zero; cannot date a break")
     k_hat = fit.k_hat
     delta = estimate_break_function(series, k_hat)
-    lambda1 = float(max(eigen_decompose(fit.kernel).values[0], 0.0))
+    lambda1 = float(max(fit.eig.values[0], 0.0))
     # a Rayleigh quotient in [0, lambda1]: non-PSD tapers can push it slightly
     # below 0, and rounding past lambda1 (at D = 1 the two are equal)
     sigma2 = min(max(sigma2_hat(fit.kernel, delta), 0.0), lambda1)

@@ -9,9 +9,9 @@ default G is the series' own n, which for iid Gaussian curves with that kernel
 gives the exact law of the statistic, at n normals per eigenvalue and
 replication; an explicit grid must have at least 100 steps and approximates
 the supremum of the continuous limit.
-``fit_break`` is the CUSUM, k_hat and kernel fit that the test, dating and
-aligned detector share; the test and the aligned detector read the null kernel
-that ``_null_spectrum`` picks.
+``fit_break`` gives the ``BreakFit`` that the test, dating and aligned detector
+share: the CUSUM, k_hat and the kernel split there, computed once, and their
+spectra (``BreakFit.eig``, ``BreakFit.null``), computed on first use.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
@@ -36,12 +36,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
 
-from .basis import CurveSeries, KernelMatrix, eigen_decompose
+from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
 from .longrun import LongRunConfig, estimate_longrun, longrun_kernel, trace
 
 __all__ = [
@@ -104,14 +104,39 @@ def estimate_break_date(series: CurveSeries) -> int:
 
 @dataclass(frozen=True)
 class BreakFit:
-    """The CUSUM of a series, its argmax and the kernel demeaned there."""
+    """A series' CUSUM, its argmax, the kernel demeaned there, and its spectra."""
 
+    series: CurveSeries
+    weight: str  # taper of the kernels, as in LongRunConfig
     paths: np.ndarray  # (n+1, D) scaled tied-down CUSUM rows
     norms: np.ndarray  # (n+1,) squared norms of the rows
     k_hat: int
     kernel: KernelMatrix  # long-run kernel demeaned piecewise at k_hat
     h: float  # bandwidth used for the kernel
     flat: bool  # the CUSUM maximum is rounding noise: the series has no break
+
+    @property
+    def stat(self) -> float:
+        """max_k ||CUSUM_k||^2, the test statistic; 0 for a flat fit."""
+        return 0.0 if self.flat else float(self.norms[self.k_hat])
+
+    @cached_property
+    def eig(self) -> EigenSystem:
+        """Eigensystem of the kernel split at k_hat."""
+        return eigen_decompose(self.kernel)
+
+    @cached_property
+    def null(self) -> tuple:
+        """(split, kernel, eigensystem) of the H0 kernel of the test and the
+        aligned detector: the kernel split at split = k_hat if its trace is
+        below half that of the overall-mean kernel at the same bandwidth (the
+        fitted step carries most of the variance), else that kernel and split
+        = None. Splitting at the statistic's own argmax would deflate the
+        kernel exactly when the statistic is large."""
+        pooled = longrun_kernel(self.series, self.weight, h=self.h)
+        if trace(self.kernel) >= 0.5 * trace(pooled):
+            return None, pooled, eigen_decompose(pooled)
+        return self.k_hat, self.kernel, self.eig
 
 
 def fit_break(series: CurveSeries,
@@ -121,8 +146,8 @@ def fit_break(series: CurveSeries,
     norms = np.einsum("ij,ij->i", paths, paths)
     k_hat, flat = _break_date(series, norms)
     kernel, h = estimate_longrun(series, config, split=k_hat)
-    return BreakFit(paths=paths, norms=norms, k_hat=k_hat, kernel=kernel, h=h,
-                    flat=flat)
+    return BreakFit(series, (config or LongRunConfig()).weight, paths, norms,
+                    k_hat, kernel, h, flat)
 
 
 @dataclass(frozen=True)
@@ -217,12 +242,9 @@ def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
     >= 1, as B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance
     1/G; the module docstring gives the G of a test. Negative eigenvalues are
     clipped at zero and those at or below D eps max(lam) are dropped; an
-    all-zero spectrum yields a degenerate all-zero sample.
-    Block b of B = max(1, 2^15 // (D grid)) replications draws from child b of
-    SeedSequence(seed) (B = 1 when D grid > 2^14), so results are deterministic
-    for a given (seed, reps, grid). The blocks are spread over
-    ``resolve_workers(None)`` threads (all CPUs, at most FUNCBREAK_THREADS) and
-    the draws do not depend on the thread count.
+    all-zero spectrum yields a degenerate all-zero sample. The seeded blocks of
+    replications (see the module docstring) make the draws deterministic for a
+    given (seed, reps, grid), whatever the thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid)
     blocks = list(_null_blocks(seed, reps, weights))
@@ -347,27 +369,6 @@ class DetectionReport:
             raise ValueError("critical values must decrease in alpha")
 
 
-def _null_spectrum(series: CurveSeries, config: LongRunConfig | None = None,
-                   fit: BreakFit | None = None):
-    """The fit, statistic, split, null kernel and its eigensystem of a break test.
-
-    The one H0 kernel rule of ``test``, ``rejects`` and the aligned detector:
-    the kernel split at the CUSUM argmax k_hat (split = k_hat) if its trace is
-    below half that of the overall-mean kernel at the same bandwidth, that is
-    if the fitted step carries most of the variance; else the overall-mean
-    kernel (split = None). Splitting at the statistic's own argmax would
-    deflate the kernel exactly when the statistic is large. A flat fit (a
-    CUSUM at rounding level) has statistic 0.
-    """
-    fit = fit or fit_break(series, config)
-    stat = 0.0 if fit.flat else float(fit.norms[fit.k_hat])
-    kernel, split = fit.kernel, fit.k_hat
-    pooled = longrun_kernel(series, (config or LongRunConfig()).weight, h=fit.h)
-    if trace(kernel) >= 0.5 * trace(pooled):
-        kernel, split = pooled, None
-    return fit, stat, split, kernel, eigen_decompose(kernel)
-
-
 # the fewest steps of an explicit null grid
 _MIN_GRID = 100
 
@@ -389,23 +390,25 @@ def test(series: CurveSeries, alpha: float = 0.05,
     """Run the fully functional break test at level ``alpha``.
 
     The null law is simulated from all D eigenvalues (negatives clipped) of the
-    kernel ``_null_spectrum`` picks; ``config["split"]`` echoes its split
+    fit's H0 kernel (``BreakFit.null``); ``config["split"]`` echoes its split
     (k_hat or None), and ``config["grid"]`` the G of ``grid`` (None, the
     default: the series' own n steps; see the module docstring). The report
     gives the statistic, critical values and the finite-sample Monte Carlo
     p-value (1 + #{draws >= stat}) / (reps + 1). A caller that already holds
-    ``fit_break(series, config)`` passes it as ``fit``.
+    ``fit_break(series, config)`` passes it as ``fit``: the fit is computed
+    once, and its spectra on first use.
     """
     grid = _null_grid(alpha, grid, series.n)
     cfg = config or LongRunConfig()
-    fit, stat, split, _, eig = _null_spectrum(series, cfg, fit)
+    fit = fit or fit_break(series, cfg)
+    split, _, eig = fit.null
     lam = np.clip(eig.values, 0.0, None)
     null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
-    p_value = (1 + int(np.count_nonzero(null.draws >= stat))) / (reps + 1)
+    p_value = (1 + int(np.count_nonzero(null.draws >= fit.stat))) / (reps + 1)
     levels = sorted({round(a, 12) for a in (alpha, 0.10, 0.05, 0.01)})
     critical_values = {a: null.quantile(1.0 - a) for a in levels}
     return DetectionReport(
-        stat=stat,
+        stat=fit.stat,
         k_hat=fit.k_hat,
         critical_values=critical_values,
         p_value=p_value,
@@ -426,21 +429,23 @@ def test(series: CurveSeries, alpha: float = 0.05,
 
 def rejects(series: CurveSeries, alpha: float,
             config: LongRunConfig | None = None, *, reps: int = 1000,
-            grid: int | None = None, seed=None) -> bool:
+            grid: int | None = None, seed=None,
+            fit: BreakFit | None = None) -> bool:
     """Whether ``test`` with the same arguments gives p_value <= alpha.
 
     The null draws come from the same blocks of replications as in ``test``,
     read in order, and drawing stops at the end of the block in which the
     count of draws >= the statistic makes (1 + count) / (reps + 1) exceed
     alpha, so the decision is that of ``test`` at a fraction of the draws under
-    the null. Kernel and grid are those of ``test``.
+    the null. Fit, kernel and grid are those of ``test``, and a caller that
+    already holds ``fit_break(series, config)`` passes it as ``fit``.
     """
     grid = _null_grid(alpha, grid, series.n)
-    _, stat, _, _, eig = _null_spectrum(series, config)
-    weights = _bridge_weights(eig.values, reps, grid)  # clips negatives
+    fit = fit or fit_break(series, config)
+    weights = _bridge_weights(fit.null[2].values, reps, grid)  # clips negatives
     exceed = 0
     for block in _null_blocks(seed, reps, weights):
-        exceed += np.count_nonzero(_null_maxima(block, weights) >= stat)
+        exceed += np.count_nonzero(_null_maxima(block, weights) >= fit.stat)
         if (1 + exceed) / (reps + 1) > alpha:
             return False
     return True

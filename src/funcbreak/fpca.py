@@ -3,7 +3,7 @@
 The fPCA route projects the curves onto leading eigenfunctions of the sample
 covariance operator and applies a maximally selected quadratic form to the
 score CUSUM. The change-aligned variant tilts the first eigenfunction of the
-FF test's null kernel (``detect._null_spectrum``) toward the CUSUM peak before
+FF test's null kernel (``detect.BreakFit.null``) toward the CUSUM peak before
 projecting; where leading eigenvalues tie (simlab setting 1) it is oversized.
 """
 
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
-from .detect import _null_spectrum, _smallest_argmax, tied_down_cusum
+from .detect import BreakFit, _smallest_argmax, fit_break, tied_down_cusum
 from .longrun import LongRunConfig
 
 __all__ = [
@@ -120,14 +120,16 @@ def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, gamma: float,
 
 
 def aligned_statistic(series: CurveSeries, gamma: float = 0.25,
-                      config: LongRunConfig | None = None) -> float:
+                      config: LongRunConfig | None = None, *,
+                      fit: BreakFit | None = None) -> float:
     """Change-aligned d=1 detector in the tilted first eigendirection.
 
     Reconstruction of the aligned procedure: the first eigenfunction of the
-    FF test's null long-run kernel (``detect._null_spectrum``) is shifted by
+    FF test's null long-run kernel (``detect.BreakFit.null``) is shifted by
     the scaled CUSUM path at its argmax, the data are projected on the
     normalized result, and the one-dimensional quadratic-form detector is
-    evaluated with the variance of that kernel in that direction.
+    evaluated with the variance of that kernel in that direction. ``fit`` is
+    the caller's ``fit_break(series, config)``, whose spectra come on first use.
 
     Its d = 1 Brownian-bridge limit does not hold when the leading long-run
     eigenvalues are equal: tilting toward the CUSUM peak then picks the best
@@ -139,7 +141,8 @@ def aligned_statistic(series: CurveSeries, gamma: float = 0.25,
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must be in (0, 1/2)")
     n = series.n
-    fit, _, _, kernel, eig = _null_spectrum(series, config)
+    fit = fit or fit_break(series, config)
+    _, kernel, eig = fit.null
     direction = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], gamma, n)
     variance = float(direction @ kernel.entries @ direction)
     if variance <= 0.0:

@@ -9,23 +9,23 @@ the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. The aligned detector
-reads the FF test's null long-run kernel (``detect._null_spectrum``); in
-setting 1 its tilt picks the best of three equal-variance directions, and it
-rejects 11% (iid) and 15% (far1) of null replications at 5% (n = 100).
+replications affect only the fully functional (FF) test. A size or power
+replication fits its series once, spectra on first use, for the FF test and
+the aligned detector, which reads the FF null kernel (``detect.BreakFit.null``)
+and is oversized in setting 1 (see ``fpca.aligned_statistic``).
 """
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import (KieferLaw, _null_grid, estimate_break_date, rejects,
-                     resolve_workers)
+from .detect import (KieferLaw, _null_grid, estimate_break_date, fit_break,
+                     rejects, resolve_workers)
 from .fpca import aligned_statistic, fit_fpca, fpca_statistic
 from .longrun import LongRunConfig
 
@@ -48,8 +48,6 @@ __all__ = [
 DEFAULT_BURNIN = 100
 # replications generated together, about 0.5 MB of far1 draws at n = 100, D = 21
 _BLOCK_REPS = 16
-
-_VALID_KINDS = ("size", "power", "dating", "coverage")
 
 
 def sigma_vector(setting: int, n_basis: int = 21) -> np.ndarray:
@@ -76,7 +74,6 @@ class DgpConfig:
     n_basis: int = 21
     kappa: float = 0.5
     permute: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         if self.setting not in (1, 2, 3):
@@ -170,7 +167,8 @@ def _apply_permutation(data: np.ndarray, permutation) -> np.ndarray:
 def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
                permutation=None, burnin: int = DEFAULT_BURNIN,
                return_operator: bool = False):
-    """Generate the error sequence of the configured DGP.
+    """Generate the error sequence of the configured DGP from ``rng`` (None: a
+    fresh unseeded generator).
 
     For far1 dependence the random operator (Psi = kappa * Psi0 with Psi0
     scaled to unit operator norm) is drawn first, then the innovations; the
@@ -180,8 +178,7 @@ def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
     """
     if burnin < 0:
         raise ValueError(f"burnin must be nonnegative, got {burnin}")
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    data, psi = _error_block(cfg, [rng], burnin)
+    data, psi = _error_block(cfg, [np.random.default_rng(rng)], burnin)
     series = CurveSeries(_apply_permutation(data[0], permutation),
                          FourierBasis(cfg.n_basis))
     return (series, psi[0]) if return_operator else series
@@ -245,6 +242,7 @@ _DETECTOR_KINDS = {"size": ("ff", "fpca", "aligned"),
                    "power": ("ff", "fpca", "aligned"),
                    "dating": ("ff", "fpca"),
                    "coverage": ("ff",)}
+_VALID_KINDS = tuple(_DETECTOR_KINDS)
 
 
 def _parse_detector(name: str) -> tuple[str, float | None]:
@@ -309,11 +307,13 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, delta, k_star)
 
+    # one fit for FF and aligned; one that raises is tried again by the next
+    fit = cache(lambda: fit_break(series, task.lr_config))
     outcomes, errors = {}, {}
     for name in task.detectors:
         kind_name, tve = _parse_detector(name)
         try:
-            outcomes[name] = _eval_detector(task, kind_name, tve, series,
+            outcomes[name] = _eval_detector(task, kind_name, tve, series, fit,
                                             aux_seed, k_star)
         except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
             errors[name] = f"{type(exc).__name__}: {exc}"
@@ -321,17 +321,17 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
 
 
 def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
-                   series: CurveSeries, aux_seed: int, k_star: int):
+                   series: CurveSeries, fit, aux_seed: int, k_star: int):
     if task.kind in ("size", "power"):
         if kind_name == "ff":
             return rejects(series, task.alpha, task.lr_config,
                            reps=task.null_reps, grid=task.null_grid,
-                           seed=aux_seed)
+                           seed=aux_seed, fit=fit())
         if kind_name == "fpca":
             model = fit_fpca(series, tve=tve)
             return fpca_statistic(model).stat > _bridge_critical_value(
                 model.d, task.alpha)
-        stat = aligned_statistic(series, config=task.lr_config)
+        stat = aligned_statistic(series, config=task.lr_config, fit=fit())
         return stat > _bridge_critical_value(1, task.alpha)
 
     if task.kind == "dating":
@@ -479,18 +479,13 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     DgpConfig or a sequence; ``break_specs`` a sequence of BreakSpec (must be
     empty for size runs, where the null is sampled directly). Replications use
     streams keyed by (seed, DGP digest, replication), so any cell is
-    reproducible in isolation and cells sharing a DGP replay identical errors.
-    Replications are generated a block at a time with these streams
-    unchanged, so the rows do not depend on the block size or ``workers``.
-    Failed replications are counted per detector in ``failures`` rows.
-    FF size and power decisions come from ``detect.rejects``, which stops
-    drawing null replications once p <= alpha is decided and gives the same
-    decisions as ``detect.test``, under the grid rule of ``detect`` (None,
-    the default: each series' own n steps). ``null_reps`` and ``null_grid``
-    affect only these FF decisions. fPCA and aligned critical values are the
-    exact quantiles of the continuous sup of a squared d-dimensional Brownian
-    bridge (``detect.KieferLaw``). ``xi_reps`` has no effect: coverage
-    intervals use the exact Xi law.
+    reproducible in isolation and cells sharing a DGP replay identical errors,
+    whatever the block size or ``workers``. Failed replications are counted
+    per detector in ``failures`` rows. FF size and power decisions come from
+    ``detect.rejects``, which gives the decisions of ``detect.test`` with
+    fewer draws; ``null_reps`` and ``null_grid`` (None, the default: each
+    series' own n steps) affect only them. ``xi_reps`` has no effect:
+    coverage intervals use the exact Xi law.
     """
     if reps < 1 or null_reps < 1:
         raise ValueError("need at least one replication")

@@ -2,6 +2,7 @@ import csv
 import datetime
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +303,7 @@ def test_fewer_than_four_years_is_a_data_error(tmp_path, capsys, years):
 
 
 def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
+    import funcbreak.basis as basis
     import funcbreak.dating as dating
     import funcbreak.detect as detect
 
@@ -314,8 +316,24 @@ def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
 
     for module in (detect, dating):
         monkeypatch.setattr(module, "fit_break", counting)
+    # every namespace that holds the decomposition by name counts its calls
+    eigens = []
+    eigen_decompose = basis.eigen_decompose
+
+    def counting_eigen(*args, **kwargs):
+        eigens.append(eigen_decompose(*args, **kwargs))
+        return eigens[-1]
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "funcbreak"
+                and getattr(module, "eigen_decompose", None) is eigen_decompose):
+            monkeypatch.setattr(module, "eigen_decompose", counting_eigen)
     assert main(["date", str(step_file), *FAST]) == 0
     assert len(fits) == 1
+    # the test takes the kernel split at k_hat here, so the test and the
+    # interval read one decomposition of it
+    assert fits[0].null[0] == fits[0].k_hat
+    assert len(eigens) == 1
 
 
 @settings(max_examples=40, deadline=None,

@@ -247,8 +247,7 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
         fits.append(fit_break(series, config))
         return fits[-1]
 
-    # the aligned detector fits through detect's namespace
-    for module in (detect, dating):
+    for module in (detect, dating, fpca):
         monkeypatch.setattr(module, "fit_break", recording)
     report = ff_test(series, 0.05, cfg, reps=19, grid=100, seed=0)
     dated = date_break(series, 0.05, cfg)

@@ -1,4 +1,6 @@
 import io
+import sys
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy import linalg as sla
 
 import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.detect import fit_break
 from funcbreak.detect import test as ff_test
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
@@ -86,10 +89,12 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
         alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
         null_reps=null_reps, null_grid=null_grid, conservative=False,
         lr_config=LongRunConfig())
-    per_rep = [({name: simlab._eval_detector(
-        task, *simlab._parse_detector(name), series, aux_seed, k_star)
-        for name in detectors}, {})
-        for series, aux_seed, k_star in serial_replications(dgp, spec, reps, seed)]
+    per_rep = []
+    for series, aux_seed, k_star in serial_replications(dgp, spec, reps, seed):
+        fit = cache(partial(fit_break, series, task.lr_config))
+        per_rep.append(({name: simlab._eval_detector(
+            task, *simlab._parse_detector(name), series, fit, aux_seed, k_star)
+            for name in detectors}, {}))
     return simlab._cell_rows(task, per_rep)
 
 
@@ -116,22 +121,22 @@ def test_sigma_vectors_match_the_three_settings():
 
 
 def test_setting1_innovations_load_three_directions():
-    cfg = DgpConfig(setting=1, n=50, seed=0, permute=False)
-    series = gen_errors(cfg)
+    cfg = DgpConfig(setting=1, n=50, permute=False)
+    series = gen_errors(cfg, rng=np.random.default_rng(0))
     assert np.all(series.data[:, 3:] == 0.0)
     assert np.any(series.data[:, :3] != 0.0)
 
 
 def test_innovations_are_reproducible():
-    cfg = DgpConfig(setting=2, n=30, seed=7, permute=False)
-    a = gen_errors(cfg)
-    b = gen_errors(cfg)
+    cfg = DgpConfig(setting=2, n=30, permute=False)
+    a = gen_errors(cfg, rng=np.random.default_rng(7))
+    b = gen_errors(cfg, rng=np.random.default_rng(7))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_innovation_scales_match_sigma():
-    cfg = DgpConfig(setting=3, n=10_000, n_basis=6, seed=1, permute=False)
-    series = gen_errors(cfg)
+    cfg = DgpConfig(setting=3, n=10_000, n_basis=6, permute=False)
+    series = gen_errors(cfg, rng=np.random.default_rng(1))
     sigma = sigma_vector(3, 6)
     np.testing.assert_allclose(series.data.std(axis=0), sigma, rtol=0.05)
 
@@ -139,9 +144,8 @@ def test_innovation_scales_match_sigma():
 def test_student_innovations_need_df():
     with pytest.raises(ValueError, match="df"):
         DgpConfig(setting=1, innovation="student")
-    cfg = DgpConfig(setting=2, innovation="student", df=3, n=40, seed=2,
-                    permute=False)
-    assert gen_errors(cfg).n == 40
+    cfg = DgpConfig(setting=2, innovation="student", df=3, n=40, permute=False)
+    assert gen_errors(cfg, rng=np.random.default_rng(2)).n == 40
 
 
 @pytest.mark.parametrize("dependence,burnin", [("iid", 100), ("far1", 0),
@@ -150,10 +154,10 @@ def test_student_innovations_need_df():
 def test_gen_errors_matches_the_per_step_recursion(dependence, burnin,
                                                    innovation, df):
     cfg = DgpConfig(setting=3, dependence=dependence, innovation=innovation,
-                    df=df, n=60, seed=21)
+                    df=df, n=60)
     perm = np.random.default_rng(2).permutation(21)
-    series, psi = gen_errors(cfg, permutation=perm, burnin=burnin,
-                             return_operator=True)
+    series, psi = gen_errors(cfg, rng=np.random.default_rng(21), permutation=perm,
+                             burnin=burnin, return_operator=True)
     data, psi_ref = serial_errors(cfg, np.random.default_rng(21), perm, burnin)
     assert series.data.tobytes() == data.tobytes()
     if dependence == "iid":
@@ -181,9 +185,9 @@ def test_iid_cells_replay_the_same_streams_whatever_kappa():
 
 
 def test_negative_burnin_is_rejected():
-    cfg = DgpConfig(setting=1, dependence="far1", n=50, seed=1)
+    cfg = DgpConfig(setting=1, dependence="far1", n=50)
     with pytest.raises(ValueError, match="burnin"):
-        gen_errors(cfg, burnin=-5)
+        gen_errors(cfg, rng=np.random.default_rng(1), burnin=-5)
 
 
 # --- FAR(1) -----------------------------------------------------------------
@@ -191,8 +195,8 @@ def test_negative_burnin_is_rejected():
 
 def test_far1_with_zero_kappa_equals_innovations():
     cfg = DgpConfig(setting=2, dependence="far1", kappa=0.0, n=25, n_basis=5,
-                    seed=3, permute=False)
-    far = gen_errors(cfg)
+                    permute=False)
+    far = gen_errors(cfg, rng=np.random.default_rng(3))
     # reproduce by consuming the operator draw, then the innovations
     rng = np.random.default_rng(3)
     sigma = sigma_vector(2, 5)
@@ -203,8 +207,8 @@ def test_far1_with_zero_kappa_equals_innovations():
 
 def test_far1_lag_one_autocovariance_matches_yule_walker():
     cfg = DgpConfig(setting=2, dependence="far1", n=20_000, n_basis=5,
-                    kappa=0.5, seed=4, permute=False)
-    series, psi = gen_errors(cfg, return_operator=True)
+                    kappa=0.5, permute=False)
+    series, psi = gen_errors(cfg, rng=np.random.default_rng(4), return_operator=True)
     sigma = sigma_vector(2, 5)
     stationary = sla.solve_discrete_lyapunov(psi, np.diag(sigma**2))
     x = series.data - series.data.mean(axis=0)
@@ -214,8 +218,8 @@ def test_far1_lag_one_autocovariance_matches_yule_walker():
 
 
 def test_far1_mean_stability_under_null():
-    cfg = DgpConfig(setting=3, dependence="far1", n=2000, seed=5, permute=False)
-    series, psi = gen_errors(cfg, return_operator=True)
+    cfg = DgpConfig(setting=3, dependence="far1", n=2000, permute=False)
+    series, psi = gen_errors(cfg, rng=np.random.default_rng(5), return_operator=True)
     half = series.n // 2
     diff = series.data[:half].mean(axis=0) - series.data[half:].mean(axis=0)
     sigma = sigma_vector(3, 21)
@@ -272,8 +276,8 @@ def test_far1_longrun_trace_checks_the_radius_not_the_norm():
 
 def test_far1_longrun_trace_matches_long_simulation():
     cfg = DgpConfig(setting=2, dependence="far1", n=50_000, n_basis=4,
-                    kappa=0.5, seed=6, permute=False)
-    series, psi = gen_errors(cfg, return_operator=True)
+                    kappa=0.5, permute=False)
+    series, psi = gen_errors(cfg, rng=np.random.default_rng(6), return_operator=True)
     sigma = sigma_vector(2, 4)
     analytic = far1_longrun_trace(sigma, psi)
     from funcbreak.longrun import longrun_kernel, trace
@@ -306,7 +310,7 @@ def test_snr_calibration_is_exact_for_generated_data():
 
 
 def test_statistic_invariant_under_basis_permutation():
-    cfg = DgpConfig(setting=3, n=60, seed=8, permute=False)
+    cfg = DgpConfig(setting=3, n=60, permute=False)
     rng_a = np.random.default_rng(59)
     rng_b = np.random.default_rng(59)
     perm = np.random.default_rng(1).permutation(21)
@@ -405,6 +409,50 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
                  for series, aux_seed, _ in serial_replications(dgp, spec, 8, 19)]
     assert 0.0 < np.mean(decisions) < 1.0
     assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
+
+
+def test_a_size_replication_fits_its_series_once(monkeypatch):
+    # FF and Aligned read one fit: one CUSUM, one kernel and one decomposition
+    import funcbreak.basis as basis
+    import funcbreak.detect as detect
+    import funcbreak.longrun as longrun
+
+    originals = {"cusum_paths": detect.cusum_paths,
+                 "estimate_longrun": longrun.estimate_longrun,
+                 "eigen_decompose": basis.eigen_decompose}
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    # every namespace that holds a counted function by name
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "funcbreak":
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name))
+    dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
+    run_experiment("size", dgps, detectors=["FF", "Aligned"], reps=3, seed=23,
+                   workers=1, null_reps=19)
+    assert calls == dict.fromkeys(originals, 2 * 3)
+
+
+def test_a_detectors_rows_do_not_depend_on_the_others():
+    dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
+    specs = [BreakSpec(m=1, snr=0.1, theta=0.5)]
+
+    def rows(detectors):
+        return run_experiment("power", dgps, specs, detectors=detectors, reps=10,
+                              seed=29, workers=1, null_reps=99).rows
+
+    both = rows(["FF", "Aligned"])
+    for name in ("FF", "Aligned"):
+        alone = rows([name])
+        assert len(alone) == 2
+        assert csv_text([row for row in both if row["detector"] == name]) == csv_text(alone)
 
 
 def test_csv_schema_and_stderr_formula():
