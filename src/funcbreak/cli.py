@@ -358,7 +358,8 @@ def _dump_coeffs(series: CurveSeries, labels, path) -> None:
             writer.writerow([label] + [repr(float(v)) for v in row])
 
 
-def _load_series(args):
+def _load_fit(args):
+    """The input's break fit, labels and dropped years, for ``detect`` and ``date``."""
     source = sys.stdin.buffer if args.path == "-" else args.path
     if args.coeffs:
         series, labels = read_coeffs(source, args.basis_size)
@@ -370,7 +371,7 @@ def _load_series(args):
         raise DataFormatError(f"{name}: {series.n} curves, fewer than {MIN_CURVES}")
     if args.dump_coeffs:
         _dump_coeffs(series, labels, args.dump_coeffs)
-    return series, labels, dropped
+    return detect.fit_break(series, _lr_config(args)), labels, dropped
 
 
 def _check_finite(node, crumb="report"):
@@ -403,8 +404,8 @@ def _base_config(args, series, test_config, dropped):
     return {
         "basis_size": args.basis_size,
         "n_curves": series.n,
-        "weight": args.weight,
-        "bandwidth": args.bandwidth,
+        "weight": test_config["weight"],
+        "bandwidth": test_config["bandwidth"],
         "h": test_config["h"],
         "alpha": args.alpha,
         "reps": args.reps,
@@ -420,27 +421,24 @@ def _lr_config(args) -> LongRunConfig:
     return LongRunConfig(weight=args.weight, bandwidth=args.bandwidth)
 
 
-def _detection_report(args, series, labels, dropped, fit=None) -> dict:
-    report = detect.test(series, args.alpha, _lr_config(args),
-                         reps=args.reps, grid=args.grid, seed=args.seed, fit=fit)
+def _detection_report(args, fit, labels, dropped) -> dict:
+    report = detect.test(fit, args.alpha, reps=args.reps, grid=args.grid,
+                         seed=args.seed)
     return {
         "stat": report.stat,
         "p_value": report.p_value,
         "critical_values": {str(a): q for a, q in report.critical_values.items()},
         "k_hat": report.k_hat,
         "k_hat_label": _year_label(labels, report.k_hat),
-        "theta_hat": report.k_hat / series.n,
-        "config": _base_config(args, series, report.config, dropped),
+        "theta_hat": report.k_hat / fit.series.n,
+        "config": _base_config(args, fit.series, report.config, dropped),
     }
 
 
 def _cmd_date(args) -> dict:
-    series, labels, dropped = _load_series(args)
-    # one CUSUM, k_hat and kernel fit serves both the test and the dating
-    fit = detect.fit_break(series, _lr_config(args))
-    report = _detection_report(args, series, labels, dropped, fit)
-    rep = dating.date_break(series, args.alpha, _lr_config(args),
-                            conservative=args.conservative, fit=fit)
+    fit, labels, dropped = _load_fit(args)
+    report = _detection_report(args, fit, labels, dropped)
+    rep = dating.date_break(fit, args.alpha, conservative=args.conservative)
     lo, hi = rep.ci
     report.update({
         "sigma2_hat": rep.sigma2_hat,
@@ -459,7 +457,7 @@ def _cmd_date(args) -> dict:
     report["config"]["xi_reps"] = args.xi_reps
     report["config"]["conservative"] = args.conservative
     if args.fpca:
-        model = fpca.fit_fpca(series, tve=args.tve)
+        model = fpca.fit_fpca(fit.series, tve=args.tve)
         result = fpca.fpca_statistic(model)
         report["fpca"] = {
             "tve": args.tve,
@@ -593,7 +591,7 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         if args.command == "detect":
-            _emit_json(_detection_report(args, *_load_series(args)), args.out)
+            _emit_json(_detection_report(args, *_load_fit(args)), args.out)
         elif args.command == "date":
             _emit_json(_cmd_date(args), args.out)
         else:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Curve, CurveSeries, KernelMatrix
-from .detect import BreakFit, LimitSample, _bisect, fit_break
-from .longrun import LongRunConfig
+from .detect import BreakFit, LimitSample, _bisect
 
 __all__ = [
     "LimitProcessConfig",
@@ -239,28 +238,24 @@ class DatingReport:
             raise AssertionError("interval does not contain the break estimate")
 
 
-def date_break(series: CurveSeries, alpha: float = 0.05,
-               config: LongRunConfig | None = None, *,
-               conservative: bool = False,
-               fit: BreakFit | None = None) -> DatingReport:
-    """Full dating pipeline: date, break function, sigma^2, Xi law, CI.
+def date_break(fit: BreakFit, alpha: float = 0.05, *,
+               conservative: bool = False) -> DatingReport:
+    """Full dating pipeline of ``fit``: break function, sigma^2, Xi law, CI.
 
     The interval takes quantiles of the exact Xi law. With ``conservative``
     that law is taken at the top long-run eigenvalue instead of sigma^2, which
-    can only widen the interval. A caller that already holds
-    ``fit_break(series, config)`` passes it as ``fit``, whose spectra are
-    computed on first use. A flat fit (a CUSUM at rounding level) has no break
-    to date. Unlike the test, the interval always reads the kernel split at
-    k_hat (``BreakFit.eig``): it is built at the estimated break.
+    can only widen the interval. A flat fit (a CUSUM at rounding level) has no
+    break to date. Unlike the test, the interval always reads the kernel split
+    at k_hat (``BreakFit.eig``): it is built at the estimated break. The
+    report echoes the fit's ``LongRunConfig``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    n = series.n
-    fit = fit or fit_break(series, config)
+    n = fit.series.n
     if fit.flat:
         raise ValueError("estimated break function is zero; cannot date a break")
     k_hat = fit.k_hat
-    delta = estimate_break_function(series, k_hat)
+    delta = estimate_break_function(fit.series, k_hat)
     lambda1 = float(max(fit.eig.values[0], 0.0))
     # a Rayleigh quotient in [0, lambda1]: non-PSD tapers can push it slightly
     # below 0, and rounding past lambda1 (at D = 1 the two are equal)
@@ -269,7 +264,6 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
     xi = XiLaw(theta_hat, lambda1 if conservative else sigma2)
     ci_raw = confidence_interval(k_hat, delta, xi, alpha)
     ci = (min(max(ci_raw[0], 1.0), float(n)), min(max(ci_raw[1], 1.0), float(n)))
-    cfg = config or LongRunConfig()
     return DatingReport(
         k_hat=k_hat,
         theta_hat=theta_hat,
@@ -282,8 +276,8 @@ def date_break(series: CurveSeries, alpha: float = 0.05,
         conservative=conservative,
         config={
             "alpha": alpha,
-            "weight": cfg.weight,
-            "bandwidth": cfg.bandwidth,
+            "weight": fit.config.weight,
+            "bandwidth": fit.config.bandwidth,
             "h": fit.h,
             "conservative": conservative,
         },

@@ -9,9 +9,10 @@ default G is the series' own n, which for iid Gaussian curves with that kernel
 gives the exact law of the statistic, at n normals per eigenvalue and
 replication; an explicit grid must have at least 100 steps and approximates
 the supremum of the continuous limit.
-``fit_break`` gives the ``BreakFit`` that the test, dating and aligned detector
-share: the CUSUM, k_hat and the kernel split there, computed once, and their
-spectra (``BreakFit.eig``, ``BreakFit.null``), computed on first use.
+``fit_break`` is the one step that reads a series and a ``LongRunConfig``. Its
+``BreakFit``, the one data input of ``test``, ``rejects``, ``dating.date_break``
+and ``fpca.aligned_statistic``, holds both, the CUSUM, k_hat and the kernel
+split there, and their spectra (``eig``, ``null``), computed on first use.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
@@ -107,7 +108,7 @@ class BreakFit:
     """A series' CUSUM, its argmax, the kernel demeaned there, and its spectra."""
 
     series: CurveSeries
-    weight: str  # taper of the kernels, as in LongRunConfig
+    config: LongRunConfig  # taper and bandwidth rule of the kernels; reports echo it
     paths: np.ndarray  # (n+1, D) scaled tied-down CUSUM rows
     norms: np.ndarray  # (n+1,) squared norms of the rows
     k_hat: int
@@ -133,7 +134,7 @@ class BreakFit:
         fitted step carries most of the variance), else that kernel and split
         = None. Splitting at the statistic's own argmax would deflate the
         kernel exactly when the statistic is large."""
-        pooled = longrun_kernel(self.series, self.weight, h=self.h)
+        pooled = longrun_kernel(self.series, self.config.weight, h=self.h)
         if trace(self.kernel) >= 0.5 * trace(pooled):
             return None, pooled, eigen_decompose(pooled)
         return self.k_hat, self.kernel, self.eig
@@ -141,13 +142,13 @@ class BreakFit:
 
 def fit_break(series: CurveSeries,
               config: LongRunConfig | None = None) -> BreakFit:
-    """CUSUM, break date k_hat and the long-run kernel split at k_hat."""
+    """CUSUM, break date k_hat and the long-run kernel split there, under ``config``."""
+    config = config or LongRunConfig()
     paths = cusum_paths(series)
     norms = np.einsum("ij,ij->i", paths, paths)
     k_hat, flat = _break_date(series, norms)
     kernel, h = estimate_longrun(series, config, split=k_hat)
-    return BreakFit(series, (config or LongRunConfig()).weight, paths, norms,
-                    k_hat, kernel, h, flat)
+    return BreakFit(series, config, paths, norms, k_hat, kernel, h, flat)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, int(workers))
 
 
-def simulate_null_limit(eigenvalues, reps: int = 1000, grid: int = 1000,
+def simulate_null_limit(eigenvalues, reps: int, grid: int,
                         seed=None) -> LimitSample:
     """Simulate the grid maximum of the eigenvalue-weighted sum of squared bridges.
 
@@ -383,24 +384,19 @@ def _null_grid(alpha: float, grid: int | None, n: int) -> int:
     return n if grid is None else grid
 
 
-def test(series: CurveSeries, alpha: float = 0.05,
-         config: LongRunConfig | None = None, *, reps: int = 1000,
-         grid: int | None = None, seed=None,
-         fit: BreakFit | None = None) -> DetectionReport:
-    """Run the fully functional break test at level ``alpha``.
+def test(fit: BreakFit, alpha: float = 0.05, *, reps: int = 1000,
+         grid: int | None = None, seed=None) -> DetectionReport:
+    """Run the fully functional break test of ``fit``'s series at level ``alpha``.
 
     The null law is simulated from all D eigenvalues (negatives clipped) of the
     fit's H0 kernel (``BreakFit.null``); ``config["split"]`` echoes its split
-    (k_hat or None), and ``config["grid"]`` the G of ``grid`` (None, the
+    (k_hat or None), ``config["weight"]``/``["bandwidth"]`` the fit's
+    ``LongRunConfig``, and ``config["grid"]`` the G of ``grid`` (None, the
     default: the series' own n steps; see the module docstring). The report
     gives the statistic, critical values and the finite-sample Monte Carlo
-    p-value (1 + #{draws >= stat}) / (reps + 1). A caller that already holds
-    ``fit_break(series, config)`` passes it as ``fit``: the fit is computed
-    once, and its spectra on first use.
+    p-value (1 + #{draws >= stat}) / (reps + 1).
     """
-    grid = _null_grid(alpha, grid, series.n)
-    cfg = config or LongRunConfig()
-    fit = fit or fit_break(series, cfg)
+    grid = _null_grid(alpha, grid, fit.series.n)
     split, _, eig = fit.null
     lam = np.clip(eig.values, 0.0, None)
     null = simulate_null_limit(lam, reps=reps, grid=grid, seed=seed)
@@ -415,8 +411,8 @@ def test(series: CurveSeries, alpha: float = 0.05,
         eigenvalues_used=lam,
         config={
             "alpha": alpha,
-            "weight": cfg.weight,
-            "bandwidth": cfg.bandwidth,
+            "weight": fit.config.weight,
+            "bandwidth": fit.config.bandwidth,
             "h": fit.h,
             "reps": reps,
             "grid": grid,
@@ -427,21 +423,17 @@ def test(series: CurveSeries, alpha: float = 0.05,
     )
 
 
-def rejects(series: CurveSeries, alpha: float,
-            config: LongRunConfig | None = None, *, reps: int = 1000,
-            grid: int | None = None, seed=None,
-            fit: BreakFit | None = None) -> bool:
+def rejects(fit: BreakFit, alpha: float, *, reps: int = 1000,
+            grid: int | None = None, seed=None) -> bool:
     """Whether ``test`` with the same arguments gives p_value <= alpha.
 
     The null draws come from the same blocks of replications as in ``test``,
     read in order, and drawing stops at the end of the block in which the
     count of draws >= the statistic makes (1 + count) / (reps + 1) exceed
     alpha, so the decision is that of ``test`` at a fraction of the draws under
-    the null. Fit, kernel and grid are those of ``test``, and a caller that
-    already holds ``fit_break(series, config)`` passes it as ``fit``.
+    the null. Kernel and grid are those of ``test``.
     """
-    grid = _null_grid(alpha, grid, series.n)
-    fit = fit or fit_break(series, config)
+    grid = _null_grid(alpha, grid, fit.series.n)
     weights = _bridge_weights(fit.null[2].values, reps, grid)  # clips negatives
     exceed = 0
     for block in _null_blocks(seed, reps, weights):

@@ -3,7 +3,7 @@
 The fPCA route projects the curves onto leading eigenfunctions of the sample
 covariance operator and applies a maximally selected quadratic form to the
 score CUSUM. The change-aligned variant tilts the first eigenfunction of the
-FF test's null kernel (``detect.BreakFit.null``) toward the CUSUM peak before
+null kernel of the FF test's ``detect.BreakFit`` toward the CUSUM peak before
 projecting; where leading eigenvalues tie (simlab setting 1) it is oversized.
 """
 
@@ -13,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
-from .detect import BreakFit, _smallest_argmax, fit_break, tied_down_cusum
-from .longrun import LongRunConfig
+from .detect import BreakFit, _smallest_argmax, tied_down_cusum
 
 __all__ = [
     "RankError",
@@ -108,28 +107,24 @@ def fpca_statistic(model: FpcaModel) -> FpcaResult:
     return FpcaResult(stat=float(per_k[k_hat]), per_k=per_k, k_hat=k_hat)
 
 
-def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, gamma: float,
-                       n: int) -> np.ndarray:
-    """Tilt the first eigenfunction toward the CUSUM peak and renormalize."""
+def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, n: int) -> np.ndarray:
+    """Tilt phi1 / n^(1/4) toward the CUSUM peak and renormalize."""
     s_hat = np.sign(float(phi1 @ cusum_peak)) or 1.0
-    direction = phi1 / n**gamma + s_hat * cusum_peak
+    direction = phi1 / n**0.25 + s_hat * cusum_peak
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         raise ValueError("aligned direction vanished")
     return direction / norm
 
 
-def aligned_statistic(series: CurveSeries, gamma: float = 0.25,
-                      config: LongRunConfig | None = None, *,
-                      fit: BreakFit | None = None) -> float:
-    """Change-aligned d=1 detector in the tilted first eigendirection.
+def aligned_statistic(fit: BreakFit) -> float:
+    """Change-aligned d=1 detector of ``fit`` in the tilted first eigendirection.
 
     Reconstruction of the aligned procedure: the first eigenfunction of the
     FF test's null long-run kernel (``detect.BreakFit.null``) is shifted by
     the scaled CUSUM path at its argmax, the data are projected on the
     normalized result, and the one-dimensional quadratic-form detector is
-    evaluated with the variance of that kernel in that direction. ``fit`` is
-    the caller's ``fit_break(series, config)``, whose spectra come on first use.
+    evaluated with the variance of that kernel in that direction.
 
     Its d = 1 Brownian-bridge limit does not hold when the leading long-run
     eigenvalues are equal: tilting toward the CUSUM peak then picks the best
@@ -138,12 +133,10 @@ def aligned_statistic(series: CurveSeries, gamma: float = 0.25,
     (FAR(1)) of null replications at the 5% level against the exact d = 1
     critical value; settings 2 and 3 give 1.5-5%.
     """
-    if not 0.0 < gamma < 0.5:
-        raise ValueError("gamma must be in (0, 1/2)")
+    series = fit.series
     n = series.n
-    fit = fit or fit_break(series, config)
     _, kernel, eig = fit.null
-    direction = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], gamma, n)
+    direction = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], n)
     variance = float(direction @ kernel.entries @ direction)
     if variance <= 0.0:
         raise RankError("long-run variance in the aligned direction is not positive")

@@ -9,10 +9,11 @@ the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. A size or power
-replication fits its series once, spectra on first use, for the FF test and
-the aligned detector, which reads the FF null kernel (``detect.BreakFit.null``)
-and is oversized in setting 1 (see ``fpca.aligned_statistic``).
+replications affect only the fully functional (FF) test. A size, power or
+coverage replication fits its series once, spectra on first use, for the FF
+test or interval and the aligned detector, which reads the FF null kernel and
+is oversized in setting 1 (see ``fpca.aligned_statistic``); a dating
+replication builds no fit.
 """
 
 import hashlib
@@ -307,7 +308,7 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, delta, k_star)
 
-    # one fit for FF and aligned; one that raises is tried again by the next
+    # one fit for all detectors; one that raises is tried again by the next
     fit = cache(lambda: fit_break(series, task.lr_config))
     outcomes, errors = {}, {}
     for name in task.detectors:
@@ -324,14 +325,13 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
                    series: CurveSeries, fit, aux_seed: int, k_star: int):
     if task.kind in ("size", "power"):
         if kind_name == "ff":
-            return rejects(series, task.alpha, task.lr_config,
-                           reps=task.null_reps, grid=task.null_grid,
-                           seed=aux_seed, fit=fit())
+            return rejects(fit(), task.alpha, reps=task.null_reps,
+                           grid=task.null_grid, seed=aux_seed)
         if kind_name == "fpca":
             model = fit_fpca(series, tve=tve)
             return fpca_statistic(model).stat > _bridge_critical_value(
                 model.d, task.alpha)
-        stat = aligned_statistic(series, config=task.lr_config, fit=fit())
+        stat = aligned_statistic(fit())
         return stat > _bridge_critical_value(1, task.alpha)
 
     if task.kind == "dating":
@@ -340,8 +340,7 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
         return fpca_statistic(fit_fpca(series, tve=tve)).k_hat - k_star
 
     # coverage: fully functional confidence interval around the break estimate
-    report = date_break(series, task.alpha, task.lr_config,
-                        conservative=task.conservative)
+    report = date_break(fit(), task.alpha, conservative=task.conservative)
     lo, hi = report.ci_raw
     return (bool(lo <= k_star <= hi), hi - lo)
 

@@ -291,7 +291,7 @@ def test_date_break_report_invariants():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((80, 5)) * 0.5
     data[40:] += np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    report = date_break(make_series(data), 0.05, LongRunConfig())
+    report = date_break(fit_break(make_series(data), LongRunConfig()), 0.05)
     assert report.ci[0] <= report.k_hat <= report.ci[1]
     assert report.sigma2_hat <= report.lambda1_hat + 1e-10
     assert report.theta_hat == report.k_hat / 80
@@ -306,7 +306,7 @@ def test_date_break_keeps_the_rayleigh_bound_at_large_data_scales():
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((60, 1))
         x[30:] += 1.0
-        report = date_break(make_series(1e4 * x))
+        report = date_break(fit_break(make_series(1e4 * x)))
         assert report.sigma2_hat <= report.lambda1_hat
         assert report.sigma2_hat == pytest.approx(report.lambda1_hat, rel=1e-12)
 
@@ -315,9 +315,9 @@ def test_date_break_conservative_is_not_narrower():
     rng = np.random.default_rng(13)
     data = rng.standard_normal((80, 5)) * 0.5
     data[40:] += np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    series = make_series(data)
-    base = date_break(series, 0.05)
-    cons = date_break(series, 0.05, conservative=True)
+    fit = fit_break(make_series(data))
+    base = date_break(fit, 0.05)
+    cons = date_break(fit, 0.05, conservative=True)
     width = base.ci_raw[1] - base.ci_raw[0]
     width_cons = cons.ci_raw[1] - cons.ci_raw[0]
     assert cons.conservative
@@ -330,7 +330,7 @@ def test_date_break_interval_contains_break_near_the_edge():
     rng = np.random.default_rng(21)
     data = 0.1 * rng.standard_normal((100, 3))
     data[2:] += np.array([5.0, 0.0, 0.0])
-    report = date_break(make_series(data), 0.05)
+    report = date_break(fit_break(make_series(data)), 0.05)
     assert report.k_hat == 2
     assert report.xi.quantile(0.025) > 0.0
     assert report.ci_raw[1] == 2.0
@@ -354,7 +354,7 @@ def test_date_break_interval_invariants_for_any_break_date(data, n, d, noise, al
     rng = np.random.default_rng(seed)
     x = noise * rng.standard_normal((n, d))
     x[k_star:] += rng.standard_normal(d) + np.sign(rng.standard_normal(d))
-    report = date_break(make_series(x), alpha, conservative=conservative)
+    report = date_break(fit_break(make_series(x)), alpha, conservative=conservative)
     lo, hi = report.ci
     assert lo <= report.k_hat <= hi
     assert 1.0 <= lo and hi <= float(n)

@@ -161,7 +161,7 @@ def test_null_simulation_of_a_tiny_spectrum_draws_its_resolvable_part():
 
 def test_null_simulation_validates_inputs():
     with pytest.raises(ValueError, match="replication"):
-        simulate_null_limit([1.0], reps=0)
+        simulate_null_limit([1.0], reps=0, grid=1000)
 
 
 def test_null_law_on_the_n_steps_is_the_law_of_the_statistic():
@@ -189,7 +189,7 @@ def test_null_simulation_takes_any_positive_grid():
 def test_single_rep_pvalue_uses_finite_sample_convention():
     rng = np.random.default_rng(3)
     series = random_series(rng, 40, 4)
-    report = ff_test(series, reps=1, seed=0)
+    report = ff_test(fit_break(series), reps=1, seed=0)
     assert report.p_value in (0.5, 1.0)
 
 
@@ -199,7 +199,7 @@ def test_large_noiseless_step_rejects_at_floor_pvalue():
     data[30:, 0] += 5.0
     rng = np.random.default_rng(4)
     data += 0.01 * rng.standard_normal((n, d))
-    report = ff_test(make_series(data), reps=199, seed=1)
+    report = ff_test(fit_break(make_series(data)), reps=199, seed=1)
     assert report.p_value == pytest.approx(1.0 / 200.0)
     assert report.stat > report.critical_values[0.05]
 
@@ -208,20 +208,21 @@ def test_null_kernel_demeaning_rule():
     # pure noise: the step fitted at the argmax carries little of the variance,
     # so the kernel is demeaned by the overall mean
     rng = np.random.default_rng(10)
-    noise = ff_test(random_series(rng, 50, 4), reps=19, grid=100, seed=0)
+    noise = ff_test(fit_break(random_series(rng, 50, 4)), reps=19, grid=100, seed=0)
     assert noise.config["split"] is None
     # noiseless step: the split kernel vanishes, so the kernel is split at k_hat
     data = np.zeros((40, 3))
     data[15:, 1] += 2.0
-    step = ff_test(make_series(data), reps=19, grid=100, seed=0)
+    step = ff_test(fit_break(make_series(data)), reps=19, grid=100, seed=0)
     assert step.config["split"] == 15
     assert step.p_value == pytest.approx(1.0 / 20.0)
 
 
-def hand_aligned_stat(series, fit, kernel, gamma=0.25):
+def hand_aligned_stat(fit, kernel):
     """The aligned statistic written out from a given long-run kernel."""
+    series = fit.series
     lead = eigen_decompose(kernel).vectors[:, 0]
-    direction = _aligned_direction(lead, fit.paths[fit.k_hat], gamma, series.n)
+    direction = _aligned_direction(lead, fit.paths[fit.k_hat], series.n)
     proj = (series.data - series.data.mean(axis=0)) @ direction
     cusum = np.cumsum(proj) - np.arange(1, series.n + 1) / series.n * proj.sum()
     variance = direction @ kernel.entries @ direction
@@ -229,7 +230,6 @@ def hand_aligned_stat(series, fit, kernel, gamma=0.25):
 
 
 def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
-    import funcbreak.dating as dating
     import funcbreak.detect as detect
     import funcbreak.fpca as fpca
 
@@ -239,45 +239,62 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     series = make_series(data)
     noise = make_series(0.3 * rng.standard_normal((60, 4)))
     cfg = LongRunConfig(weight="parzen", bandwidth="adaptive")
-    reference = fit_break(series, cfg)
 
-    fits = []
+    # count the CUSUMs and split kernels that fits compute
+    cusums, estimates = [], []
+    paths, estimate = detect.cusum_paths, detect.estimate_longrun
 
-    def recording(series, config=None):
-        fits.append(fit_break(series, config))
-        return fits[-1]
+    def recording_paths(series):
+        cusums.append(series)
+        return paths(series)
 
-    for module in (detect, dating, fpca):
-        monkeypatch.setattr(module, "fit_break", recording)
-    report = ff_test(series, 0.05, cfg, reps=19, grid=100, seed=0)
-    dated = date_break(series, 0.05, cfg)
-    aligned = fpca.aligned_statistic(series, config=cfg)
+    def recording_estimate(series, config=None, split=None):
+        estimates.append(split)
+        return estimate(series, config, split)
 
-    # one fit per call, all equal to the reference fit
-    assert len(fits) == 3
-    for fit in fits:
-        assert fit.k_hat == reference.k_hat
-        assert fit.h == reference.h
-        np.testing.assert_array_equal(fit.kernel.entries, reference.kernel.entries)
-    assert report.stat == reference.norms[1:].max() == reference.norms[reference.k_hat]
-    assert report.k_hat == report.config["split"] == reference.k_hat
-    assert report.config["h"] == reference.h
-    assert dated.k_hat == reference.k_hat
-    assert dated.config["h"] == reference.h
+    monkeypatch.setattr(detect, "cusum_paths", recording_paths)
+    monkeypatch.setattr(detect, "estimate_longrun", recording_estimate)
+    fit = fit_break(series, cfg)
+    report = ff_test(fit, 0.05, reps=19, grid=100, seed=0)
+    dated = date_break(fit, 0.05)
+    aligned = fpca.aligned_statistic(fit)
+
+    # the three consumers read the one fit and compute no CUSUM or kernel of their own
+    assert len(cusums) == len(estimates) == 1 and estimates == [fit.k_hat]
+    assert report.stat == fit.norms[1:].max() == fit.norms[fit.k_hat]
+    assert report.k_hat == report.config["split"] == fit.k_hat
+    assert report.config["h"] == fit.h
+    assert dated.k_hat == fit.k_hat
+    assert dated.config["h"] == fit.h
 
     # the aligned detector reads the kernel the test chose: split at k_hat for
     # the dominant step, the overall-mean kernel for noise
-    noise_report = ff_test(noise, 0.05, cfg, reps=19, grid=100, seed=0)
-    noise_aligned = fpca.aligned_statistic(noise, config=cfg)
-    assert len(fits) == 5 and noise_report.config["split"] is None
-    for s, rep, stat, fit in ((series, report, aligned, reference),
-                              (noise, noise_report, noise_aligned, fits[-1])):
-        kernels = {fit.k_hat: fit.kernel,
-                   None: longrun_kernel(s, cfg.weight, h=fit.h)}
+    noise_fit = fit_break(noise, cfg)
+    noise_report = ff_test(noise_fit, 0.05, reps=19, grid=100, seed=0)
+    noise_aligned = fpca.aligned_statistic(noise_fit)
+    assert len(cusums) == len(estimates) == 2 and noise_report.config["split"] is None
+    for f, rep, stat in ((fit, report, aligned), (noise_fit, noise_report, noise_aligned)):
+        kernels = {f.k_hat: f.kernel,
+                   None: longrun_kernel(f.series, cfg.weight, h=f.h)}
         chosen = kernels.pop(rep.config["split"])
-        assert stat == pytest.approx(hand_aligned_stat(s, fit, chosen), rel=1e-12)
-        other = hand_aligned_stat(s, fit, kernels.popitem()[1])
+        assert stat == pytest.approx(hand_aligned_stat(f, chosen), rel=1e-12)
+        other = hand_aligned_stat(f, kernels.popitem()[1])
         assert stat != pytest.approx(other, rel=1e-3)
+
+
+def test_reports_echo_the_config_of_their_fit():
+    # the test and the interval echo the taper and bandwidth rule that the
+    # fit's kernel was estimated under, and the test's grid is the fit's n
+    rng = np.random.default_rng(14)
+    data = 0.3 * rng.standard_normal((60, 4))
+    data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
+    fit = fit_break(make_series(data), LongRunConfig("parzen", "n13"))
+    report = ff_test(fit, reps=19, seed=0)
+    dated = date_break(fit)
+    for config in (report.config, dated.config):
+        assert (config["weight"], config["bandwidth"]) == ("parzen", "n13")
+        assert config["h"] == fit.h == 60 ** (1 / 3)
+    assert report.config["grid"] == fit.series.n == 60
 
 
 def seeded_series(seed):
@@ -295,11 +312,11 @@ def test_rejects_is_the_decision_of_test(reps):
     # with reps = 19 the p-values (1 + c) / 20 hit 0.05, 0.1 and 0.5 exactly
     hits = 0
     for seed in range(30):
-        series = seeded_series(seed)
-        p_value = ff_test(series, reps=reps, grid=100, seed=seed).p_value
+        fit = fit_break(seeded_series(seed))
+        p_value = ff_test(fit, reps=reps, grid=100, seed=seed).p_value
         for alpha in (0.01, 0.05, 0.1, 0.5):
             hits += p_value == alpha
-            assert rejects(series, alpha, reps=reps, grid=100,
+            assert rejects(fit, alpha, reps=reps, grid=100,
                            seed=seed) == (p_value <= alpha)
     if reps == 19:
         assert hits > 0
@@ -313,12 +330,13 @@ def test_rejects_on_a_degenerate_spectrum_matches_test():
     data[15:, 1] += 2.0
     step = make_series(data)
     for series, expected in ((constant, False), (step, True)):
-        report = ff_test(series, reps=19, grid=100, seed=0)
+        fit = fit_break(series)
+        report = ff_test(fit, reps=19, grid=100, seed=0)
         assert report.degenerate
         for alpha in (0.01, 0.05, 0.1, 0.5):
-            decision = rejects(series, alpha, reps=19, grid=100, seed=0)
+            decision = rejects(fit, alpha, reps=19, grid=100, seed=0)
             assert decision == (report.p_value <= alpha)
-        assert rejects(series, 0.05, reps=19, grid=100, seed=0) == expected
+        assert rejects(fit, 0.05, reps=19, grid=100, seed=0) == expected
 
 
 def test_rounding_level_cusum_counts_as_zero():
@@ -329,15 +347,15 @@ def test_rounding_level_cusum_counts_as_zero():
     noisy = make_series(level * (1.0 + 4e-16 * rng.standard_normal(level.shape)))
     fit = fit_break(noisy)
     assert fit.norms[fit.k_hat] > 0.0 and fit.flat
-    report = ff_test(noisy, reps=19, grid=100, seed=0)
+    report = ff_test(fit, reps=19, grid=100, seed=0)
     assert report.stat == 0.0 and report.p_value == 1.0
-    assert not rejects(noisy, 0.5, reps=19, grid=100, seed=0)
+    assert not rejects(fit, 0.5, reps=19, grid=100, seed=0)
     with pytest.raises(ValueError, match="break function is zero"):
-        date_break(noisy)
+        date_break(fit)
     step = level.copy()
     step[6:] *= 1.0 + 1e-9
     assert not fit_break(make_series(step)).flat
-    assert ff_test(make_series(step), reps=19, grid=100, seed=0).stat > 0.0
+    assert ff_test(fit_break(make_series(step)), reps=19, grid=100, seed=0).stat > 0.0
 
 
 def record_drawn_replications(monkeypatch) -> list:
@@ -359,13 +377,13 @@ def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
     drawn = record_drawn_replications(monkeypatch)
     rng = np.random.default_rng(21)
     null = random_series(rng, 50, 3)
-    assert not rejects(null, 0.05, reps=200, grid=100, seed=3)
+    assert not rejects(fit_break(null), 0.05, reps=200, grid=100, seed=3)
     assert 0 < len(drawn) < 200
     # a rejection is final only after every replication is drawn
     drawn.clear()
     data = 0.1 * rng.standard_normal((50, 3))
     data[25:, 0] += 1.0
-    assert rejects(make_series(data), 0.05, reps=200, grid=100, seed=3)
+    assert rejects(fit_break(make_series(data)), 0.05, reps=200, grid=100, seed=3)
     assert len(drawn) == 200
 
 
@@ -382,8 +400,8 @@ def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
     import funcbreak.detect as detect
 
     rng = np.random.default_rng(seed)
-    series = random_series(rng, 60 if d == 21 else 50, d)
-    report = ff_test(series, reps=reps, grid=grid, seed=seed)
+    fit = fit_break(random_series(rng, 60 if d == 21 else 50, d))
+    report = ff_test(fit, reps=reps, grid=grid, seed=seed)
     lam = report.eigenvalues_used
     assert np.count_nonzero(lam > 0) == d
     # the 1-based index of the draw after which p <= alpha is decided
@@ -395,7 +413,7 @@ def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
             break
     block = max(1, detect._BLOCK_NORMALS // (d * grid))
     drawn = record_drawn_replications(monkeypatch)
-    decision = rejects(series, 0.05, reps=reps, grid=grid, seed=seed)
+    decision = rejects(fit, 0.05, reps=reps, grid=grid, seed=seed)
     assert decision == (report.p_value <= 0.05)
     assert len(drawn) == min(reps, -(-final // block) * block)
 
@@ -416,32 +434,32 @@ def test_rejects_spawns_only_the_blocks_it_reads(monkeypatch, d, grid, reps, see
             return super().spawn(n_children)
 
     rng = np.random.default_rng(seed)
-    series = random_series(rng, 60 if d == 21 else 50, d)
+    fit = fit_break(random_series(rng, 60 if d == 21 else 50, d))
     drawn = record_drawn_replications(monkeypatch)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    decision = rejects(series, 0.05, reps=reps, grid=grid, seed=seed)
+    decision = rejects(fit, 0.05, reps=reps, grid=grid, seed=seed)
     block = max(1, detect._BLOCK_NORMALS // (d * grid))
     assert sum(spawned) == len(set(map(id, drawn))) == -(-len(drawn) // block)
     assert (sum(spawned) < -(-reps // block)) != decision
 
 
 def test_rejects_checks_its_arguments_like_test():
-    series = seeded_series(1)
+    fit = fit_break(seeded_series(1))
     with pytest.raises(ValueError, match="alpha"):
-        rejects(series, 1.0)
+        rejects(fit, 1.0)
     with pytest.raises(ValueError, match="replication"):
-        rejects(series, 0.05, reps=0)
+        rejects(fit, 0.05, reps=0)
     with pytest.raises(ValueError, match="grid"):
-        rejects(series, 0.05, reps=10, grid=50)
+        rejects(fit, 0.05, reps=10, grid=50)
     # an explicit grid approximates the continuous supremum and needs 100 steps
     with pytest.raises(ValueError, match="grid"):
-        ff_test(series, reps=10, grid=50)
+        ff_test(fit, reps=10, grid=50)
 
 
 def test_report_echoes_configuration():
     rng = np.random.default_rng(5)
     series = random_series(rng, 30, 3)
-    report = ff_test(series, alpha=0.10, config=LongRunConfig(weight="parzen"),
+    report = ff_test(fit_break(series, LongRunConfig(weight="parzen")), alpha=0.10,
                      reps=50, grid=120, seed=7)
     assert report.config["weight"] == "parzen"
     assert report.config["reps"] == 50
@@ -463,7 +481,7 @@ def test_null_pvalues_are_uniform():
     pvals = []
     for _ in range(1000):
         data = rng.standard_normal((50, 8)) * sigma
-        report = ff_test(make_series(data), reps=300, grid=300,
+        report = ff_test(fit_break(make_series(data)), reps=300, grid=300,
                          seed=int(rng.integers(2**63)))
         pvals.append(report.p_value)
     assert stats.kstest(pvals, "uniform", alternative="greater").pvalue > 0.01

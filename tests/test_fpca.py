@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from funcbreak.basis import CurveSeries, FourierBasis
-from funcbreak.detect import cusum_norm_sq, simulate_null_limit
+from funcbreak.detect import cusum_norm_sq, fit_break, simulate_null_limit
 from funcbreak.fpca import (
     RankError,
     _aligned_direction,
@@ -172,8 +172,8 @@ def test_aligned_direction_ignores_eigenfunction_sign():
     rng = np.random.default_rng(6)
     phi = rng.standard_normal(5)
     peak = rng.standard_normal(5)
-    u_plus = _aligned_direction(phi, peak, 0.25, 100)
-    u_minus = _aligned_direction(-phi, peak, 0.25, 100)
+    u_plus = _aligned_direction(phi, peak, 100)
+    u_minus = _aligned_direction(-phi, peak, 100)
     np.testing.assert_allclose(np.abs(u_plus @ u_minus), 1.0, atol=1e-12)
 
 
@@ -181,16 +181,9 @@ def test_aligned_statistic_rejects_huge_break():
     rng = np.random.default_rng(7)
     data = 0.1 * rng.standard_normal((60, 4))
     data[30:] += np.array([3.0, 0.0, 0.0, 0.0])
-    stat = aligned_statistic(make_series(data))
+    stat = aligned_statistic(fit_break(make_series(data)))
     cv = simulate_null_limit(np.ones(1), reps=2000, grid=500, seed=8).quantile(0.95)
     assert stat > cv
-
-
-def test_aligned_statistic_validates_gamma():
-    rng = np.random.default_rng(9)
-    series = make_series(rng.standard_normal((20, 3)))
-    with pytest.raises(ValueError, match="gamma"):
-        aligned_statistic(series, gamma=0.7)
 
 
 @pytest.mark.parametrize("setting, dependence",

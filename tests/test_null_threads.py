@@ -15,7 +15,7 @@ import pytest
 import funcbreak.detect as detect
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
-from funcbreak.detect import rejects, resolve_workers, simulate_null_limit
+from funcbreak.detect import fit_break, rejects, resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
 from limit_oracles import serial_null_maxima
 
@@ -122,7 +122,7 @@ def test_draws_run_off_the_calling_thread_only_when_allowed(thread_cap, monkeypa
 def test_test_report_equals_the_serial_loop(thread_cap, seed):
     series = seeded_series(seed)
     reps, grid = 199, 150
-    report = ff_test(series, reps=reps, grid=grid, seed=seed)
+    report = ff_test(fit_break(series), reps=reps, grid=grid, seed=seed)
     draws = serial_null_draws(report.eigenvalues_used, reps, grid, seed)
     assert report.p_value == (1 + np.count_nonzero(draws >= report.stat)) / (reps + 1)
     assert report.critical_values == {
@@ -132,15 +132,15 @@ def test_test_report_equals_the_serial_loop(thread_cap, seed):
 
 @pytest.mark.parametrize("n", [30, 149])
 def test_default_grid_draws_the_serial_loop_on_the_series_own_steps(thread_cap, n):
-    series = seeded_series(n, n=n)
-    report = ff_test(series, seed=n)
+    fit = fit_break(seeded_series(n, n=n))
+    report = ff_test(fit, seed=n)
     assert report.config["grid"] == n
     draws = serial_null_draws(report.eigenvalues_used, 1000, n, n)
     assert report.p_value == (1 + np.count_nonzero(draws >= report.stat)) / 1001
     assert report.critical_values == {
         a: float(np.quantile(draws, 1.0 - a)) for a in (0.01, 0.05, 0.10)}
     for alpha in (0.01, 0.05, 0.10, report.p_value):
-        assert rejects(series, alpha, seed=n) == (report.p_value <= alpha)
+        assert rejects(fit, alpha, seed=n) == (report.p_value <= alpha)
 
 
 def test_many_threads_with_frequent_switches_match_the_serial_loop(monkeypatch):
@@ -160,7 +160,7 @@ def test_non_integer_thread_cap_is_named(monkeypatch, tmp_path, capsys):
     with pytest.raises(ValueError, match="FUNCBREAK_THREADS must be an integer, got 'two'"):
         simulate_null_limit([1.0], reps=10, grid=100, seed=0)
     with pytest.raises(ValueError, match="FUNCBREAK_THREADS"):
-        ff_test(seeded_series(1), reps=10, grid=100, seed=0)
+        ff_test(fit_break(seeded_series(1)), reps=10, grid=100, seed=0)
     # the CLI reports it as an input error before reading any file
     for command in ("detect", "date"):
         assert main([command, str(tmp_path / "absent.csv")]) == 2

@@ -405,7 +405,7 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
     spec = BreakSpec(m=1, snr=0.1, theta=0.5)  # p-values on both sides of 5%
     res = run_experiment("power", dgp, [spec], detectors=["FF"], reps=8, seed=19,
                          workers=1, null_reps=99)
-    decisions = [ff_test(series, 0.05, reps=99, seed=aux_seed).p_value <= 0.05
+    decisions = [ff_test(fit_break(series), 0.05, reps=99, seed=aux_seed).p_value <= 0.05
                  for series, aux_seed, _ in serial_replications(dgp, spec, 8, 19)]
     assert 0.0 < np.mean(decisions) < 1.0
     assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
