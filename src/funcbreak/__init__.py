@@ -42,11 +42,10 @@ from .detect import (
 )
 from .detect import test as detect_break
 from .fpca import (
-    FpcaModel,
+    FpcaResult,
     RankError,
     aligned_statistic,
     fit_fpca,
-    fpca_statistic,
     sample_cov_kernel,
     tve_dimension,
 )

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from . import dating, detect, fpca
+from . import dating, detect, fpca, simlab
 from .basis import CurveSeries, FourierBasis, _least_squares
 from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
 from .simlab import _VALID_KINDS, BreakSpec, DgpConfig, run_experiment, validate_grid
@@ -51,6 +51,8 @@ _OPTION_RANGES = (
     ("--seed", "seed", lambda v: v >= 0, "at least 0"),
 )
 
+# the detectors of ``simulate`` without --detectors, those of them its kind runs
+_DEFAULT_DETECTORS = ("FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95", "Aligned")
 # levels of the Xi quantiles that ``date`` reports
 _XI_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
 
@@ -457,11 +459,10 @@ def _cmd_date(args) -> dict:
     report["config"]["xi_reps"] = args.xi_reps
     report["config"]["conservative"] = args.conservative
     if args.fpca:
-        model = fpca.fit_fpca(fit.series, tve=args.tve)
-        result = fpca.fpca_statistic(model)
+        result = fpca.fit_fpca(fit.series, tve=args.tve)
         report["fpca"] = {
             "tve": args.tve,
-            "d": model.d,
+            "d": result.d,
             "k_tilde": result.k_hat,
             "k_tilde_label": _year_label(labels, result.k_hat),
         }
@@ -469,6 +470,9 @@ def _cmd_date(args) -> dict:
 
 
 def _cmd_simulate(args) -> None:
+    detectors = args.detectors or [
+        name for name in _DEFAULT_DETECTORS
+        if simlab._parse_detector(name)[0] in simlab._DETECTOR_KINDS[args.kind]]
     try:
         dgps = [
             DgpConfig(setting=s, dependence=dep, innovation=args.innovation,
@@ -481,11 +485,11 @@ def _cmd_simulate(args) -> None:
         else:
             specs = [BreakSpec(m=m, snr=snr, theta=theta)
                      for m in args.m for snr in args.snr for theta in args.theta]
-        validate_grid(args.kind, dgps, specs, args.detectors)
+        validate_grid(args.kind, dgps, specs, detectors)
     except ValueError as exc:
         raise DataFormatError(f"invalid grid values: {exc}") from exc
     result = run_experiment(
-        args.kind, dgps, specs, detectors=args.detectors, reps=args.sim_reps,
+        args.kind, dgps, specs, detectors=detectors, reps=args.sim_reps,
         alpha=args.alpha, seed=args.seed, workers=args.workers,
         null_reps=args.reps, null_grid=args.grid, xi_reps=args.xi_reps,
         conservative=args.conservative, lr_config=_lr_config(args),
@@ -563,13 +567,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr", type=float, nargs="+", default=[0.5])
     p_sim.add_argument("--theta", type=float, nargs="+", default=[0.5])
     p_sim.add_argument("--detectors", nargs="+",
-                       default=["FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95",
-                                "Aligned"],
-                       help="FF, fPCA@<tve> and Aligned; Aligned reads the FF "
-                            "test's null kernel and is oversized in setting 1, "
-                            "where it rejects 11-15%% of null replications at "
-                            "the 5%% level (n = 100): its tilt picks the best "
-                            "of three equal-variance directions")
+                       help="FF, fPCA@<tve> and Aligned; default: those of "
+                            f"{' '.join(_DEFAULT_DETECTORS)} that the kind runs "
+                            "(dating: FF and fPCA; coverage: FF). Aligned reads "
+                            "the FF test's null kernel and is oversized in "
+                            "setting 1, where it rejects 11-15%% of null "
+                            "replications at the 5%% level (n = 100): its tilt "
+                            "picks the best of three equal-variance directions")
     p_sim.add_argument("--sim-reps", type=int, default=1000, dest="sim_reps",
                        help="replications per cell")
     p_sim.add_argument("--innovation", choices=["gaussian", "student"],

@@ -50,7 +50,6 @@ __all__ = [
     "KieferLaw",
     "BreakFit",
     "DetectionReport",
-    "tied_down_cusum",
     "cusum_paths",
     "cusum_norm_sq",
     "estimate_break_date",
@@ -62,17 +61,13 @@ __all__ = [
 ]
 
 
-def tied_down_cusum(values: np.ndarray) -> np.ndarray:
-    """Unscaled tied-down CUSUM rows of an (n, D) array for k = 0..n; rows 0, n are 0."""
-    n = values.shape[0]
-    sums = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    frac = np.arange(n + 1)[:, None] / n
-    return sums - frac * sums[-1]
-
-
 def cusum_paths(series: CurveSeries) -> np.ndarray:
-    """Tied-down scaled CUSUM rows, shape (n+1, D); rows 0 and n are zero."""
-    return tied_down_cusum(series.data) / np.sqrt(series.n)
+    """Scaled tied-down CUSUM rows (S_k - (k/n) S_n) / sqrt(n) of the partial
+    sums S_k, k = 0..n, shape (n+1, D), rows 0 and n zero: the one CUSUM of
+    the data, of which every detector is a quadratic form (see ``fpca``)."""
+    n, dim = series.data.shape
+    sums = np.cumsum(np.vstack([np.zeros((1, dim)), series.data]), axis=0)
+    return (sums - np.arange(n + 1)[:, None] / n * sums[-1]) / np.sqrt(n)
 
 
 def cusum_norm_sq(series: CurveSeries) -> np.ndarray:

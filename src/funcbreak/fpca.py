@@ -1,28 +1,28 @@
 """Dimension-reduction competitors: fPCA detector, estimator and alignment.
 
-The fPCA route projects the curves onto leading eigenfunctions of the sample
-covariance operator and applies a maximally selected quadratic form to the
-score CUSUM. The change-aligned variant tilts the first eigenfunction of the
-null kernel of the FF test's ``detect.BreakFit`` toward the CUSUM peak before
-projecting; where leading eigenvalues tie (simlab setting 1) it is oversized.
+Both detectors, like the fully functional statistic ||P_k||^2, are quadratic
+forms of the scaled tied-down CUSUM P = ``detect.cusum_paths``: fPCA (Berkes
+et al. 2009) takes sum_l (P_k . v_l)^2 / tau_l over the d leading
+sample-covariance eigenpairs, so it misses a break orthogonal to the v_l; the
+change-aligned detector takes (P_k . u)^2 / sigma^2, u the first eigenfunction
+of the FF test's null kernel (``detect.BreakFit.null``) tilted toward the
+CUSUM peak and sigma^2 that kernel's variance along u. Where leading
+eigenvalues tie (simlab setting 1) it is oversized.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
-from .detect import BreakFit, _smallest_argmax, tied_down_cusum
+from .basis import CurveSeries, KernelMatrix, eigen_decompose
+from .detect import BreakFit, _smallest_argmax, cusum_paths
 
 __all__ = [
     "RankError",
-    "FpcaModel",
     "FpcaResult",
     "sample_cov_kernel",
     "tve_dimension",
     "fit_fpca",
-    "fpca_statistic",
     "aligned_statistic",
 ]
 
@@ -51,60 +51,39 @@ def tve_dimension(eigenvalues, tve: float) -> int:
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("spectrum is entirely zero; no dimension explains it")
-    cum = np.cumsum(lam)
-    return int(np.argmax(cum >= tve * total)) + 1
+    return int(np.argmax(np.cumsum(lam) >= tve * total)) + 1
 
 
-@dataclass(frozen=True)
-class FpcaModel:
-    """Sample covariance spectrum and the retained score matrix."""
-
-    cov: KernelMatrix
-    eig: EigenSystem
-    d: int
-    scores: np.ndarray  # (n, d), columns <X_i - mean, psi_l>
+class FpcaResult(NamedTuple):
+    d: int  # retained dimension
+    stat: float
+    per_k: np.ndarray  # length n+1, entries for k = 0..n
+    k_hat: int
 
 
 def fit_fpca(series: CurveSeries, d: int | None = None,
-             tve: float | None = None) -> FpcaModel:
-    """Fit fPCA scores, picking ``d`` directly or through a TVE fraction."""
-    cov = sample_cov_kernel(series)
-    eig = eigen_decompose(cov)
+             tve: float | None = None) -> FpcaResult:
+    """fPCA detector on ``d`` leading directions, or as many as reach ``tve``.
+
+    The per-k value sum_l (P_k . v_l)^2 / tau_l, with P = ``cusum_paths`` and
+    (tau_l, v_l) the d leading sample-covariance eigenpairs, is (1/n) S_k'
+    diag(tau)^-1 S_k for the tied-down CUSUM S of the centred scores; k_hat is
+    its smallest argmax. Raises RankError if tau_d is numerically zero.
+    """
+    eig = eigen_decompose(sample_cov_kernel(series))
     if d is None:
         if tve is None:
             raise ValueError("either d or tve must be given")
         d = tve_dimension(eig.values, tve)
     if not 1 <= d <= series.basis.n_basis:
         raise ValueError(f"d must be in [1, {series.basis.n_basis}]")
-    centered = series.data - series.data.mean(axis=0)
-    scores = centered @ eig.vectors[:, :d]
-    return FpcaModel(cov=cov, eig=eig, d=d, scores=scores)
-
-
-class FpcaResult(NamedTuple):
-    stat: float
-    per_k: np.ndarray  # length n+1, entries for k = 0..n
-    k_hat: int
-
-
-def fpca_statistic(model: FpcaModel) -> FpcaResult:
-    """Maximally selected quadratic form of the score CUSUM, plus its argmax.
-
-    The per-k value is (1/n) S_k' diag(tau_1..tau_d)^{-1} S_k with S the
-    unscaled tied-down CUSUM of the model's d-dimensional scores. Raises
-    RankError if the d-th retained eigenvalue is numerically zero.
-    """
-    d = model.d
-    tau = model.eig.values[:d]
+    tau = eig.values[:d]
     if tau[0] <= 0.0 or tau[-1] <= _RANK_RTOL * tau[0]:
-        raise RankError(
-            f"retained eigenvalue {d} is numerically zero; the quadratic form "
-            "is rank deficient"
-        )
-    cusum = tied_down_cusum(model.scores)
-    per_k = (cusum**2 / tau).sum(axis=1) / model.scores.shape[0]
+        raise RankError(f"retained eigenvalue {d} is numerically zero; the "
+                        "quadratic form is rank deficient")
+    per_k = ((cusum_paths(series) @ eig.vectors[:, :d]) ** 2 / tau).sum(axis=1)
     k_hat = _smallest_argmax(per_k)
-    return FpcaResult(stat=float(per_k[k_hat]), per_k=per_k, k_hat=k_hat)
+    return FpcaResult(d, float(per_k[k_hat]), per_k, k_hat)
 
 
 def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, n: int) -> np.ndarray:
@@ -118,13 +97,12 @@ def _aligned_direction(phi1: np.ndarray, cusum_peak: np.ndarray, n: int) -> np.n
 
 
 def aligned_statistic(fit: BreakFit) -> float:
-    """Change-aligned d=1 detector of ``fit`` in the tilted first eigendirection.
+    """Change-aligned d=1 detector of ``fit``: max_k (P_k . u)^2 / sigma^2.
 
-    Reconstruction of the aligned procedure: the first eigenfunction of the
-    FF test's null long-run kernel (``detect.BreakFit.null``) is shifted by
-    the scaled CUSUM path at its argmax, the data are projected on the
-    normalized result, and the one-dimensional quadratic-form detector is
-    evaluated with the variance of that kernel in that direction.
+    Reconstruction of the aligned procedure: u is the first eigenfunction of
+    the FF test's null long-run kernel (``detect.BreakFit.null``) shifted by
+    the CUSUM path at its argmax and normalized, the fit's CUSUM paths P are
+    projected on u, and sigma^2 is that kernel's variance along u.
 
     Its d = 1 Brownian-bridge limit does not hold when the leading long-run
     eigenvalues are equal: tilting toward the CUSUM peak then picks the best
@@ -133,13 +111,9 @@ def aligned_statistic(fit: BreakFit) -> float:
     (FAR(1)) of null replications at the 5% level against the exact d = 1
     critical value; settings 2 and 3 give 1.5-5%.
     """
-    series = fit.series
-    n = series.n
     _, kernel, eig = fit.null
-    direction = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], n)
-    variance = float(direction @ kernel.entries @ direction)
+    u = _aligned_direction(eig.vectors[:, 0], fit.paths[fit.k_hat], fit.series.n)
+    variance = float(u @ kernel.entries @ u)
     if variance <= 0.0:
         raise RankError("long-run variance in the aligned direction is not positive")
-    centered = series.data - series.data.mean(axis=0)
-    cusum = tied_down_cusum((centered @ direction)[:, None]).ravel()
-    return float(np.max(cusum[1:] ** 2) / (n * variance))
+    return float(np.max((fit.paths[1:] @ u) ** 2) / variance)

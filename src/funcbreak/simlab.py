@@ -27,7 +27,7 @@ from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
 from .detect import (KieferLaw, _null_grid, estimate_break_date, fit_break,
                      rejects, resolve_workers)
-from .fpca import aligned_statistic, fit_fpca, fpca_statistic
+from .fpca import aligned_statistic, fit_fpca
 from .longrun import LongRunConfig
 
 __all__ = [
@@ -328,16 +328,15 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
             return rejects(fit(), task.alpha, reps=task.null_reps,
                            grid=task.null_grid, seed=aux_seed)
         if kind_name == "fpca":
-            model = fit_fpca(series, tve=tve)
-            return fpca_statistic(model).stat > _bridge_critical_value(
-                model.d, task.alpha)
+            result = fit_fpca(series, tve=tve)
+            return result.stat > _bridge_critical_value(result.d, task.alpha)
         stat = aligned_statistic(fit())
         return stat > _bridge_critical_value(1, task.alpha)
 
     if task.kind == "dating":
         if kind_name == "ff":
             return estimate_break_date(series) - k_star
-        return fpca_statistic(fit_fpca(series, tve=tve)).k_hat - k_star
+        return fit_fpca(series, tve=tve).k_hat - k_star
 
     # coverage: fully functional confidence interval around the break estimate
     report = date_break(fit(), task.alpha, conservative=task.conservative)

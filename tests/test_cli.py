@@ -397,6 +397,24 @@ def test_simulate_grid_validation_exits_before_work(capsys):
     assert "m=40" in err and "Aligned" in err
 
 
+@pytest.mark.parametrize("kind, detectors", [
+    ("dating", {"FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95"}),
+    ("coverage", {"FF"}),
+])
+def test_simulate_default_detectors_are_those_the_kind_runs(tmp_path, capsys,
+                                                             kind, detectors):
+    # the default list holds Aligned, which no dating or coverage run takes
+    out = tmp_path / f"{kind}.csv"
+    assert main(["simulate", kind, "--setting", "1", "--n", "30", "--sim-reps", "2",
+                 "--workers", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {r["detector"] for r in rows} == detectors
+    # an unsupported detector named explicitly is still an error
+    assert main(["simulate", kind, "--setting", "1", "--n", "30", "--sim-reps", "2",
+                 "--workers", "1", "--detectors", "FF", "Aligned"]) == 2
+    assert f"'Aligned' does not support {kind} runs" in capsys.readouterr().err
+
+
 def test_simulate_break_spec_that_places_no_break_exits_before_work(capsys):
     # int(0.005 * 100) = 0 would shift every curve: a power run without a break
     code = main(["simulate", "power", "--setting", "2", "--n", "100", "--snr", "5.0",

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose
 from funcbreak.detect import cusum_norm_sq, fit_break, simulate_null_limit
 from funcbreak.fpca import (
     RankError,
     _aligned_direction,
     aligned_statistic,
     fit_fpca,
-    fpca_statistic,
     sample_cov_kernel,
     tve_dimension,
 )
-from funcbreak.simlab import DgpConfig, run_experiment
+from funcbreak.simlab import DgpConfig, gen_errors, run_experiment
 
 
 def make_series(data):
@@ -73,7 +72,7 @@ def test_tve_dimension_rejects_degenerate_input():
 def test_constant_series_is_rank_deficient():
     series = make_series(np.tile([1.0, 2.0], (10, 1)))
     with pytest.raises(RankError):
-        fpca_statistic(fit_fpca(series, d=1))
+        fit_fpca(series, d=1)
 
 
 def test_noiseless_step_is_dated_exactly_in_one_dimension():
@@ -81,37 +80,57 @@ def test_noiseless_step_is_dated_exactly_in_one_dimension():
     delta = np.array([0.0, 2.0, 1.0])
     data = np.zeros((n, 3))
     data[k_star:] += delta
-    result = fpca_statistic(fit_fpca(make_series(data), d=1))
+    result = fit_fpca(make_series(data), d=1)
     assert result.k_hat == k_star
-
-
-def test_scores_are_mean_zero():
-    rng = np.random.default_rng(1)
-    series = make_series(rng.standard_normal((50, 5)))
-    model = fit_fpca(series, d=5)
-    np.testing.assert_allclose(model.scores.sum(axis=0), np.zeros(5), atol=1e-8)
 
 
 def test_quadratic_form_is_tied_down():
     rng = np.random.default_rng(2)
     series = make_series(rng.standard_normal((25, 4)))
-    result = fpca_statistic(fit_fpca(series, d=2))
+    result = fit_fpca(series, d=2)
     assert result.per_k[0] == 0.0
     assert result.per_k[-1] == 0.0
 
 
 def test_full_dimension_identity_weights_reproduce_cusum_norms():
-    # with every direction kept and unit weights, the score CUSUM quadratic
-    # form is the squared norm of the functional CUSUM
+    # with every direction kept and a unit spectrum, the fPCA quadratic form
+    # is the squared norm of the functional CUSUM: data whitened to a sample
+    # covariance of exactly the identity
     rng = np.random.default_rng(3)
     d = 6
-    series = make_series(rng.standard_normal((40, d)))
-    model = fit_fpca(series, d=d)
-    cusum = np.vstack([np.zeros((1, d)), np.cumsum(model.scores, axis=0)])
-    frac = np.arange(41)[:, None] / 40
-    tied = cusum - frac * cusum[-1]
-    quad_identity = np.einsum("ij,ij->i", tied, tied) / 40
-    np.testing.assert_allclose(quad_identity, cusum_norm_sq(series), atol=1e-8)
+    raw = rng.standard_normal((40, d))
+    left, _, right = np.linalg.svd(raw - raw.mean(axis=0), full_matrices=False)
+    series = make_series(np.sqrt(40) * left @ right)
+    np.testing.assert_allclose(sample_cov_kernel(series).entries, np.eye(d),
+                               atol=1e-12)
+    result = fit_fpca(series, d=d)
+    np.testing.assert_allclose(result.per_k, cusum_norm_sq(series), atol=1e-8)
+
+
+def score_cusum_form(series, d):
+    """The fPCA per-k values from the scores: centre the curves, project them
+    on the d leading sample-covariance eigenvectors, take the unscaled
+    tied-down CUSUM of the scores, and weight by 1 / (n tau_l)."""
+    n = series.n
+    eig = eigen_decompose(sample_cov_kernel(series))
+    scores = (series.data - series.data.mean(axis=0)) @ eig.vectors[:, :d]
+    sums = np.vstack([np.zeros((1, d)), np.cumsum(scores, axis=0)])
+    tied = sums - np.arange(n + 1)[:, None] / n * sums[-1]
+    return (tied**2 / eig.values[:d]).sum(axis=1) / n
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_fpca_form_is_the_score_cusum_form(d):
+    # the fPCA CUSUM of the scores is the functional CUSUM projected on the
+    # leading eigenvectors, on a dependent series too
+    dgp = DgpConfig(setting=2, dependence="far1", n=80, n_basis=9)
+    series = gen_errors(dgp, np.random.default_rng(17))
+    result = fit_fpca(series, d=d)
+    expected = score_cusum_form(series, d)
+    assert result.d == d
+    np.testing.assert_allclose(result.per_k, expected, rtol=1e-12, atol=0)
+    assert result.k_hat == int(np.argmax(expected[1:])) + 1
+    assert result.stat == result.per_k[result.k_hat]
 
 
 def test_fpca_misses_break_orthogonal_to_leading_component():
@@ -142,7 +161,7 @@ def test_fpca_misses_break_orthogonal_to_leading_component():
         data[:, 0] = rng.standard_normal(n) * np.sqrt(alpha_energy)
         data[int(theta * n):] += delta
         series = make_series(data)
-        result = fpca_statistic(fit_fpca(series, d=1))
+        result = fit_fpca(series, d=1)
         rejections_fpca += result.stat > cv1
         # crude FF check against the dominant eigenvalue limit
         lam = np.linalg.eigvalsh(sample_cov_kernel(series).entries)

@@ -474,15 +474,15 @@ def test_failed_replications_are_counted(monkeypatch):
     import funcbreak.simlab as simlab
 
     calls = {"k": 0}
-    original = simlab.fpca_statistic
+    original = simlab.fit_fpca
 
-    def flaky(model):
+    def flaky(*args, **kwargs):
         calls["k"] += 1
         if calls["k"] % 3 == 0:
             raise RuntimeError("synthetic failure")
-        return original(model)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(simlab, "fpca_statistic", flaky)
+    monkeypatch.setattr(simlab, "fit_fpca", flaky)
     dgp = DgpConfig(setting=2, n=30, n_basis=4)
     res = run_experiment("dating", dgp, [BreakSpec(m=1, snr=1.0, theta=0.5)],
                          detectors=["fPCA@0.90"], reps=9, seed=15, workers=1,
