@@ -35,7 +35,6 @@ from .detect import (
     LimitSample,
     cusum_norm_sq,
     cusum_paths,
-    estimate_break_date,
     fit_break,
     rejects,
     simulate_null_limit,
@@ -46,7 +45,6 @@ from .fpca import (
     RankError,
     aligned_statistic,
     fit_fpca,
-    sample_cov_kernel,
     tve_dimension,
 )
 from .longrun import (

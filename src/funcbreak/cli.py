@@ -459,7 +459,7 @@ def _cmd_date(args) -> dict:
     report["config"]["xi_reps"] = args.xi_reps
     report["config"]["conservative"] = args.conservative
     if args.fpca:
-        result = fpca.fit_fpca(fit.series, tve=args.tve)
+        result = fpca.fit_fpca(fit, tve=args.tve)
         report["fpca"] = {
             "tve": args.tve,
             "d": result.d,

@@ -10,9 +10,10 @@ gives the exact law of the statistic, at n normals per eigenvalue and
 replication; an explicit grid must have at least 100 steps and approximates
 the supremum of the continuous limit.
 ``fit_break`` is the one step that reads a series and a ``LongRunConfig``. Its
-``BreakFit``, the one data input of ``test``, ``rejects``, ``dating.date_break``
-and ``fpca.aligned_statistic``, holds both, the CUSUM, k_hat and the kernel
-split there, and their spectra (``eig``, ``null``), computed on first use.
+``BreakFit``, the one data input of ``test``, ``rejects``, ``dating.date_break``,
+``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds both, the CUSUM and
+k_hat; the kernel split at k_hat, the sample covariance and their spectra
+are computed on first use, so dating by k_hat alone estimates no kernel.
 ``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
 replications block by block and stops at the end of the block in which the
 decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
@@ -52,7 +53,6 @@ __all__ = [
     "DetectionReport",
     "cusum_paths",
     "cusum_norm_sq",
-    "estimate_break_date",
     "fit_break",
     "simulate_null_limit",
     "test",
@@ -81,40 +81,39 @@ def _smallest_argmax(per_k: np.ndarray) -> int:
     return int(np.argmax(per_k[1:])) + 1
 
 
-def _break_date(series: CurveSeries, norms: np.ndarray) -> tuple[int, bool]:
-    """k_hat from the squared CUSUM norms, and whether the series is flat.
-
-    Flat means the largest norm is rounding noise; a flat series takes the
-    date of an all-zero CUSUM, the smallest k.
-    """
-    # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
-    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
-    flat = bool(norms.max() <= floor)
-    return (1 if flat else _smallest_argmax(norms)), flat
-
-
-def estimate_break_date(series: CurveSeries) -> int:
-    """Smallest k in 1..n maximizing the CUSUM norm (min tie-break); 1 if flat."""
-    return _break_date(series, cusum_norm_sq(series))[0]
-
-
 @dataclass(frozen=True)
 class BreakFit:
-    """A series' CUSUM, its argmax, the kernel demeaned there, and its spectra."""
+    """A series' CUSUM and its argmax k_hat, built at the cost of one CUSUM.
+
+    The kernels and spectra below are computed when first read and kept; one
+    that raises is not kept, so the next reader tries again.
+    """
 
     series: CurveSeries
     config: LongRunConfig  # taper and bandwidth rule of the kernels; reports echo it
     paths: np.ndarray  # (n+1, D) scaled tied-down CUSUM rows
     norms: np.ndarray  # (n+1,) squared norms of the rows
     k_hat: int
-    kernel: KernelMatrix  # long-run kernel demeaned piecewise at k_hat
-    h: float  # bandwidth used for the kernel
     flat: bool  # the CUSUM maximum is rounding noise: the series has no break
 
     @property
     def stat(self) -> float:
         """max_k ||CUSUM_k||^2, the test statistic; 0 for a flat fit."""
         return 0.0 if self.flat else float(self.norms[self.k_hat])
+
+    @cached_property
+    def _longrun(self) -> tuple[KernelMatrix, float]:
+        return estimate_longrun(self.series, self.config, split=self.k_hat)
+
+    # the long-run kernel demeaned piecewise at k_hat, and its bandwidth
+    kernel = property(lambda self: self._longrun[0])
+    h = property(lambda self: self._longrun[1])
+
+    @cached_property
+    def cov(self) -> EigenSystem:
+        """Eigensystem of the sample covariance around the overall mean: the
+        lag window at h = 1 keeps the lag-0 term alone."""
+        return eigen_decompose(longrun_kernel(self.series, h=1.0))
 
     @cached_property
     def eig(self) -> EigenSystem:
@@ -137,13 +136,16 @@ class BreakFit:
 
 def fit_break(series: CurveSeries,
               config: LongRunConfig | None = None) -> BreakFit:
-    """CUSUM, break date k_hat and the long-run kernel split there, under ``config``."""
-    config = config or LongRunConfig()
+    """CUSUM of ``series`` and its date k_hat, the smallest k in 1..n maximizing
+    its norm; a flat series (the largest norm is rounding noise) takes the date
+    of an all-zero CUSUM, k = 1. The kernels use ``config`` on first use."""
     paths = cusum_paths(series)
     norms = np.einsum("ij,ij->i", paths, paths)
-    k_hat, flat = _break_date(series, norms)
-    kernel, h = estimate_longrun(series, config, split=k_hat)
-    return BreakFit(series, config, paths, norms, k_hat, kernel, h, flat)
+    # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
+    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
+    flat = bool(norms.max() <= floor)
+    return BreakFit(series, config or LongRunConfig(), paths, norms,
+                    1 if flat else _smallest_argmax(norms), flat)
 
 
 @dataclass(frozen=True)

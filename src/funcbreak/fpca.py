@@ -1,26 +1,26 @@
 """Dimension-reduction competitors: fPCA detector, estimator and alignment.
 
 Both detectors, like the fully functional statistic ||P_k||^2, are quadratic
-forms of the scaled tied-down CUSUM P = ``detect.cusum_paths``: fPCA (Berkes
-et al. 2009) takes sum_l (P_k . v_l)^2 / tau_l over the d leading
-sample-covariance eigenpairs, so it misses a break orthogonal to the v_l; the
-change-aligned detector takes (P_k . u)^2 / sigma^2, u the first eigenfunction
-of the FF test's null kernel (``detect.BreakFit.null``) tilted toward the
-CUSUM peak and sigma^2 that kernel's variance along u. Where leading
-eigenvalues tie (simlab setting 1) it is oversized.
+forms of the scaled tied-down CUSUM P that a ``detect.BreakFit`` holds. fPCA
+(Berkes et al. 2009) takes sum_l (P_k . v_l)^2 / tau_l over the d leading
+eigenpairs of the fit's sample covariance (``BreakFit.cov``), so it misses a
+break orthogonal to the v_l; its TVE levels share the fit's one spectrum and
+estimate no long-run kernel. The change-aligned detector takes
+(P_k . u)^2 / sigma^2, u the first eigenfunction of the FF test's null kernel
+(``detect.BreakFit.null``) tilted toward the CUSUM peak and sigma^2 that
+kernel's variance along u. Where leading eigenvalues tie (simlab setting 1)
+it is oversized.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import CurveSeries, KernelMatrix, eigen_decompose
-from .detect import BreakFit, _smallest_argmax, cusum_paths
+from .detect import BreakFit, _smallest_argmax
 
 __all__ = [
     "RankError",
     "FpcaResult",
-    "sample_cov_kernel",
     "tve_dimension",
     "fit_fpca",
     "aligned_statistic",
@@ -32,12 +32,6 @@ _RANK_RTOL = 1e-12
 
 class RankError(ValueError):
     """The retained spectrum is numerically rank deficient."""
-
-
-def sample_cov_kernel(series: CurveSeries) -> KernelMatrix:
-    """Sample covariance of the observations around the overall mean."""
-    centered = series.data - series.data.mean(axis=0)
-    return KernelMatrix(centered.T @ centered / series.n)
 
 
 def tve_dimension(eigenvalues, tve: float) -> int:
@@ -61,27 +55,27 @@ class FpcaResult(NamedTuple):
     k_hat: int
 
 
-def fit_fpca(series: CurveSeries, d: int | None = None,
+def fit_fpca(fit: BreakFit, d: int | None = None,
              tve: float | None = None) -> FpcaResult:
-    """fPCA detector on ``d`` leading directions, or as many as reach ``tve``.
+    """fPCA detector of ``fit``: ``d`` leading directions, or as many as reach ``tve``.
 
-    The per-k value sum_l (P_k . v_l)^2 / tau_l, with P = ``cusum_paths`` and
-    (tau_l, v_l) the d leading sample-covariance eigenpairs, is (1/n) S_k'
+    The per-k value sum_l (P_k . v_l)^2 / tau_l, with P = ``fit.paths`` and
+    (tau_l, v_l) the d leading eigenpairs of ``fit.cov``, is (1/n) S_k'
     diag(tau)^-1 S_k for the tied-down CUSUM S of the centred scores; k_hat is
     its smallest argmax. Raises RankError if tau_d is numerically zero.
     """
-    eig = eigen_decompose(sample_cov_kernel(series))
+    eig = fit.cov
     if d is None:
         if tve is None:
             raise ValueError("either d or tve must be given")
         d = tve_dimension(eig.values, tve)
-    if not 1 <= d <= series.basis.n_basis:
-        raise ValueError(f"d must be in [1, {series.basis.n_basis}]")
+    if not 1 <= d <= fit.series.basis.n_basis:
+        raise ValueError(f"d must be in [1, {fit.series.basis.n_basis}]")
     tau = eig.values[:d]
     if tau[0] <= 0.0 or tau[-1] <= _RANK_RTOL * tau[0]:
         raise RankError(f"retained eigenvalue {d} is numerically zero; the "
                         "quadratic form is rank deficient")
-    per_k = ((cusum_paths(series) @ eig.vectors[:, :d]) ** 2 / tau).sum(axis=1)
+    per_k = ((fit.paths @ eig.vectors[:, :d]) ** 2 / tau).sum(axis=1)
     k_hat = _smallest_argmax(per_k)
     return FpcaResult(d, float(per_k[k_hat]), per_k, k_hat)
 

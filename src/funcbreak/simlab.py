@@ -9,24 +9,23 @@ the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
 together; so the output does not depend on blocks or workers. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. A size, power or
-coverage replication fits its series once, spectra on first use, for the FF
-test or interval and the aligned detector, which reads the FF null kernel and
-is oversized in setting 1 (see ``fpca.aligned_statistic``); a dating
-replication builds no fit.
+replications affect only the fully functional (FF) test. Every replication
+builds one ``detect.BreakFit`` of its series, and every detector reads it:
+FF and aligned (oversized in setting 1, see ``fpca.aligned_statistic``) the
+long-run kernel, and every fPCA level the one sample covariance spectrum,
+each computed on first use; so a dating replication estimates no kernel.
 """
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import (KieferLaw, _null_grid, estimate_break_date, fit_break,
-                     rejects, resolve_workers)
+from .detect import KieferLaw, _null_grid, fit_break, rejects, resolve_workers
 from .fpca import aligned_statistic, fit_fpca
 from .longrun import LongRunConfig
 
@@ -308,38 +307,38 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, delta, k_star)
 
-    # one fit for all detectors; one that raises is tried again by the next
-    fit = cache(lambda: fit_break(series, task.lr_config))
+    # one fit for every detector: a kernel that raises is not kept, so each
+    # detector that reads it counts its own failure
+    fit = fit_break(series, task.lr_config)
     outcomes, errors = {}, {}
     for name in task.detectors:
         kind_name, tve = _parse_detector(name)
         try:
-            outcomes[name] = _eval_detector(task, kind_name, tve, series, fit,
-                                            aux_seed, k_star)
+            outcomes[name] = _eval_detector(task, kind_name, tve, fit, aux_seed, k_star)
         except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
             errors[name] = f"{type(exc).__name__}: {exc}"
     return outcomes, errors
 
 
 def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
-                   series: CurveSeries, fit, aux_seed: int, k_star: int):
+                   fit, aux_seed: int, k_star: int):
     if task.kind in ("size", "power"):
         if kind_name == "ff":
-            return rejects(fit(), task.alpha, reps=task.null_reps,
+            return rejects(fit, task.alpha, reps=task.null_reps,
                            grid=task.null_grid, seed=aux_seed)
         if kind_name == "fpca":
-            result = fit_fpca(series, tve=tve)
+            result = fit_fpca(fit, tve=tve)
             return result.stat > _bridge_critical_value(result.d, task.alpha)
-        stat = aligned_statistic(fit())
+        stat = aligned_statistic(fit)
         return stat > _bridge_critical_value(1, task.alpha)
 
     if task.kind == "dating":
         if kind_name == "ff":
-            return estimate_break_date(series) - k_star
-        return fit_fpca(series, tve=tve).k_hat - k_star
+            return fit.k_hat - k_star
+        return fit_fpca(fit, tve=tve).k_hat - k_star
 
     # coverage: fully functional confidence interval around the break estimate
-    report = date_break(fit(), task.alpha, conservative=task.conservative)
+    report = date_break(fit, task.alpha, conservative=task.conservative)
     lo, hi = report.ci_raw
     return (bool(lo <= k_star <= hi), hi - lo)
 
@@ -371,12 +370,17 @@ def validate_grid(kind, dgps, specs, detectors) -> None:
     if kind != "size" and not specs:
         problems.append(f"{kind} experiments need at least one break spec")
     allowed = _DETECTOR_KINDS[kind]
+    seen = {}  # (kind, tve) -> the first name that parses to it
     for name in detectors:
         try:
-            kind_name, _ = _parse_detector(name)
+            kind_name, tve = _parse_detector(name)
         except ValueError as exc:
             problems.append(str(exc))
             continue
+        if (kind_name, tve) in seen:
+            problems.append(
+                f"detectors {seen[kind_name, tve]!r} and {name!r} are the same")
+        seen.setdefault((kind_name, tve), name)
         if kind_name not in allowed:
             problems.append(f"detector {name!r} does not support {kind} runs")
     for cfg in dgps:

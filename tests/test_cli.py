@@ -315,24 +315,31 @@ def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
 
     # the CLI reaches the fit through the detect module, the one that holds it
     monkeypatch.setattr(detect, "fit_break", counting)
-    # every namespace that holds the decomposition by name counts its calls
-    eigens = []
-    eigen_decompose = basis.eigen_decompose
+    # every namespace that holds the CUSUM or the decomposition by name counts its calls
+    calls = {"cusum_paths": 0, "eigen_decompose": 0}
+    originals = {"cusum_paths": detect.cusum_paths,
+                 "eigen_decompose": basis.eigen_decompose}
 
-    def counting_eigen(*args, **kwargs):
-        eigens.append(eigen_decompose(*args, **kwargs))
-        return eigens[-1]
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "funcbreak"
-                and getattr(module, "eigen_decompose", None) is eigen_decompose):
-            monkeypatch.setattr(module, "eigen_decompose", counting_eigen)
-    assert main(["date", str(step_file), *FAST]) == 0
-    assert len(fits) == 1
+    for module_name, module in list(sys.modules.items()):
+        for name, fn in originals.items():
+            if (module_name.split(".")[0] == "funcbreak"
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, counted(name))
     # the test takes the kernel split at k_hat here, so the test and the
-    # interval read one decomposition of it
-    assert fits[0].null[0] == fits[0].k_hat
-    assert len(eigens) == 1
+    # interval read one decomposition of it; fPCA adds the covariance spectrum
+    for options, decompositions in (([], 1), (["--fpca"], 2)):
+        fits.clear()
+        calls.update(cusum_paths=0, eigen_decompose=0)
+        assert main(["date", str(step_file), *FAST, *options]) == 0
+        assert len(fits) == 1
+        assert fits[0].null[0] == fits[0].k_hat
+        assert calls == {"cusum_paths": 1, "eigen_decompose": decompositions}
 
 
 @settings(max_examples=40, deadline=None,
@@ -413,6 +420,19 @@ def test_simulate_default_detectors_are_those_the_kind_runs(tmp_path, capsys,
     assert main(["simulate", kind, "--setting", "1", "--n", "30", "--sim-reps", "2",
                  "--workers", "1", "--detectors", "FF", "Aligned"]) == 2
     assert f"'Aligned' does not support {kind} runs" in capsys.readouterr().err
+
+
+def test_simulate_repeated_detector_exits_before_work(tmp_path, capsys):
+    # each detector would write its rows twice, and ExperimentResult.value
+    # could no longer find one row per filter
+    out = tmp_path / "dating.csv"
+    code = main(["simulate", "dating", "--setting", "1", "--n", "20", "--sim-reps", "2",
+                 "--workers", "1", "--detectors", "FF", "FF", "fpca@0.9", "fPCA@0.90",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'FF' and 'FF'" in err and "'fpca@0.9' and 'fPCA@0.90'" in err
+    assert not out.exists()
 
 
 def test_simulate_break_spec_that_places_no_break_exits_before_work(capsys):

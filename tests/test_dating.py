@@ -14,7 +14,7 @@ from funcbreak.dating import (
     sigma2_hat,
     simulate_xi,
 )
-from funcbreak.detect import estimate_break_date, fit_break
+from funcbreak.detect import fit_break
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
 from limit_oracles import no_break_argmax_sample, simulate_fixed_break_limit
@@ -40,17 +40,16 @@ def test_noiseless_step_is_dated_exactly():
     delta = [0.5, -1.0, 0.25]
     for n in (12, 40):
         for k_star in range(2, n - 1):
-            assert estimate_break_date(step_series(n, k_star, delta)) == k_star
+            assert fit_break(step_series(n, k_star, delta)).k_hat == k_star
 
 
 def test_all_equal_series_dates_at_one():
     series = make_series(np.tile([1.0, 2.0], (9, 1)))
-    assert estimate_break_date(series) == 1
+    assert fit_break(series).k_hat == 1
     # constants whose CUSUM is rounding noise, not exactly zero: the date
     # is that of fit_break's flat rule, not the argmax of the noise
     for c in (0.1, 1.0 / 3.0, 7.7):
         series = make_series(np.tile([c, -2.0 * c, 3.0 * c], (37, 1)))
-        assert estimate_break_date(series) == 1
         assert fit_break(series).k_hat == 1
 
 
@@ -58,9 +57,9 @@ def test_break_date_invariances():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((50, 4))
     data[30:] += np.array([1.0, 0.0, -1.0, 0.5])
-    base = estimate_break_date(make_series(data))
-    shifted = estimate_break_date(make_series(data + rng.standard_normal(4)))
-    scaled = estimate_break_date(make_series(3.7 * data))
+    base = fit_break(make_series(data)).k_hat
+    shifted = fit_break(make_series(data + rng.standard_normal(4))).k_hat
+    scaled = fit_break(make_series(3.7 * data)).k_hat
     assert base == shifted == scaled
 
 
@@ -98,7 +97,7 @@ def test_break_function_estimate_is_consistent():
     for _ in range(200):
         series = gen_errors(cfg, rng=rng)
         series = insert_break(series, delta, int(theta * n))
-        k_hat = estimate_break_date(series)
+        k_hat = fit_break(series).k_hat
         est = estimate_break_function(series, k_hat)
         rel_errors.append(
             np.linalg.norm(est.coeffs - delta.coeffs) / np.linalg.norm(delta.coeffs)
@@ -433,7 +432,7 @@ def test_fixed_break_limit_matches_finite_sample_dating_error():
     for _ in range(500):
         series = gen_errors(cfg, rng=rng)
         series = insert_break(series, delta, k_star)
-        finite.append(estimate_break_date(series) - k_star)
+        finite.append(fit_break(series).k_hat - k_star)
 
     def setting2_errors(err_rng, count):
         return err_rng.standard_normal((count, d)) * sigma

@@ -258,9 +258,11 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     report = ff_test(fit, 0.05, reps=19, grid=100, seed=0)
     dated = date_break(fit, 0.05)
     aligned = fpca.aligned_statistic(fit)
+    fitted = fpca.fit_fpca(fit, d=2)
 
-    # the three consumers read the one fit and compute no CUSUM or kernel of their own
+    # the four consumers read the one fit and compute no CUSUM or kernel of their own
     assert len(cusums) == len(estimates) == 1 and estimates == [fit.k_hat]
+    assert fitted.k_hat == fit.k_hat  # the step dominates every direction
     assert report.stat == fit.norms[1:].max() == fit.norms[fit.k_hat]
     assert report.k_hat == report.config["split"] == fit.k_hat
     assert report.config["h"] == fit.h

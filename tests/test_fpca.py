@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose
+from funcbreak.basis import CurveSeries, FourierBasis, KernelMatrix, eigen_decompose
 from funcbreak.detect import cusum_norm_sq, fit_break, simulate_null_limit
 from funcbreak.fpca import (
     RankError,
     _aligned_direction,
     aligned_statistic,
     fit_fpca,
-    sample_cov_kernel,
     tve_dimension,
 )
+from funcbreak.longrun import longrun_kernel
 from funcbreak.simlab import DgpConfig, gen_errors, run_experiment
 
 
@@ -24,13 +24,14 @@ def make_series(data):
 
 def test_constant_series_has_zero_covariance():
     series = make_series(np.tile([2.0, -1.0, 3.0], (7, 1)))
-    np.testing.assert_array_equal(sample_cov_kernel(series).entries, np.zeros((3, 3)))
+    np.testing.assert_array_equal(longrun_kernel(series, h=1.0).entries,
+                                  np.zeros((3, 3)))
 
 
 def test_two_opposite_curves_give_rank_one_kernel():
     f = np.array([1.0, -2.0, 0.5])
     series = make_series(np.vstack([f, -f]))
-    np.testing.assert_allclose(sample_cov_kernel(series).entries, np.outer(f, f),
+    np.testing.assert_allclose(longrun_kernel(series, h=1.0).entries, np.outer(f, f),
                                atol=1e-12)
 
 
@@ -40,8 +41,21 @@ def test_covariance_trace_matches_mean_squared_norm():
     series = make_series(data)
     centered = data - data.mean(axis=0)
     expected = float(np.mean(np.einsum("ij,ij->i", centered, centered)))
-    assert np.trace(sample_cov_kernel(series).entries) == pytest.approx(
+    assert np.trace(longrun_kernel(series, h=1.0).entries) == pytest.approx(
         expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_basis, dependence", [(1, "iid"), (21, "far1")])
+def test_fit_cov_is_the_spectrum_of_the_centred_cross_product(n_basis, dependence):
+    # the fit's covariance spectrum, a lag window at h = 1, is that of the
+    # sample covariance X'X / n of the centred curves, bit for bit
+    dgp = DgpConfig(setting=3, dependence=dependence, n=70, n_basis=n_basis)
+    series = gen_errors(dgp, np.random.default_rng(31))
+    centered = series.data - series.data.mean(axis=0)
+    expected = eigen_decompose(KernelMatrix(centered.T @ centered / series.n))
+    cov = fit_break(series).cov
+    np.testing.assert_array_equal(cov.values, expected.values)
+    np.testing.assert_array_equal(cov.vectors, expected.vectors)
 
 
 # --- TVE dimension ----------------------------------------------------------
@@ -72,7 +86,7 @@ def test_tve_dimension_rejects_degenerate_input():
 def test_constant_series_is_rank_deficient():
     series = make_series(np.tile([1.0, 2.0], (10, 1)))
     with pytest.raises(RankError):
-        fit_fpca(series, d=1)
+        fit_fpca(fit_break(series), d=1)
 
 
 def test_noiseless_step_is_dated_exactly_in_one_dimension():
@@ -80,14 +94,14 @@ def test_noiseless_step_is_dated_exactly_in_one_dimension():
     delta = np.array([0.0, 2.0, 1.0])
     data = np.zeros((n, 3))
     data[k_star:] += delta
-    result = fit_fpca(make_series(data), d=1)
+    result = fit_fpca(fit_break(make_series(data)), d=1)
     assert result.k_hat == k_star
 
 
 def test_quadratic_form_is_tied_down():
     rng = np.random.default_rng(2)
     series = make_series(rng.standard_normal((25, 4)))
-    result = fit_fpca(series, d=2)
+    result = fit_fpca(fit_break(series), d=2)
     assert result.per_k[0] == 0.0
     assert result.per_k[-1] == 0.0
 
@@ -101,9 +115,9 @@ def test_full_dimension_identity_weights_reproduce_cusum_norms():
     raw = rng.standard_normal((40, d))
     left, _, right = np.linalg.svd(raw - raw.mean(axis=0), full_matrices=False)
     series = make_series(np.sqrt(40) * left @ right)
-    np.testing.assert_allclose(sample_cov_kernel(series).entries, np.eye(d),
+    np.testing.assert_allclose(longrun_kernel(series, h=1.0).entries, np.eye(d),
                                atol=1e-12)
-    result = fit_fpca(series, d=d)
+    result = fit_fpca(fit_break(series), d=d)
     np.testing.assert_allclose(result.per_k, cusum_norm_sq(series), atol=1e-8)
 
 
@@ -112,7 +126,7 @@ def score_cusum_form(series, d):
     on the d leading sample-covariance eigenvectors, take the unscaled
     tied-down CUSUM of the scores, and weight by 1 / (n tau_l)."""
     n = series.n
-    eig = eigen_decompose(sample_cov_kernel(series))
+    eig = eigen_decompose(longrun_kernel(series, h=1.0))
     scores = (series.data - series.data.mean(axis=0)) @ eig.vectors[:, :d]
     sums = np.vstack([np.zeros((1, d)), np.cumsum(scores, axis=0)])
     tied = sums - np.arange(n + 1)[:, None] / n * sums[-1]
@@ -125,7 +139,7 @@ def test_fpca_form_is_the_score_cusum_form(d):
     # leading eigenvectors, on a dependent series too
     dgp = DgpConfig(setting=2, dependence="far1", n=80, n_basis=9)
     series = gen_errors(dgp, np.random.default_rng(17))
-    result = fit_fpca(series, d=d)
+    result = fit_fpca(fit_break(series), d=d)
     expected = score_cusum_form(series, d)
     assert result.d == d
     np.testing.assert_allclose(result.per_k, expected, rtol=1e-12, atol=0)
@@ -161,10 +175,10 @@ def test_fpca_misses_break_orthogonal_to_leading_component():
         data[:, 0] = rng.standard_normal(n) * np.sqrt(alpha_energy)
         data[int(theta * n):] += delta
         series = make_series(data)
-        result = fit_fpca(series, d=1)
+        result = fit_fpca(fit_break(series), d=1)
         rejections_fpca += result.stat > cv1
         # crude FF check against the dominant eigenvalue limit
-        lam = np.linalg.eigvalsh(sample_cov_kernel(series).entries)
+        lam = np.linalg.eigvalsh(longrun_kernel(series, h=1.0).entries)
         rejections_ff += cusum_norm_sq(series)[1:].max() > lam[-1] * 2.0
     b_delta = theta * (1.0 - theta) * float(delta @ delta)
     kappa = b_delta / (alpha_energy - b_delta)

@@ -1,6 +1,5 @@
 import io
 import sys
-from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -91,9 +90,9 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
         lr_config=LongRunConfig())
     per_rep = []
     for series, aux_seed, k_star in serial_replications(dgp, spec, reps, seed):
-        fit = cache(partial(fit_break, series, task.lr_config))
+        fit = fit_break(series, task.lr_config)
         per_rep.append(({name: simlab._eval_detector(
-            task, *simlab._parse_detector(name), series, fit, aux_seed, k_star)
+            task, *simlab._parse_detector(name), fit, aux_seed, k_star)
             for name in detectors}, {}))
     return simlab._cell_rows(task, per_rep)
 
@@ -334,6 +333,20 @@ def test_grid_validation_lists_all_problems():
     assert "bogus" in message
 
 
+def test_grid_validation_rejects_detectors_that_name_the_same_one():
+    # fpca@0.9 and fPCA@0.90 parse to the same detector: its rows would repeat
+    dgp = DgpConfig(setting=1, n=20)
+    with pytest.raises(ValueError) as err:
+        validate_grid("dating", [dgp], [BreakSpec(m=1, snr=0.5, theta=0.5)],
+                      ["FF", "FF", "fpca@0.9", "fPCA@0.90", "fPCA@0.95"])
+    message = str(err.value)
+    assert "detectors 'FF' and 'FF' are the same" in message
+    assert "detectors 'fpca@0.9' and 'fPCA@0.90' are the same" in message
+    assert "0.95" not in message
+    validate_grid("dating", [dgp], [BreakSpec(m=1, snr=0.5, theta=0.5)],
+                  ["FF", "fPCA@0.90", "fPCA@0.95"])
+
+
 def test_grid_validation_rejects_a_break_spec_that_places_no_break():
     # the break date is int(theta n): 0 at theta < 1/n, where every curve shifts
     short, long = DgpConfig(setting=1, n=20), DgpConfig(setting=1, n=200)
@@ -411,8 +424,19 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
     assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
 
 
-def test_a_size_replication_fits_its_series_once(monkeypatch):
+@pytest.mark.parametrize("kind, detectors, per_rep", [
     # FF and Aligned read one fit: one CUSUM, one kernel and one decomposition
+    ("size", ["FF", "Aligned"],
+     {"cusum_paths": 1, "estimate_longrun": 1, "eigen_decompose": 1}),
+    # fPCA adds the covariance spectrum of the same fit
+    ("size", ["FF", "fPCA@0.90", "Aligned"],
+     {"cusum_paths": 1, "estimate_longrun": 1, "eigen_decompose": 2}),
+    # FF dates by the fit's k_hat and the fPCA levels share one covariance
+    # spectrum: no long-run kernel
+    ("dating", ["FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95"],
+     {"cusum_paths": 1, "estimate_longrun": 0, "eigen_decompose": 1}),
+], ids=["size-ff-aligned", "size-ff-fpca-aligned", "dating-ff-fpca"])
+def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_rep):
     import funcbreak.basis as basis
     import funcbreak.detect as detect
     import funcbreak.longrun as longrun
@@ -435,9 +459,11 @@ def test_a_size_replication_fits_its_series_once(monkeypatch):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name))
     dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
-    run_experiment("size", dgps, detectors=["FF", "Aligned"], reps=3, seed=23,
-                   workers=1, null_reps=19)
-    assert calls == dict.fromkeys(originals, 2 * 3)
+    specs = [BreakSpec(m=2, snr=0.5, theta=0.5)] if kind == "dating" else []
+    res = run_experiment(kind, dgps, specs, detectors=detectors, reps=3, seed=23,
+                         workers=1, null_reps=19)
+    assert not res.select(metric="failures")
+    assert calls == {name: 2 * 3 * count for name, count in per_rep.items()}
 
 
 def test_a_detectors_rows_do_not_depend_on_the_others():
