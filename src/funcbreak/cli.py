@@ -49,6 +49,7 @@ _OPTION_RANGES = (
     ("--sim-reps", "sim_reps", lambda v: v >= 1, "at least 1"),
     ("--workers", "workers", lambda v: v >= 1, "at least 1"),
     ("--seed", "seed", lambda v: v >= 0, "at least 0"),
+    ("--grid", "grid", lambda v: v >= detect._MIN_GRID, f"at least {detect._MIN_GRID}"),
 )
 
 # the detectors of ``simulate`` without --detectors, those of them its kind runs
@@ -62,11 +63,6 @@ def _check_options(args) -> None:
         value = getattr(args, attr, None)
         if value is not None and not valid(value):
             raise DataFormatError(f"{flag} must be {requirement}, got {value}")
-    try:  # the explicit null grid, under the grid rule of the test
-        detect._null_grid(args.alpha, args.grid, 1)
-    except ValueError:
-        raise DataFormatError(
-            f"--grid must be at least {detect._MIN_GRID}, got {args.grid}") from None
     try:  # the thread cap in the environment, read by the null simulation
         detect.resolve_workers(None)
     except ValueError as exc:
@@ -87,27 +83,16 @@ def _csv_rows(source):
     """
     stream = hasattr(source, "read")
     origin = "<stream>" if stream else str(source)
-    if not stream:
-        opened = open(source, newline="", encoding="utf-8-sig")
-    elif isinstance(source, io.TextIOBase):
-        opened = contextlib.nullcontext(source)
-    else:
-        opened = _decoded(source)
     try:
-        with opened as fh:
+        with contextlib.ExitStack() as stack:
+            fh = source
+            if not isinstance(source, io.TextIOBase):
+                binary = source if stream else stack.enter_context(open(source, "rb"))
+                fh = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+                stack.callback(fh.detach)  # closing the view would close the stream
             yield fh, origin
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{origin}: unreadable CSV: {exc}") from None
-
-
-@contextlib.contextmanager
-def _decoded(binary):
-    """A UTF-8 text view of a binary stream that leaves the stream open."""
-    text = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
-    try:
-        yield text
-    finally:
-        text.detach()  # closing the view, or collecting it, would close the stream
 
 
 # characters per chunk of lines that ``ingest`` parses in bulk: numpy's cost
@@ -585,7 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="no effect: the argmax limit law is evaluated "
                             "exactly (accepted for compatibility)")
     p_sim.add_argument("--conservative", action="store_true")
-    p_sim.add_argument("--workers", type=int, default=None)
+    p_sim.add_argument("--workers", type=int, default=None,
+                       help="processes (default: one per CPU), at most FUNCBREAK_THREADS")
     p_sim.set_defaults(seed=0)
     return parser
 

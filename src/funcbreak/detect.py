@@ -22,8 +22,8 @@ draws. Both draw through one sampler of grid maxima.
 ``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
 bridge, the null limit of the fPCA and aligned detectors.
 
-Null replications come in blocks of B = max(1, 2^15 // (D grid)) for the D
-eigenvalues above rounding level: block b is replications [bB, (b + 1)B),
+Null replications come in blocks of B = max(1, 2^15 // (max(1, D) grid)) for
+the D eigenvalues above rounding level: block b is replications [bB, (b + 1)B),
 drawn in one call from child b of SeedSequence(seed); the last block may be
 shorter, and when D grid > 2^14, B = 1 and replication i has child i alone.
 ``simulate_null_limit``, and so ``test``, spreads the blocks over up to
@@ -71,9 +71,8 @@ def cusum_paths(series: CurveSeries) -> np.ndarray:
 
 
 def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
-    """Squared CUSUM norms for k = 0..n, from one prefix-sum pass."""
-    paths = cusum_paths(series)
-    return np.einsum("ij,ij->i", paths, paths)
+    """Squared CUSUM norms for k = 0..n: ``fit_break(series).norms``."""
+    return fit_break(series).norms
 
 
 def _smallest_argmax(per_k: np.ndarray) -> int:
@@ -138,11 +137,19 @@ def fit_break(series: CurveSeries,
               config: LongRunConfig | None = None) -> BreakFit:
     """CUSUM of ``series`` and its date k_hat, the smallest k in 1..n maximizing
     its norm; a flat series (the largest norm is rounding noise) takes the date
-    of an all-zero CUSUM, k = 1. The kernels use ``config`` on first use."""
+    of an all-zero CUSUM, k = 1. The kernels use ``config`` on first use.
+    Coefficients too large for the pipeline's sums raise OverflowError."""
+    with np.errstate(over="ignore"):  # checked once, here, for every consumer
+        energy = np.sum(series.data ** 2)
+        # dating's quadratic form and the adaptive bandwidth's squared pilots
+        # sum products of four coefficients, below (n energy)^2
+        if not np.isfinite((series.n * energy) ** 2):
+            raise OverflowError("curve coefficients too large: products of four "
+                                "of them overflow the float range")
     paths = cusum_paths(series)
     norms = np.einsum("ij,ij->i", paths, paths)
     # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
-    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * np.sum(series.data ** 2)
+    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * energy
     flat = bool(norms.max() <= floor)
     return BreakFit(series, config or LongRunConfig(), paths, norms,
                     1 if flat else _smallest_argmax(norms), flat)
@@ -178,9 +185,9 @@ def _bridge_sq_block(rng, size: int, lam_over_grid: np.ndarray,
 def _bridge_weights(eigenvalues, reps: int, grid: int):
     """Checked arguments as (resolved lam_l / grid, j / grid for j = 1..grid).
 
-    Negatives are clipped to zero; None if all are zero. Resolved means above
-    D eps max(lam), the resolution of ``eigh`` on D values: a smaller lam_l is
-    rounding noise. Increments of variance 1/grid are folded into the weights.
+    Negatives are clipped to zero. Resolved means above D eps max(lam), the
+    resolution of ``eigh`` on D values: a smaller lam_l is rounding noise (an
+    all-zero spectrum has none). Increments of variance 1/grid are in the weights.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not np.all(np.isfinite(lam)):
@@ -189,19 +196,15 @@ def _bridge_weights(eigenvalues, reps: int, grid: int):
         raise ValueError("need at least one replication")
     if grid < 1:
         raise ValueError("bridge grid must have at least 1 step")
-    if not lam.any():
-        return None
-    return (lam[lam > lam.size * np.finfo(float).eps * lam.max()] / grid,
+    return (lam[lam > lam.size * np.finfo(float).eps * lam.max(initial=0.0)] / grid,
             np.arange(1, grid + 1) / grid)
 
 
 def _null_blocks(seed, reps: int, weights):
     """The (seed, size) of each block of null replications, in draw order (see
-    the module docstring); the all-zero spectrum is one block. Each child is
-    spawned as its block is read: spawning one at a time numbers the children
-    as one call for all of them does."""
-    size = reps if weights is None else max(
-        1, _BLOCK_NORMALS // (weights[0].size * weights[1].size))
+    the module docstring). Each child is spawned as its block is read: spawning
+    one at a time numbers the children as one call for all of them does."""
+    size = max(1, _BLOCK_NORMALS // (max(1, weights[0].size) * weights[1].size))
     parent = np.random.SeedSequence(seed)
     for start in range(0, reps, size):
         yield parent.spawn(1)[0], min(size, reps - start)
@@ -209,10 +212,8 @@ def _null_blocks(seed, reps: int, weights):
 
 def _null_maxima(block, weights) -> np.ndarray:
     """Grid maxima of sum_l lam_l B_l^2 for the replications of one block;
-    ``weights`` from ``_bridge_weights``, None (all-zero spectrum) gives zeros."""
+    ``weights`` from ``_bridge_weights`` (no resolved lam_l gives zeros)."""
     child, size = block
-    if weights is None:
-        return np.zeros(size)
     return _bridge_sq_block(np.random.default_rng(child), size, *weights).max(axis=1)
 
 
@@ -239,10 +240,10 @@ def simulate_null_limit(eigenvalues, reps: int, grid: int,
     Each Brownian bridge is built on the grid j/G, j = 0..G, for any G = grid
     >= 1, as B(j/G) = W(j/G) - (j/G) W(1) from Gaussian increments of variance
     1/G; the module docstring gives the G of a test. Negative eigenvalues are
-    clipped at zero and those at or below D eps max(lam) are dropped; an
-    all-zero spectrum yields a degenerate all-zero sample. The seeded blocks of
-    replications (see the module docstring) make the draws deterministic for a
-    given (seed, reps, grid), whatever the thread count.
+    clipped at zero and those at or below D eps max(lam) are dropped; with none
+    left (an all-zero spectrum) the sample is degenerate and all zero. The
+    seeded blocks of replications (see the module docstring) make the draws
+    deterministic for a given (seed, reps, grid), whatever the thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid)
     blocks = list(_null_blocks(seed, reps, weights))
@@ -255,7 +256,7 @@ def simulate_null_limit(eigenvalues, reps: int, grid: int,
         # public functions and keeps one span stack, which threads would corrupt.
         with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
             parts = list(pool.map(_null_maxima, blocks, repeat(weights)))
-    return LimitSample(np.sort(np.concatenate(parts)), degenerate=weights is None)
+    return LimitSample(np.sort(np.concatenate(parts)), degenerate=not weights[0].size)
 
 
 def _bisect(below) -> float:
@@ -385,13 +386,15 @@ def test(fit: BreakFit, alpha: float = 0.05, *, reps: int = 1000,
          grid: int | None = None, seed=None) -> DetectionReport:
     """Run the fully functional break test of ``fit``'s series at level ``alpha``.
 
-    The null law is simulated from all D eigenvalues (negatives clipped) of the
-    fit's H0 kernel (``BreakFit.null``); ``config["split"]`` echoes its split
-    (k_hat or None), ``config["weight"]``/``["bandwidth"]`` the fit's
-    ``LongRunConfig``, and ``config["grid"]`` the G of ``grid`` (None, the
-    default: the series' own n steps; see the module docstring). The report
-    gives the statistic, critical values and the finite-sample Monte Carlo
-    p-value (1 + #{draws >= stat}) / (reps + 1).
+    The null law is simulated from the eigenvalues of the fit's H0 kernel
+    (``BreakFit.null``) above D eps max(lam); ``simulate_null_limit`` drops the
+    rest as rounding noise, and ``eigenvalues_used`` lists all D, negatives
+    clipped to zero. ``config["split"]`` echoes the kernel's split (k_hat or
+    None), ``config["weight"]``/``["bandwidth"]`` the fit's ``LongRunConfig``,
+    and ``config["grid"]`` the G of ``grid`` (None, the default: the series'
+    own n steps; see the module docstring). The report gives the statistic,
+    critical values and the finite-sample Monte Carlo p-value
+    (1 + #{draws >= stat}) / (reps + 1).
     """
     grid = _null_grid(alpha, grid, fit.series.n)
     split, _, eig = fit.null

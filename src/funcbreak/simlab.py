@@ -16,6 +16,7 @@ long-run kernel, and every fPCA level the one sample covariance spectrum,
 each computed on first use; so a dating replication estimates no kernel.
 """
 
+import contextlib
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -253,10 +254,11 @@ def _parse_detector(name: str) -> tuple[str, float | None]:
     if low == "aligned":
         return "aligned", None
     if low.startswith("fpca@"):
-        tve = float(token.split("@", 1)[1])
-        if not 0.0 < tve <= 1.0:
-            raise ValueError(f"TVE fraction out of (0, 1] in detector {name!r}")
-        return "fpca", tve
+        with contextlib.suppress(ValueError):  # a TVE that is not a number
+            tve = float(token.split("@", 1)[1])
+            if 0.0 < tve <= 1.0:
+                return "fpca", tve
+        raise ValueError(f"TVE fraction in detector {name!r} is not a number in (0, 1]")
     raise ValueError(f"unknown detector {name!r}")
 
 
@@ -487,7 +489,8 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     ``detect.rejects``, which gives the decisions of ``detect.test`` with
     fewer draws; ``null_reps`` and ``null_grid`` (None, the default: each
     series' own n steps) affect only them. ``xi_reps`` has no effect:
-    coverage intervals use the exact Xi law.
+    coverage intervals use the exact Xi law. ``workers`` processes (default:
+    one per CPU) run the replications, at most FUNCBREAK_THREADS of them.
     """
     if reps < 1 or null_reps < 1:
         raise ValueError("need at least one replication")

@@ -62,7 +62,7 @@ def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
     arguments, are those of ``simulate_null_limit``.
     """
     weights = _bridge_weights(eigenvalues, reps, grid)
-    if weights is None:
+    if weights[0].size == 0:
         raise ValueError("all eigenvalues are zero; argmax law is undefined")
     paths = (_bridge_sq_block(rng, 1, *weights)[0]
              for rng in _replication_rngs(seed, reps))

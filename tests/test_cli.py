@@ -259,6 +259,39 @@ def test_degenerate_numeric_input_exits_with_numeric_code(tmp_path, capsys):
                  "--grid", "100", "--xi-reps", "100"]) == 3
 
 
+def scaled_step_coeffs(path, scale):
+    """A coefficient CSV of 30 curves, D = 3, with a mean step after curve 15."""
+    data = np.random.default_rng(3).standard_normal((30, 3))
+    data[15:] += 1.0
+    rows = [f"{i}," + ",".join(repr(float(v)) for v in row)
+            for i, row in enumerate(scale * data)]
+    path.write_text("label,c1,c2,c3\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e80])
+@pytest.mark.parametrize("command", [["detect"], ["date"], ["date", "--fpca"],
+                                     ["date", "--bandwidth", "adaptive"]])
+def test_coefficients_that_overflow_exit_with_one_numeric_message(tmp_path, capsys,
+                                                                  command, scale):
+    # squares (1e155) or fourth powers (1e80) of the coefficients overflow, which
+    # the fit reports before any consumer sums them
+    path = scaled_step_coeffs(tmp_path / "huge.csv", scale)
+    assert main([*command, str(path), "--coeffs", "--basis-size", "3", *FAST]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:") and "overflow" in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_coefficients_below_the_overflow_check_run_clean(tmp_path, capsys):
+    # at 1e70 every fourth-order sum is finite: date runs without a warning
+    path = scaled_step_coeffs(tmp_path / "large.csv", 1e70)
+    assert main(["date", str(path), "--coeffs", "--basis-size", "3", "--fpca", *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["k_hat"] == 15 and report["ci"]["lo"] <= 15 <= report["ci"]["hi"]
+
+
 def test_constant_daily_series_has_no_break(tmp_path, capsys):
     # the yearly fits differ only by rounding, which must not read as a break
     path = write_daily_csv(tmp_path / "const.csv", {y: 2.0 for y in range(2000, 2006)})
@@ -432,6 +465,17 @@ def test_simulate_repeated_detector_exits_before_work(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'FF' and 'FF'" in err and "'fpca@0.9' and 'fPCA@0.90'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fpca@abc", "fpca@", "fPCA@1.5"])
+def test_simulate_bad_tve_names_its_detector(tmp_path, capsys, name):
+    out = tmp_path / "size.csv"
+    assert main(["simulate", "size", "--setting", "1", "--n", "30", "--sim-reps", "2",
+                 "--reps", "20", "--workers", "1", "--detectors", "FF", name,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"TVE fraction in detector {name!r} is not a number in (0, 1]" in err
     assert not out.exists()
 
 

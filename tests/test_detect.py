@@ -7,6 +7,7 @@ from scipy import stats
 from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose
 from funcbreak.dating import date_break
 from funcbreak.detect import (
+    _bridge_weights,
     cusum_norm_sq,
     cusum_paths,
     fit_break,
@@ -122,6 +123,9 @@ def test_null_simulation_zero_spectrum_is_degenerate():
     sample = simulate_null_limit([0.0, 0.0], reps=50, grid=200, seed=1)
     assert sample.degenerate
     np.testing.assert_array_equal(sample.draws, np.zeros(50))
+    # no resolved eigenvalue: empty weights, whose bridge sums are zero
+    lam_over_grid, grid_frac = _bridge_weights([0.0, -1e-3], reps=50, grid=200)
+    assert lam_over_grid.shape == (0,) and grid_frac.shape == (200,)
 
 
 def test_null_simulation_scales_linearly_in_eigenvalues():
@@ -358,6 +362,17 @@ def test_rounding_level_cusum_counts_as_zero():
     step[6:] *= 1.0 + 1e-9
     assert not fit_break(make_series(step)).flat
     assert ff_test(fit_break(make_series(step)), reps=19, grid=100, seed=0).stat > 0.0
+
+
+def test_fit_break_rejects_coefficients_whose_fourth_powers_overflow():
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((30, 3))
+    data[15:] += 1.0
+    for scale in (1e80, 1e155):
+        with pytest.raises(OverflowError, match="overflow"):
+            fit_break(make_series(scale * data))
+    fit = fit_break(make_series(1e70 * data))
+    assert fit.k_hat == fit_break(make_series(data)).k_hat and not fit.flat
 
 
 def record_drawn_replications(monkeypatch) -> list:
