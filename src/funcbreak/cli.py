@@ -27,7 +27,7 @@ import numpy as np
 from . import dating, detect, fpca, simlab
 from .basis import CurveSeries, FourierBasis, _least_squares
 from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
-from .simlab import _VALID_KINDS, BreakSpec, DgpConfig, run_experiment, validate_grid
+from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
 
 __all__ = ["DataFormatError", "ingest", "read_coeffs", "main"]
 
@@ -52,8 +52,6 @@ _OPTION_RANGES = (
     ("--grid", "grid", lambda v: v >= detect._MIN_GRID, f"at least {detect._MIN_GRID}"),
 )
 
-# the detectors of ``simulate`` without --detectors, those of them its kind runs
-_DEFAULT_DETECTORS = ("FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95", "Aligned")
 # levels of the Xi quantiles that ``date`` reports
 _XI_QUANTILE_LEVELS = (0.005, 0.025, 0.05, 0.25, 0.5, 0.75, 0.95, 0.975, 0.995)
 
@@ -65,6 +63,7 @@ def _check_options(args) -> None:
             raise DataFormatError(f"{flag} must be {requirement}, got {value}")
     try:  # the thread cap in the environment, read by the null simulation
         detect.resolve_workers(None)
+        _lr_config(args)  # and the --weight/--bandwidth pair
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 
@@ -387,23 +386,6 @@ def _year_label(labels, index: int) -> str:
     return labels[index - 1]
 
 
-def _base_config(args, series, test_config, dropped):
-    return {
-        "basis_size": args.basis_size,
-        "n_curves": series.n,
-        "weight": test_config["weight"],
-        "bandwidth": test_config["bandwidth"],
-        "h": test_config["h"],
-        "alpha": args.alpha,
-        "reps": args.reps,
-        "grid": test_config["grid"],
-        "seed": args.seed,
-        "max_missing": args.max_missing,
-        "coeffs_input": bool(args.coeffs),
-        "dropped_years": [str(y) for y in dropped],
-    }
-
-
 def _lr_config(args) -> LongRunConfig:
     return LongRunConfig(weight=args.weight, bandwidth=args.bandwidth)
 
@@ -411,6 +393,11 @@ def _lr_config(args) -> LongRunConfig:
 def _detection_report(args, fit, labels, dropped) -> dict:
     report = detect.test(fit, args.alpha, reps=args.reps, grid=args.grid,
                          seed=args.seed)
+    # the test's echo of its settings, without the kernel's split, and the input's
+    config = dict(report.config, basis_size=args.basis_size, n_curves=fit.series.n,
+                  max_missing=args.max_missing, coeffs_input=bool(args.coeffs),
+                  dropped_years=[str(y) for y in dropped])
+    del config["split"]
     return {
         "stat": report.stat,
         "p_value": report.p_value,
@@ -418,7 +405,7 @@ def _detection_report(args, fit, labels, dropped) -> dict:
         "k_hat": report.k_hat,
         "k_hat_label": _year_label(labels, report.k_hat),
         "theta_hat": report.k_hat / fit.series.n,
-        "config": _base_config(args, fit.series, report.config, dropped),
+        "config": config,
     }
 
 
@@ -455,9 +442,7 @@ def _cmd_date(args) -> dict:
 
 
 def _cmd_simulate(args) -> None:
-    detectors = args.detectors or [
-        name for name in _DEFAULT_DETECTORS
-        if simlab._parse_detector(name)[0] in simlab._DETECTOR_KINDS[args.kind]]
+    detectors = args.detectors or simlab.default_detectors(args.kind)
     try:
         dgps = [
             DgpConfig(setting=s, dependence=dep, innovation=args.innovation,
@@ -491,12 +476,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="n14")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=1000,
-                        help="Monte Carlo draws for the FF null law, in seeded "
-                             "blocks of 2^15 // (D x grid) draws for the D kernel "
-                             "eigenvalues above rounding level (one draw each past "
-                             "2^14 normals); detect and date spread the blocks "
-                             "over up to FUNCBREAK_THREADS threads (default: one "
-                             "per CPU); no result depends on the thread count")
+                        help="seeded Monte Carlo draws for the FF null law; detect "
+                             "and date draw on up to FUNCBREAK_THREADS threads "
+                             "(default: one per CPU), and no result depends on the "
+                             "thread count; the funcbreak.detect module docstring "
+                             "gives the block layout of the draws")
     parser.add_argument("--grid", type=int, default=None,
                         help="Brownian bridge steps of the null law (default: the "
                              "number of curves n, the exact law for iid Gaussian "
@@ -542,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="total variation explained for --fpca")
 
     p_sim = sub.add_parser("simulate", help="simulation study tables")
-    p_sim.add_argument("kind", choices=_VALID_KINDS)
+    p_sim.add_argument("kind", choices=simlab.KINDS)
     _add_common(p_sim)
     p_sim.add_argument("--setting", type=int, nargs="+", default=[1, 2, 3])
     p_sim.add_argument("--dependence", nargs="+", default=["iid"],
@@ -553,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--theta", type=float, nargs="+", default=[0.5])
     p_sim.add_argument("--detectors", nargs="+",
                        help="FF, fPCA@<tve> and Aligned; default: those of "
-                            f"{' '.join(_DEFAULT_DETECTORS)} that the kind runs "
+                            f"{' '.join(simlab.DEFAULT_DETECTORS)} that the kind runs "
                             "(dating: FF and fPCA; coverage: FF). Aligned reads "
                             "the FF test's null kernel and is oversized in "
                             "setting 1, where it rejects 11-15%% of null "

@@ -42,10 +42,11 @@ def tve_dimension(eigenvalues, tve: float) -> int:
     if not 0.0 < tve <= 1.0:
         raise ValueError("tve must be in (0, 1]")
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
-    total = lam.sum()
-    if total <= 0.0:
+    # against its own last entry: a pairwise sum can differ in the last bit
+    cumulative = np.cumsum(lam)
+    if cumulative[-1] <= 0.0:
         raise ValueError("spectrum is entirely zero; no dimension explains it")
-    return int(np.argmax(np.cumsum(lam) >= tve * total)) + 1
+    return int(np.argmax(cumulative >= tve * cumulative[-1])) + 1
 
 
 class FpcaResult(NamedTuple):

@@ -44,7 +44,7 @@ def _flattop(x):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A symmetric lag-window taper with bounded support.
+    """A symmetric lag-window taper, zero outside [-1, 1] like every taper here.
 
     ``order`` is the taper order tau and ``q_constant`` the limit of
     x^(-tau) (1 - w(x)) at zero; the flat-top taper is flat at the origin, so
@@ -52,10 +52,8 @@ class WeightFunction:
     ``w_sq_integral`` is the integral of w^2 over the real line.
     """
 
-    kind: str
     order: float
     q_constant: float
-    support: float
     w_sq_integral: float
     fn: Callable[[np.ndarray], np.ndarray]
 
@@ -64,9 +62,9 @@ class WeightFunction:
 
 
 WEIGHTS = {
-    "bartlett": WeightFunction("bartlett", 1.0, 1.0, 1.0, 2.0 / 3.0, _bartlett),
-    "parzen": WeightFunction("parzen", 2.0, 6.0, 1.0, 151.0 / 280.0, _parzen),
-    "flattop": WeightFunction("flattop", 2.0, float("nan"), 1.0, 4.0 / 3.0, _flattop),
+    "bartlett": WeightFunction(1.0, 1.0, 2.0 / 3.0, _bartlett),
+    "parzen": WeightFunction(2.0, 6.0, 151.0 / 280.0, _parzen),
+    "flattop": WeightFunction(2.0, float("nan"), 4.0 / 3.0, _flattop),
 }
 
 BANDWIDTH_EXPONENTS = {"n13": 1.0 / 3.0, "n14": 1.0 / 4.0, "n15": 1.0 / 5.0}
@@ -74,25 +72,32 @@ BANDWIDTH_EXPONENTS = {"n13": 1.0 / 3.0, "n14": 1.0 / 4.0, "n15": 1.0 / 5.0}
 MIN_CURVES = 4
 
 
-def _resolve_weight(w) -> WeightFunction:
-    if isinstance(w, WeightFunction):
-        return w
+def _resolve_weight(name: str) -> WeightFunction:
     try:
-        return WEIGHTS[str(w).lower()]
+        return WEIGHTS[str(name).lower()]
     except KeyError:
-        raise ValueError(f"unknown weight function {w!r}") from None
+        raise ValueError(f"unknown weight function {name!r}") from None
 
 
 @dataclass(frozen=True)
 class LongRunConfig:
     """Estimator configuration: taper choice and bandwidth rule.
 
-    ``bandwidth`` is one of the exponent rules n13/n14/n15, or "adaptive".
-    To estimate at a given h, call ``longrun_kernel`` directly.
+    ``bandwidth`` is one of the exponent rules n13/n14/n15, or "adaptive",
+    which needs a Bartlett or Parzen taper; both are checked before any series
+    is read. To estimate at a given h, call ``longrun_kernel`` directly.
     """
 
     weight: str = "bartlett"
     bandwidth: str = "n14"
+
+    def __post_init__(self):
+        wf = _resolve_weight(self.weight)
+        if self.bandwidth not in BANDWIDTH_EXPONENTS and self.bandwidth != "adaptive":
+            raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
+        if self.bandwidth == "adaptive" and not np.isfinite(wf.q_constant):
+            raise ValueError("adaptive bandwidth is defined for bartlett/parzen "
+                             f"weights only, not {self.weight!r}")
 
 
 def _split_demean(data: np.ndarray, split: int | None) -> np.ndarray:
@@ -116,14 +121,14 @@ def _lagged_cov(centered: np.ndarray, lag: int) -> np.ndarray:
 
 def _lag_window_sum(centered: np.ndarray, wf: WeightFunction, h: float,
                     order: float | None = None):
-    """G_0 + sum of w(lag/h) (G_lag + G_lag') over lags 1..min(n-1, support*h).
+    """G_0 + sum of w(lag/h) (G_lag + G_lag') over lags 1..min(n-1, floor(h)).
 
     G_lag is the lagged autocovariance of the centered rows. With ``order``,
     G_0 is left out and each term is multiplied by lag**order.
     """
     n = centered.shape[0]
     acc = _lagged_cov(centered, 0) if order is None else 0.0
-    max_lag = min(n - 1, int(np.floor(wf.support * h)))
+    max_lag = min(n - 1, int(np.floor(h)))
     for lag in range(1, max_lag + 1):
         w_val = float(wf(lag / h))
         if w_val == 0.0:
@@ -182,21 +187,16 @@ def bandwidth(rule: str, n: int, series: CurveSeries | None = None,
     """
     if n < MIN_CURVES:
         raise ValueError(f"bandwidth selection needs n >= {MIN_CURVES}")
+    LongRunConfig(weight, rule)  # checks the taper, the rule and their pairing
     if rule in BANDWIDTH_EXPONENTS:
         return max(1.0, float(n) ** BANDWIDTH_EXPONENTS[rule])
-    if rule == "adaptive":
-        if series is None:
-            raise ValueError("adaptive bandwidth needs the series data")
-        if split is None:
-            raise ValueError("adaptive bandwidth needs the demeaning split")
-        wf = _resolve_weight(weight)
-        if not np.isfinite(wf.q_constant):
-            raise ValueError(
-                "adaptive bandwidth is defined for bartlett/parzen weights only"
-            )
-        m_hat = _adaptive_constant(series, wf, split)
-        return max(1.0, m_hat * float(n) ** (1.0 / (1.0 + 2.0 * wf.order)))
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
+    if series is None:
+        raise ValueError("adaptive bandwidth needs the series data")
+    if split is None:
+        raise ValueError("adaptive bandwidth needs the demeaning split")
+    wf = _resolve_weight(weight)
+    m_hat = _adaptive_constant(series, wf, split)
+    return max(1.0, m_hat * float(n) ** (1.0 / (1.0 + 2.0 * wf.order)))
 
 
 def estimate_longrun(series: CurveSeries, config: LongRunConfig | None = None,

@@ -35,6 +35,9 @@ __all__ = [
     "BreakSpec",
     "ExperimentResult",
     "CSV_COLUMNS",
+    "KINDS",
+    "DEFAULT_DETECTORS",
+    "default_detectors",
     "sigma_vector",
     "gen_errors",
     "break_function",
@@ -185,8 +188,7 @@ def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
     return (series, psi[0]) if return_operator else series
 
 
-def break_function(m: int, c: float, n_basis: int = 21, permutation=None,
-                   basis: FourierBasis | None = None) -> Curve:
+def break_function(m: int, c: float, n_basis: int = 21, permutation=None) -> Curve:
     """Break curve sqrt(c/m) * sum of the first m (permuted) basis functions."""
     if not 1 <= m <= n_basis:
         raise ValueError(f"m must be in [1, {n_basis}]")
@@ -195,7 +197,7 @@ def break_function(m: int, c: float, n_basis: int = 21, permutation=None,
     coeffs = np.zeros(n_basis)
     targets = np.arange(m) if permutation is None else np.asarray(permutation)[:m]
     coeffs[targets] = np.sqrt(c / m)
-    return Curve(coeffs, basis if basis is not None else FourierBasis(n_basis))
+    return Curve(coeffs, FourierBasis(n_basis))
 
 
 def snr_to_c(snr: float, theta: float, trace_ceps: float) -> float:
@@ -243,7 +245,8 @@ _DETECTOR_KINDS = {"size": ("ff", "fpca", "aligned"),
                    "power": ("ff", "fpca", "aligned"),
                    "dating": ("ff", "fpca"),
                    "coverage": ("ff",)}
-_VALID_KINDS = tuple(_DETECTOR_KINDS)
+KINDS = tuple(_DETECTOR_KINDS)
+DEFAULT_DETECTORS = ("FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95", "Aligned")
 
 
 def _parse_detector(name: str) -> tuple[str, float | None]:
@@ -260,6 +263,12 @@ def _parse_detector(name: str) -> tuple[str, float | None]:
                 return "fpca", tve
         raise ValueError(f"TVE fraction in detector {name!r} is not a number in (0, 1]")
     raise ValueError(f"unknown detector {name!r}")
+
+
+def default_detectors(kind: str) -> list[str]:
+    """Those of ``DEFAULT_DETECTORS`` that a ``kind`` run supports."""
+    return [name for name in DEFAULT_DETECTORS
+            if _parse_detector(name)[0] in _DETECTOR_KINDS[kind]]
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +313,7 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
         sigma = sigma_vector(dgp.setting, dgp.n_basis)
         trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
         c = snr_to_c(spec.snr, spec.theta, trace_c)
-        delta = break_function(spec.m, c, dgp.n_basis, permutation=perm,
-                               basis=series.basis)
+        delta = break_function(spec.m, c, dgp.n_basis, permutation=perm)
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, delta, k_star)
 
@@ -365,8 +373,8 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
 def validate_grid(kind, dgps, specs, detectors) -> None:
     """Check every grid value before any work starts; lists all offenders."""
     problems = []
-    if kind not in _VALID_KINDS:
-        raise ValueError(f"kind must be one of {_VALID_KINDS}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
     if kind == "size" and specs:
         problems.append("size experiments take no break grid")
     if kind != "size" and not specs:

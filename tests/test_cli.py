@@ -252,6 +252,21 @@ def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys
     assert fragment in capsys.readouterr().err
 
 
+def test_adaptive_flattop_is_a_data_error_before_any_work(tmp_path, capsys):
+    # the input does not exist: the setting is refused before it is opened
+    missing = str(tmp_path / "missing.csv")
+    bad = ["--weight", "flattop", "--bandwidth", "adaptive"]
+    out = tmp_path / "size.csv"
+    for command in (["detect", missing], ["date", missing],
+                    ["simulate", "size", "--setting", "1", "--n", "30", "--sim-reps",
+                     "2", "--reps", "20", "--workers", "1", "--detectors", "FF",
+                     "--out", str(out)]):
+        assert main([*command, *bad]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: adaptive bandwidth")
+    assert not out.exists()
+
+
 def test_degenerate_numeric_input_exits_with_numeric_code(tmp_path, capsys):
     # four identical constant years: zero break function, sigma^2 undefined
     path = write_daily_csv(tmp_path / "flat.csv", {y: 1.0 for y in range(2001, 2005)})

@@ -73,6 +73,15 @@ def test_tve_dimension_on_fast_decay_spectrum():
     assert tve_dimension(lam, 0.95) == 2
 
 
+def test_tve_dimension_at_one_keeps_every_positive_eigenvalue():
+    # a total summed in another order than the cumulative shares can exceed
+    # all of them in the last bit, so that no share reaches a TVE of 1
+    assert tve_dimension(np.full(8, 0.1), 1.0) == 8
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        assert tve_dimension(rng.exponential(size=21), 1.0) == 21
+
+
 def test_tve_dimension_rejects_degenerate_input():
     with pytest.raises(ValueError, match="zero"):
         tve_dimension([0.0, 0.0], 0.9)

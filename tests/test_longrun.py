@@ -87,7 +87,7 @@ def test_weight_axioms(kind):
     assert wf(np.array(0.0)) == 1.0
     np.testing.assert_allclose(values, weight(kind, -x), atol=0)
     assert np.max(np.abs(values)) <= 1.0
-    assert np.all(values[np.abs(x) > wf.support] == 0.0)
+    assert np.all(values[np.abs(x) > 1.0] == 0.0)
     # continuity on a fine grid
     assert np.max(np.abs(np.diff(values))) < 0.01
 
@@ -223,6 +223,17 @@ def test_adaptive_bandwidth_requires_series_and_split():
 def test_unknown_bandwidth_rule_rejected():
     with pytest.raises(ValueError, match="unknown bandwidth"):
         bandwidth("n12", 100)
+
+
+@pytest.mark.parametrize("weight, rule, match", [
+    ("flattop", "adaptive", "bartlett/parzen weights only, not 'flattop'"),
+    ("tukey", "n14", "unknown weight"),
+    ("bartlett", "n12", "unknown bandwidth"),
+], ids=["adaptive-flattop", "weight", "rule"])
+def test_config_rejects_its_settings_when_made(weight, rule, match):
+    # before any series is read, not at the first kernel estimate
+    with pytest.raises(ValueError, match=match):
+        LongRunConfig(weight, rule)
 
 
 def test_adaptive_constant_stays_in_sane_band_on_white_noise():
