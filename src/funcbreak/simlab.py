@@ -14,11 +14,22 @@ builds one ``detect.BreakFit`` of its series, and every detector reads it:
 FF and aligned (oversized in setting 1, see ``fpca.aligned_statistic``) the
 long-run kernel, and every fPCA level the one sample covariance spectrum,
 each computed on first use; so a dating replication estimates no kernel.
+
+Runs with more than one worker map their replications on one pool of worker
+processes per process, kept between ``run_experiment`` calls: its workers
+idle there, holding their memory, until the interpreter exits. They are
+forked on first use and see the module state of that moment, and each keeps
+its own caches (the fPCA and aligned critical values) from call to call. The
+pool is replaced, the old one joined first, when a call resolves to another
+worker count, and dropped when a call raises; a call that finds a worker of
+the kept pool dead runs its jobs again on a fresh pool.
 """
 
 import contextlib
 import hashlib
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -370,6 +381,46 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     return out
 
 
+# the process's kept worker pool as (worker count, executor), see _map_chunks
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the kept pool, cancel its queued jobs and join its workers."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(cancel_futures=True)
+
+
+def _map_chunks(jobs: list, workers: int) -> list:
+    """``_run_chunk`` of each job, in job order, on the kept pool of ``workers``.
+
+    Calls from several threads take turns. A pool of another size is joined
+    before the new one forks. A call that raises drops the pool, so no later
+    call queues behind its jobs; if a worker of a kept pool died since its
+    last call, the jobs run again once on a fresh pool.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _drop_pool()
+        while True:
+            reused = _pool is not None
+            if not reused:
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            try:
+                return list(_pool[1].map(_run_chunk, *zip(*jobs)))
+            except BrokenProcessPool:
+                _drop_pool()
+                if not reused:
+                    raise
+            except BaseException:
+                _drop_pool()
+                raise
+
+
 def validate_grid(kind, dgps, specs, detectors) -> None:
     """Check every grid value before any work starts; lists all offenders."""
     problems = []
@@ -498,7 +549,12 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     fewer draws; ``null_reps`` and ``null_grid`` (None, the default: each
     series' own n steps) affect only them. ``xi_reps`` has no effect:
     coverage intervals use the exact Xi law. ``workers`` processes (default:
-    one per CPU) run the replications, at most FUNCBREAK_THREADS of them.
+    one per CPU) run the replications, at most FUNCBREAK_THREADS of them; with
+    one they run in this process. The worker processes are kept between calls
+    and idle in between with their memory; they see the module state of the
+    moment they were forked. A call that resolves to another worker count
+    replaces them, and a call that raises or finds a worker dead drops them
+    (see the module docstring).
     """
     if reps < 1 or null_reps < 1:
         raise ValueError("need at least one replication")
@@ -526,8 +582,7 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     if workers == 1:
         parts = [_run_chunk(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, *zip(*jobs)))  # in job order
+        parts = _map_chunks(jobs, workers)
     rows = []
     for i, task in enumerate(tasks):
         cell = parts[i * len(bounds):(i + 1) * len(bounds)]

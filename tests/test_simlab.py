@@ -1,12 +1,22 @@
 import io
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import funcbreak
 import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
+from funcbreak.cli import main
 from funcbreak.detect import fit_break
 from funcbreak.detect import test as ff_test
 from funcbreak.longrun import LongRunConfig
@@ -382,14 +392,118 @@ def test_dating_run_on_noiseless_injection_has_zero_error():
     assert res.value(metric="median_abs_error", detector="FF") == 0.0
 
 
-def test_runner_is_deterministic_across_worker_counts():
-    dgp = DgpConfig(setting=2, n=40, n_basis=5)
-    spec = [BreakSpec(m=2, snr=0.4, theta=0.5)]
-    kwargs = dict(detectors=["FF", "fPCA@0.90"], reps=24, seed=13,
-                  null_reps=150, null_grid=120)
-    serial = run_experiment("power", dgp, spec, workers=1, **kwargs)
-    parallel = run_experiment("power", dgp, spec, workers=2, **kwargs)
-    assert serial.rows == parallel.rows
+@pytest.mark.parametrize("argv", [
+    "size --setting 1 3 --sim-reps 6 --reps 99 --grid 100 --detectors FF Aligned",
+    # the default null grid: each series' own n steps, as in detect and date
+    "size --setting 1 3 --sim-reps 6 --reps 99 --detectors FF Aligned",
+    # FAR(1) replications are generated in blocks whose bounds follow the worker count
+    "dating --setting 3 --dependence far1 --sim-reps 37 --detectors FF fPCA@0.90",
+    "power --setting 2 --n 40 --basis-size 5 --m 2 --snr 0.4 --theta 0.5 --sim-reps 24 "
+    "--seed 13 --reps 150 --grid 120 --detectors FF fPCA@0.90",
+], ids=["size-grid100", "size-default-grid", "dating-far1", "power"])
+def test_simulation_csv_does_not_depend_on_the_worker_count(tmp_path, argv):
+    # 1, 2, 1, 2 in one process: the second run on 2 workers reuses the pool
+    tables = []
+    for i, workers in enumerate((1, 2, 1, 2)):
+        out = tmp_path / f"run{i}-w{workers}.csv"
+        assert main(["simulate", *argv.split(), "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[1:] == tables[:1] * 3
+
+
+# --- the kept worker pool ---------------------------------------------------
+
+
+def pool_pids() -> list:
+    """Pids of this process's live worker processes."""
+    return sorted(proc.pid for proc in multiprocessing.active_children())
+
+
+def pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def small_run(workers, dgp=None):
+    return run_experiment("size", dgp or DgpConfig(setting=3, n=30),
+                          detectors=["FF", "Aligned"], reps=8, seed=31,
+                          null_reps=19, workers=workers).rows
+
+
+def test_kept_workers_exit_with_the_interpreter():
+    script = (
+        "import json, multiprocessing\n"
+        "from funcbreak.simlab import DgpConfig, run_experiment\n"
+        "pids = []\n"
+        "for _ in range(2):\n"
+        "    run_experiment('size', DgpConfig(setting=1, n=20), detectors=['FF'],\n"
+        "                   reps=4, null_reps=19, workers=2)\n"
+        "    pids.append(sorted(p.pid for p in multiprocessing.active_children()))\n"
+        "print(json.dumps(pids))\n")
+    src = str(Path(funcbreak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("FUNCBREAK_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    assert len(first) == 2 and second == first
+    assert not [pid for pid in first if pid_alive(pid)]
+
+
+def test_a_changed_worker_count_or_thread_cap_replaces_the_pool(monkeypatch):
+    monkeypatch.delenv("FUNCBREAK_THREADS", raising=False)
+    expected = small_run(1)
+    assert small_run(2) == expected
+    two = pool_pids()
+    assert len(two) == 2
+    assert small_run(2) == expected and pool_pids() == two
+    assert small_run(3) == expected
+    three = pool_pids()
+    assert len(three) == 3 and not set(three) & set(two)
+    assert not [pid for pid in two if pid_alive(pid)]  # joined, not left running
+    monkeypatch.setenv("FUNCBREAK_THREADS", "2")
+    assert small_run(3) == expected
+    capped = pool_pids()
+    assert len(capped) == 2 and not set(capped) & set(three)
+
+
+@pytest.mark.parametrize("reaped", [False, True])
+def test_a_killed_worker_is_replaced_and_the_rows_kept(reaped):
+    expected = small_run(1)
+    small_run(2)
+    victim = pool_pids()[0]
+    os.kill(victim, signal.SIGKILL)
+    if reaped:  # the pool has seen the death and joined its workers
+        for _ in range(200):
+            if not pid_alive(victim):
+                break
+            time.sleep(0.05)
+    assert small_run(2) == expected
+    assert len(pool_pids()) == 2 and victim not in pool_pids()
+
+
+def test_concurrent_calls_of_other_worker_counts_take_turns():
+    expected = small_run(1)
+    with ThreadPoolExecutor(3) as threads:
+        results = list(threads.map(small_run, [2, 3] * 4, timeout=120))
+    assert results == [expected] * 8
+
+
+def test_a_call_that_raises_drops_the_pool():
+    small_run(2)
+    kept = pool_pids()
+    bad = DgpConfig(setting=3, n=30)
+    object.__setattr__(bad, "setting", 4)  # passes validation, fails in a worker
+    with pytest.raises(ValueError, match="unknown setting 4"):
+        small_run(2, bad)
+    assert pool_pids() == []
+    assert not [pid for pid in kept if pid_alive(pid)]
+    assert small_run(2) == small_run(1)
 
 
 @pytest.mark.parametrize("kind,dependence", [("dating", "far1"),
