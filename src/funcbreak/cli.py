@@ -120,13 +120,14 @@ def _plain_values(lines, buf, first, ends):
     count, dots, minus = digit.sum(axis=0), dot.sum(axis=0), buf[first] == _DASH
     fast = ((count + dots + minus == width) & (dots <= 1)
             & (count > 0) & (count <= _MAX_DIGITS))
-    # the digits as one integer with a 0 in the dot's place, then without it
-    spaced = (code * digit * _POWERS[:cols.size, None]).sum(axis=0)
-    fraction = dot.argmax(axis=0)  # the first dot's column, or 0
-    low = spaced % _POWERS[np.where(dots, fraction, -1)]
-    values = (low + (spaced - low) // 10) / _POWERS[fraction]
-    np.negative(values, out=values, where=minus)
-    values[width == 0] = np.nan
+    values = np.full(width.size, np.nan)
+    if fast.any():  # else float reads every value, as with exponents throughout
+        # the digits as one integer with a 0 in the dot's place, then without it
+        spaced = (code * digit * _POWERS[:cols.size, None]).sum(axis=0)
+        fraction = dot.argmax(axis=0)  # the first dot's column, or 0
+        low = spaced % _POWERS[np.where(dots, fraction, -1)]
+        np.divide(low + (spaced - low) // 10, _POWERS[fraction], out=values, where=fast)
+        np.negative(values, out=values, where=fast & minus)
     slow = np.flatnonzero(~fast & (width > 0)).tolist()
     try:  # float strips the line end
         values[slow] = list(map(float, [lines[i][11:] for i in slow]))

@@ -10,6 +10,7 @@ a grid and is kept as the reference the closed form is tested against.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,6 +147,13 @@ def _left_tail(s: float, theta: float) -> float:
     return math.exp(-s * s) * (-2.0 * s / _SQRT_PI + (2.0 * s * s - 1.0) * ex + cross)
 
 
+# theta_hat = k_hat / n takes at most n - 1 values, so a cell's roots repeat
+@lru_cache(maxsize=4096)
+def _left_tail_root(theta: float, target: float) -> float:
+    """The s at which ``_left_tail(s, theta)`` falls to ``target``."""
+    return _bisect(lambda s: _left_tail(s, theta) > target)
+
+
 @dataclass(frozen=True)
 class XiLaw:
     """Exact law of the argmax of the drifted two-sided Brownian motion.
@@ -180,7 +188,11 @@ class XiLaw:
         return 1.0 - _left_tail(self.theta * math.sqrt(t / 2.0), 1.0 - self.theta)
 
     def quantile(self, q: float) -> float:
-        """The t with P(Xi <= t) = q, by bracketing and bisection."""
+        """The t with P(Xi <= t) = q, by bracketing and bisection.
+
+        The bisection runs on the unit-variance law, which sigma^2 then
+        scales; its roots are kept per process, by theta and level.
+        """
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
         if self.degenerate or q == self.theta:
@@ -190,7 +202,7 @@ class XiLaw:
             theta, target, sign = self.theta, q, -1.0
         else:
             theta, target, sign = 1.0 - self.theta, 1.0 - q, 1.0
-        s = _bisect(lambda s: _left_tail(s, theta) > target)
+        s = _left_tail_root(theta, target)
         return sign * 2.0 * s * s / (1.0 - theta) ** 2 * self.sigma2
 
 

@@ -6,7 +6,11 @@ signal-to-noise ratio, and drives size/power/dating/coverage experiments over
 parameter grids with reproducible per-replication random streams. A worker
 generates its replications a block at a time, each from its own stream in
 the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
-together; so the output does not depend on blocks or workers. The fPCA
+together; so the output does not depend on blocks or workers. A cell is cut
+into jobs of about a quarter of a worker's share, but of at least one block
+of ``_BLOCK_REPS`` replications, or an equal share per worker when the cell
+is smaller than a block per worker: every job pays one pool round trip and
+one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
 replications affect only the fully functional (FF) test. Every replication
@@ -381,6 +385,12 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     return out
 
 
+def _job_bounds(reps: int, workers: int) -> list:
+    """(start, stop) of each job of a cell, sized as the module docstring says."""
+    chunk = max(-(-reps // (4 * workers)), min(_BLOCK_REPS, -(-reps // workers)))
+    return [(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
+
+
 # the process's kept worker pool as (worker count, executor), see _map_chunks
 _pool = None
 _pool_lock = threading.Lock()
@@ -550,7 +560,11 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     series' own n steps) affect only them. ``xi_reps`` has no effect:
     coverage intervals use the exact Xi law. ``workers`` processes (default:
     one per CPU) run the replications, at most FUNCBREAK_THREADS of them; with
-    one they run in this process. The worker processes are kept between calls
+    one they run in this process. Each cell is cut into jobs of about a
+    quarter of a worker's share but at least one generation block of
+    replications (fewer only when the cell is smaller than a block per
+    worker), because each job pays a pool round trip and each block a full
+    FAR(1) recursion. The worker processes are kept between calls
     and idle in between with their memory; they see the module state of the
     moment they were forked. A call that resolves to another worker count
     replaces them, and a call that raises or finds a worker dead drops them
@@ -576,8 +590,7 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
             ))
 
     workers = resolve_workers(workers)
-    chunk = max(1, -(-reps // (workers * 4)))
-    bounds = [(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
+    bounds = _job_bounds(reps, workers)
     jobs = [(task, start, stop) for task in tasks for start, stop in bounds]
     if workers == 1:
         parts = [_run_chunk(*job) for job in jobs]

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import funcbreak.dating as dating
 from funcbreak.basis import Curve, CurveSeries, FourierBasis, KernelMatrix
+from funcbreak.cli import _XI_QUANTILE_LEVELS
 from funcbreak.dating import (
     LimitProcessConfig,
     XiLaw,
@@ -14,7 +16,7 @@ from funcbreak.dating import (
     sigma2_hat,
     simulate_xi,
 )
-from funcbreak.detect import fit_break
+from funcbreak.detect import _bisect, fit_break
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
 from limit_oracles import no_break_argmax_sample, simulate_fixed_break_limit
@@ -226,6 +228,31 @@ def test_xi_law_quantiles_finite_and_monotone():
         qs = [law.quantile(q) for q in LEVELS]
         assert all(np.isfinite(qs))
         assert all(a < b for a, b in zip(qs, qs[1:]))
+
+
+def test_xi_quantiles_kept_per_process_are_those_bisected_afresh():
+    def uncached(theta, sigma2, q):
+        # XiLaw.quantile's bisection, run on every call
+        if q == theta:
+            return 0.0
+        if q < theta:
+            theta, target, sign = theta, q, -1.0
+        else:
+            theta, target, sign = 1.0 - theta, 1.0 - q, 1.0
+        s = _bisect(lambda s: dating._left_tail(s, theta) > target)
+        return sign * 2.0 * s * s / (1.0 - theta) ** 2 * sigma2
+
+    for theta in np.linspace(0.01, 0.99, 99).tolist():
+        for sigma2 in (0.3, 1.0, 3.5):
+            law = XiLaw(theta, sigma2)
+            for q in _XI_QUANTILE_LEVELS:
+                assert law.quantile(q) == uncached(theta, sigma2, q)
+                before = dating._left_tail_root.cache_info()
+                assert law.quantile(q) == uncached(theta, sigma2, q)
+                after = dating._left_tail_root.cache_info()
+                # at q = theta the quantile is 0 and no root is sought
+                assert after.misses == before.misses
+                assert after.hits == before.hits + (q != theta)
 
 
 @pytest.mark.parametrize("theta, steps, seed", [(0.15, 10_000, 23),

@@ -180,7 +180,7 @@ def test_gaussian_innovations_take_no_df():
         DgpConfig(setting=3, df=3)
 
 
-def test_iid_cells_replay_the_same_streams_whatever_kappa():
+def test_iid_cells_replay_the_same_streams_whatever_kappa(tmp_path):
     # an iid cell ignores kappa, so its rows must too; a far1 cell does not
     def rows(dependence, kappa):
         dgp = DgpConfig(setting=3, dependence=dependence, n=30, kappa=kappa)
@@ -191,6 +191,15 @@ def test_iid_cells_replay_the_same_streams_whatever_kappa():
 
     assert rows("iid", 0.3) == rows("iid", 0.5)
     assert rows("far1", 0.3) != rows("far1", 0.5)
+
+    # the CLI's default kappa and another, on its default workers
+    argv = "simulate dating --setting 3 --n 30 --snr 0.2 --detectors FF --sim-reps 50"
+    tables = []
+    for extra in ([], ["--kappa", "0.3"]):
+        out = tmp_path / f"kappa{len(tables)}.csv"
+        assert main([*argv.split(), *extra, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_negative_burnin_is_rejected():
@@ -396,11 +405,15 @@ def test_dating_run_on_noiseless_injection_has_zero_error():
     "size --setting 1 3 --sim-reps 6 --reps 99 --grid 100 --detectors FF Aligned",
     # the default null grid: each series' own n steps, as in detect and date
     "size --setting 1 3 --sim-reps 6 --reps 99 --detectors FF Aligned",
-    # FAR(1) replications are generated in blocks whose bounds follow the worker count
     "dating --setting 3 --dependence far1 --sim-reps 37 --detectors FF fPCA@0.90",
     "power --setting 2 --n 40 --basis-size 5 --m 2 --snr 0.4 --theta 0.5 --sim-reps 24 "
     "--seed 13 --reps 150 --grid 120 --detectors FF fPCA@0.90",
-], ids=["size-grid100", "size-default-grid", "dating-far1", "power"])
+    # FAR(1) replications are generated in blocks whose bounds follow the worker
+    # count: one job of 8 against two of 4, and jobs of 38 against jobs of 19
+    "coverage --setting 2 --dependence far1 --theta 0.25 --snr 1 --sim-reps 8 --detectors FF",
+    "dating --setting 3 --dependence far1 --sim-reps 150 --detectors FF fPCA@0.90",
+], ids=["size-grid100", "size-default-grid", "dating-far1", "power", "coverage-far1",
+        "dating-far1-150"])
 def test_simulation_csv_does_not_depend_on_the_worker_count(tmp_path, argv):
     # 1, 2, 1, 2 in one process: the second run on 2 workers reuses the pool
     tables = []
@@ -510,9 +523,9 @@ def test_a_call_that_raises_drops_the_pool():
                                              ("coverage", "far1"),
                                              ("power", "far1"),
                                              ("dating", "iid")])
-@pytest.mark.parametrize("reps", [37, 100])
+@pytest.mark.parametrize("reps", [1, 3, 37, 100])
 def test_cell_rows_match_serial_generation(kind, dependence, reps):
-    # worker counts 1 and 2 cut the replications into different chunks and blocks
+    # worker counts 1 and 2 cut 3 and 100 replications into different jobs and blocks
     dgp = DgpConfig(setting=3, dependence=dependence, n=50)
     spec = BreakSpec(m=1, snr=0.5, theta=0.5)
     detectors = ["FF"] if kind == "coverage" else ["FF", "fPCA@0.90"]
@@ -523,6 +536,21 @@ def test_cell_rows_match_serial_generation(kind, dependence, reps):
     assert serial == parallel
     del kwargs["detectors"]
     assert serial == csv_text(serial_cell_rows(kind, dgp, spec, detectors, **kwargs))
+
+
+@pytest.mark.parametrize("reps, workers, bounds", [
+    # a cell too small for a generation block per worker is shared equally
+    (8, 2, [(0, 4), (4, 8)]),
+    (6, 2, [(0, 3), (3, 6)]),
+    (1, 2, [(0, 1)]),
+    (8, 1, [(0, 8)]),
+    # a job holds at least one block
+    (37, 2, [(0, 16), (16, 32), (32, 37)]),
+    # a large cell gives each worker four jobs
+    (1000, 2, [(start, start + 125) for start in range(0, 1000, 125)]),
+])
+def test_job_layouts(reps, workers, bounds):
+    assert simlab._job_bounds(reps, workers) == bounds
 
 
 @pytest.mark.parametrize("setting", [1, 3])
@@ -580,7 +608,7 @@ def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_re
     assert calls == {name: 2 * 3 * count for name, count in per_rep.items()}
 
 
-def test_a_detectors_rows_do_not_depend_on_the_others():
+def test_a_detectors_rows_do_not_depend_on_the_others(tmp_path):
     dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
     specs = [BreakSpec(m=1, snr=0.1, theta=0.5)]
 
@@ -593,6 +621,27 @@ def test_a_detectors_rows_do_not_depend_on_the_others():
         alone = rows([name])
         assert len(alone) == 2
         assert csv_text([row for row in both if row["detector"] == name]) == csv_text(alone)
+
+    # the same through the CLI on its default workers, and for the fPCA levels,
+    # which read one covariance spectrum of each replication's fit
+    def cli_lines(argv, detectors):
+        out = tmp_path / f"{argv.split()[0]}-{'-'.join(detectors)}.csv"
+        assert main(["simulate", *argv.split(), "--detectors", *detectors,
+                     "--out", str(out)]) == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    def rows_of(lines, name):
+        return [line for line in lines if f",{name},".encode() in line]
+
+    for argv, names in (
+            ("power --setting 1 3 --n 40 --snr 0.1 --sim-reps 6 --reps 99",
+             ["FF", "Aligned"]),
+            ("dating --setting 2 3 --dependence iid far1 --n 40 --snr 0.5 --sim-reps 6",
+             ["FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95"])):
+        every = cli_lines(argv, names)
+        for name in names:
+            assert rows_of(every, name)
+            assert rows_of(every, name) == rows_of(cli_lines(argv, [name]), name)
 
 
 def test_csv_schema_and_stderr_formula():
