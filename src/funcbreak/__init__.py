@@ -33,10 +33,10 @@ from .detect import (
     DetectionReport,
     KieferLaw,
     LimitSample,
+    NullBank,
     cusum_norm_sq,
     cusum_paths,
     fit_break,
-    rejects,
     simulate_null_limit,
 )
 from .detect import test as detect_break

@@ -4,34 +4,38 @@ The detector is the maximum of the squared L2 norm of the tied-down functional
 CUSUM process over its n points k/n. Its null distribution is simulated from
 the estimated long-run covariance spectrum as the maximum over G grid steps of
 an eigenvalue-weighted sum of squared independent Brownian bridges. One rule,
-``_null_grid``, sets G for ``test``, ``rejects``, the CLI and simlab: by
+``_null_grid``, sets G for ``test``, ``NullBank``, the CLI and simlab: by
 default G is the series' own n, which for iid Gaussian curves with that kernel
 gives the exact law of the statistic, at n normals per eigenvalue and
 replication; an explicit grid must have at least 100 steps and approximates
 the supremum of the continuous limit.
 ``fit_break`` is the one step that reads a series and a ``LongRunConfig``. Its
-``BreakFit``, the one data input of ``test``, ``rejects``, ``dating.date_break``,
-``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds both, the CUSUM and
-k_hat; the kernel split at k_hat, the sample covariance and their spectra
-are computed on first use, so dating by k_hat alone estimates no kernel.
-``rejects`` gives only the decision p <= alpha of ``test``: it draws the null
-replications block by block and stops at the end of the block in which the
-decision became final (sequential Monte Carlo, Besag & Clifford 1991), so
-simlab size and power cells get the same decisions as from ``test`` with fewer
-draws. Both draw through one sampler of grid maxima.
+``BreakFit``, the one data input of ``test``, ``NullBank.rejects``,
+``dating.date_break``, ``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds
+both, the CUSUM and k_hat; the kernel split at k_hat, the sample covariance
+and their spectra are computed on first use, so dating by k_hat alone
+estimates no kernel.
+``test`` streams its null replications: it keeps the grid maxima and drops
+each block's bridges. The bridges do not depend on the data, only their
+weights do, so a ``NullBank`` keeps them for fits that share a seed: its
+``rejects`` gives the decision p <= alpha of ``test`` at that seed, reading the
+kept blocks in order and drawing the next only when the decision is not final
+at the end of the last (sequential Monte Carlo, Besag & Clifford 1991), so
+simlab's size and power replications of one job share their draws.
 ``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
 bridge, the null limit of the fPCA and aligned detectors.
 
 Null replications come in blocks of B = max(1, 2^15 // (max(1, D) grid)) for
 the D eigenvalues above rounding level: block b is replications [bB, (b + 1)B),
-drawn in one call from child b of SeedSequence(seed); the last block may be
-shorter, and when D grid > 2^14, B = 1 and replication i has child i alone.
-``simulate_null_limit``, and so ``test``, spreads the blocks over up to
-FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``), so
-the draws, p-values and critical values do not depend on the thread count.
-``rejects`` reads the same blocks in order on the calling thread (its simlab
-callers already run one process per CPU) and spawns the child of a block only
-when it reads the block.
+drawn in one call from an SFC64 generator seeded by child b of
+SeedSequence(seed), the SeedSequence with the seed's spawn key extended by b;
+the last block may be shorter, and when D grid > 2^14, B = 1 and replication i
+has child i alone. ``simulate_null_limit``, and so ``test``, spreads the
+blocks over up to FUNCBREAK_THREADS threads (default: one per CPU, see
+``resolve_workers``), so the draws, p-values and critical values do not
+depend on the thread count. A ``NullBank`` draws the same blocks in order on
+the calling thread (its simlab callers already run one process per CPU) and
+makes the child of a block only when it draws the block.
 """
 
 import math
@@ -56,7 +60,7 @@ __all__ = [
     "fit_break",
     "simulate_null_limit",
     "test",
-    "rejects",
+    "NullBank",
     "resolve_workers",
 ]
 
@@ -171,15 +175,13 @@ class LimitSample:
 _BLOCK_NORMALS = 1 << 15
 
 
-def _bridge_sq_block(rng, size: int, lam_over_grid: np.ndarray,
-                     grid_frac: np.ndarray) -> np.ndarray:
-    """sum_l lam_l B_l^2 on the interior grid points of ``size`` replications,
-    one row each, drawn in one call from ``rng``."""
-    z = rng.standard_normal((size, lam_over_grid.size, grid_frac.size))
+def _squared_bridges(rng, size: int, dim: int, grid_frac: np.ndarray) -> np.ndarray:
+    """B_l^2 on the interior grid points of ``dim`` bridges for ``size``
+    replications, shape (size, dim, grid), drawn in one call from ``rng``."""
+    z = rng.standard_normal((size, dim, grid_frac.size))
     np.cumsum(z, axis=2, out=z)
     z -= z[:, :, -1:] * grid_frac
-    np.square(z, out=z)
-    return np.matmul(lam_over_grid, z)
+    return np.square(z, out=z)
 
 
 def _bridge_weights(eigenvalues, reps: int, grid: int):
@@ -201,20 +203,29 @@ def _bridge_weights(eigenvalues, reps: int, grid: int):
 
 
 def _null_blocks(seed, reps: int, weights):
-    """The (seed, size) of each block of null replications, in draw order (see
-    the module docstring). Each child is spawned as its block is read: spawning
-    one at a time numbers the children as one call for all of them does."""
+    """The (child, size) of each block of null replications, in draw order (see
+    the module docstring). Each child is made as its block is read, and the
+    seed is not spawned from, so a SeedSequence seed gives the same blocks on
+    every read."""
     size = max(1, _BLOCK_NORMALS // (max(1, weights[0].size) * weights[1].size))
-    parent = np.random.SeedSequence(seed)
-    for start in range(0, reps, size):
-        yield parent.spawn(1)[0], min(size, reps - start)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for b, start in enumerate(range(0, reps, size)):
+        child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, b),
+                                       pool_size=root.pool_size)
+        yield child, min(size, reps - start)
+
+
+def _null_rng(child) -> np.random.Generator:
+    """The generator of a block: SFC64, part of the seeded layout."""
+    return np.random.Generator(np.random.SFC64(child))
 
 
 def _null_maxima(block, weights) -> np.ndarray:
     """Grid maxima of sum_l lam_l B_l^2 for the replications of one block;
     ``weights`` from ``_bridge_weights`` (no resolved lam_l gives zeros)."""
-    child, size = block
-    return _bridge_sq_block(np.random.default_rng(child), size, *weights).max(axis=1)
+    (child, size), (lam_over_grid, grid_frac) = block, weights
+    squares = _squared_bridges(_null_rng(child), size, lam_over_grid.size, grid_frac)
+    return np.matmul(lam_over_grid, squares).max(axis=1)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -423,21 +434,48 @@ def test(fit: BreakFit, alpha: float = 0.05, *, reps: int = 1000,
     )
 
 
-def rejects(fit: BreakFit, alpha: float, *, reps: int = 1000,
-            grid: int | None = None, seed=None) -> bool:
-    """Whether ``test`` with the same arguments gives p_value <= alpha.
+class NullBank:
+    """The squared bridges of ``test``'s null law at one seed, kept for every
+    fit that reads them.
 
-    The null draws come from the same blocks of replications as in ``test``,
-    read in order, and drawing stops at the end of the block in which the
-    count of draws >= the statistic makes (1 + count) / (reps + 1) exceed
-    alpha, so the decision is that of ``test`` at a fraction of the draws under
-    the null. Kernel and grid are those of ``test``.
+    ``rejects`` of a fit reads the blocks that ``test(fit, alpha, reps=reps,
+    grid=grid, seed=seed)`` draws, from the sub-bank of the fit's resolved D
+    and G. A block is drawn when the first fit that needs it reads it, and
+    kept: a sub-bank holds at most reps D G float64 values.
     """
-    grid = _null_grid(alpha, grid, fit.series.n)
-    weights = _bridge_weights(fit.null[2].values, reps, grid)  # clips negatives
-    exceed = 0
-    for block in _null_blocks(seed, reps, weights):
-        exceed += np.count_nonzero(_null_maxima(block, weights) >= fit.stat)
-        if (1 + exceed) / (reps + 1) > alpha:
-            return False
-    return True
+
+    def __init__(self, seed, reps: int = 1000, grid: int | None = None):
+        self.seed, self.reps, self.grid = seed, reps, grid
+        self._banks = {}  # (D, G) -> (blocks not yet drawn, squared bridges kept)
+
+    def rejects(self, fit: BreakFit, alpha: float) -> bool:
+        """Whether ``test`` of ``fit`` at ``alpha`` and this bank's arguments
+        gives p_value <= alpha.
+
+        Blocks are read in order, and reading stops at the end of the block in
+        which the count of draws >= the statistic makes (1 + count) /
+        (reps + 1) exceed alpha: under the null the decision takes a fraction
+        of the draws. Kernel, grid and argument checks are those of ``test``.
+        """
+        weights = _bridge_weights(fit.null[2].values, self.reps,
+                                  _null_grid(alpha, self.grid, fit.series.n))
+        exceed = 0
+        for squares in self._blocks(weights):
+            maxima = np.matmul(weights[0], squares).max(axis=1)
+            exceed += np.count_nonzero(maxima >= fit.stat)
+            if (1 + exceed) / (self.reps + 1) > alpha:
+                return False
+        return True
+
+    def _blocks(self, weights):
+        """The squared bridges of each block for ``weights``' D and G, in draw
+        order: the kept blocks, then new ones, each kept as it is drawn."""
+        lam_over_grid, grid_frac = weights
+        key = (lam_over_grid.size, grid_frac.size)
+        if key not in self._banks:
+            self._banks[key] = (_null_blocks(self.seed, self.reps, weights), [])
+        pending, kept = self._banks[key]
+        yield from kept
+        for child, size in pending:
+            kept.append(_squared_bridges(_null_rng(child), size, key[0], grid_frac))
+            yield kept[-1]

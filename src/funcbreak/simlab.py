@@ -13,8 +13,14 @@ is smaller than a block per worker: every job pays one pool round trip and
 one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. Every replication
-builds one ``detect.BreakFit`` of its series, and every detector reads it:
+replications affect only the fully functional (FF) test. FF size and power
+decisions read one ``detect.NullBank`` per job, seeded by ``_bank_seed`` from
+(seed, DGP digest): every job of a cell, on any worker count, and the size and
+power cells of one DGP read the same draws, and a job draws only the blocks
+that its slowest replication reads. A bank lives as long as its job; it keeps
+null_reps D G float64 values per resolved dimension D at most (168 MB per
+worker at G = 1000, D = 21; 16.8 MB at the default G = n = 100). Every
+replication builds one ``detect.BreakFit`` of its series, and every detector reads it:
 FF and aligned (oversized in setting 1, see ``fpca.aligned_statistic``) the
 long-run kernel, and every fPCA level the one sample covariance spectrum,
 each computed on first use; so a dating replication estimates no kernel.
@@ -41,7 +47,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import KieferLaw, _null_grid, fit_break, rejects, resolve_workers
+from .detect import KieferLaw, NullBank, _null_grid, fit_break, resolve_workers
 from .fpca import aligned_statistic, fit_fpca
 from .longrun import LongRunConfig
 
@@ -319,7 +325,7 @@ class _CellTask:
 
 
 def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
-               aux_seed: int) -> tuple[dict, dict]:
+               bank: NullBank) -> tuple[dict, dict]:
     """Run one replication; returns (detector -> outcome, detector -> error)."""
     dgp = task.dgp
     k_star = 0
@@ -339,18 +345,17 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
     for name in task.detectors:
         kind_name, tve = _parse_detector(name)
         try:
-            outcomes[name] = _eval_detector(task, kind_name, tve, fit, aux_seed, k_star)
+            outcomes[name] = _eval_detector(task, kind_name, tve, fit, bank, k_star)
         except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
             errors[name] = f"{type(exc).__name__}: {exc}"
     return outcomes, errors
 
 
 def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
-                   fit, aux_seed: int, k_star: int):
+                   fit, bank: NullBank, k_star: int):
     if task.kind in ("size", "power"):
         if kind_name == "ff":
-            return rejects(fit, task.alpha, reps=task.null_reps,
-                           grid=task.null_grid, seed=aux_seed)
+            return bank.rejects(fit, task.alpha)
         if kind_name == "fpca":
             result = fit_fpca(fit, tve=tve)
             return result.stat > _bridge_critical_value(result.d, task.alpha)
@@ -368,20 +373,26 @@ def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
     return (bool(lo <= k_star <= hi), hi - lo)
 
 
+def _bank_seed(seed: int, digest: int) -> np.random.SeedSequence:
+    """The FF null bank's seed of every cell of a DGP: (seed, digest) with the
+    spawn key (0, 0). Its entropy words end in two zero words, and those of a
+    replication stream (seed, digest, rep) never do, so it is none of them."""
+    return np.random.SeedSequence((seed, digest), spawn_key=(0, 0))
+
+
 def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     dgp = task.dgp
     basis = FourierBasis(dgp.n_basis)
+    bank = NullBank(_bank_seed(task.seed, task.digest), task.null_reps, task.null_grid)
     out = []
     for lo in range(start, stop, _BLOCK_REPS):
         rngs = [np.random.default_rng(np.random.SeedSequence((task.seed, task.digest, rep)))
                 for rep in range(lo, min(lo + _BLOCK_REPS, stop))]
         perms = [rng.permutation(dgp.n_basis) if dgp.permute else None for rng in rngs]
         data, psi = _error_block(dgp, rngs, DEFAULT_BURNIN)
-        # drawn after all data randomness, so the draw position is break-invariant
-        aux_seeds = [int(rng.integers(0, 2**63)) for rng in rngs]
         for r, perm in enumerate(perms):
             series = CurveSeries(_apply_permutation(data[r], perm), basis)
-            out.append(_replicate(task, series, psi[r], perm, aux_seeds[r]))
+            out.append(_replicate(task, series, psi[r], perm, bank))
     return out
 
 
@@ -498,6 +509,14 @@ class ExperimentResult:
                 _write(fh)
 
 
+def _bank_variance(null_reps: int, alpha: float) -> float:
+    """Variance over banks of the rejection probability of an exact FF test
+    under H0: Beta(k, N + 1 - k) for N = ``null_reps`` and k = floor(alpha
+    (N + 1)), the largest 1 + count that rejects."""
+    k = int(np.count_nonzero(np.arange(1, null_reps + 2) / (null_reps + 1) <= alpha))
+    return k * (null_reps + 1 - k) / ((null_reps + 1) ** 2 * (null_reps + 2))
+
+
 def _cell_rows(task: _CellTask, per_rep: list) -> list:
     spec = task.break_spec
     base = {
@@ -521,7 +540,10 @@ def _cell_rows(task: _CellTask, per_rep: list) -> list:
 
         if task.kind in ("size", "power") and done:
             rate = float(np.mean(values))
-            _row("rejection_rate", rate, float(np.sqrt(rate * (1 - rate) / done)))
+            var = rate * (1 - rate) / done
+            if task.kind == "size" and _parse_detector(name)[0] == "ff":
+                var += _bank_variance(task.null_reps, task.alpha)
+            _row("rejection_rate", rate, float(np.sqrt(var)))
         elif task.kind == "dating" and done:
             err = np.asarray(values, dtype=float)
             _row("bias", float(err.mean()),
@@ -554,10 +576,16 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     streams keyed by (seed, DGP digest, replication), so any cell is
     reproducible in isolation and cells sharing a DGP replay identical errors,
     whatever the block size or ``workers``. Failed replications are counted
-    per detector in ``failures`` rows. FF size and power decisions come from
-    ``detect.rejects``, which gives the decisions of ``detect.test`` with
-    fewer draws; ``null_reps`` and ``null_grid`` (None, the default: each
-    series' own n steps) affect only them. ``xi_reps`` has no effect:
+    per detector in ``failures`` rows. FF size and power decisions are those
+    of ``detect.test`` at one cell seed, read from a bank of null draws per
+    job (``detect.NullBank``, see the module docstring); ``null_reps`` and
+    ``null_grid`` (None, the default: each series' own n steps) affect only
+    them. Since the replications of a cell share one Monte Carlo critical
+    value, the ``stderr`` of an FF size row is sqrt(r (1 - r) / R + v), where
+    v = k (N + 1 - k) / ((N + 1)^2 (N + 2)), k = floor(alpha (N + 1)) and
+    N = ``null_reps``, is the variance over banks of an exact test's
+    rejection probability under H0; power rows leave the bank term out and
+    give the binomial sqrt(r (1 - r) / R). ``xi_reps`` has no effect:
     coverage intervals use the exact Xi law. ``workers`` processes (default:
     one per CPU) run the replications, at most FUNCBREAK_THREADS of them; with
     one they run in this process. Each cell is cut into jobs of about a

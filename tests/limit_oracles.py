@@ -13,7 +13,7 @@ import numpy as np
 
 from funcbreak.basis import Curve, CurveSeries
 from funcbreak.dating import _replication_rngs
-from funcbreak.detect import _bridge_sq_block, _bridge_weights, cusum_norm_sq
+from funcbreak.detect import _bridge_weights, _squared_bridges, cusum_norm_sq
 
 # normals per block of null replications, part of the seeded null layout
 BLOCK_NORMALS = 1 << 15
@@ -31,7 +31,8 @@ def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
     replications are drawn in blocks of
     B = max(1, BLOCK_NORMALS // (D grid)): block b holds replications
     [bB, min((b + 1)B, reps)), drawn one block after the other from the b-th
-    child of SeedSequence(seed) in one (size, D, grid) call.
+    child of SeedSequence(seed) in one (size, D, grid) call of an SFC64
+    generator.
     """
     lam = np.clip(np.asarray(eigenvalues, dtype=float).ravel(), 0.0, None)
     if not lam.any():
@@ -44,7 +45,8 @@ def serial_null_maxima(eigenvalues, reps, grid, seed) -> np.ndarray:
     for b, child in enumerate(children):
         start = b * block
         size = min(block, reps - start)
-        z = np.random.default_rng(child).standard_normal((size, lam_over_grid.size, grid))
+        rng = np.random.Generator(np.random.SFC64(child))
+        z = rng.standard_normal((size, lam_over_grid.size, grid))
         np.cumsum(z, axis=2, out=z)
         endpoint = z[:, :, -1].copy()
         z -= endpoint[:, :, None] * grid_frac
@@ -64,7 +66,9 @@ def no_break_argmax_sample(eigenvalues, reps: int = 1000, grid: int = 1000,
     weights = _bridge_weights(eigenvalues, reps, grid)
     if weights[0].size == 0:
         raise ValueError("all eigenvalues are zero; argmax law is undefined")
-    paths = (_bridge_sq_block(rng, 1, *weights)[0]
+    lam_over_grid, grid_frac = weights
+    paths = (np.matmul(lam_over_grid,
+                       _squared_bridges(rng, 1, lam_over_grid.size, grid_frac))[0]
              for rng in _replication_rngs(seed, reps))
     draws = np.fromiter(((int(np.argmax(path)) + 1) / grid for path in paths),
                         dtype=float, count=reps)

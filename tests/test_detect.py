@@ -7,11 +7,11 @@ from scipy import stats
 from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose
 from funcbreak.dating import date_break
 from funcbreak.detect import (
+    NullBank,
     _bridge_weights,
     cusum_norm_sq,
     cusum_paths,
     fit_break,
-    rejects,
     simulate_null_limit,
     test as ff_test,
 )
@@ -320,10 +320,10 @@ def test_rejects_is_the_decision_of_test(reps):
     for seed in range(30):
         fit = fit_break(seeded_series(seed))
         p_value = ff_test(fit, reps=reps, grid=100, seed=seed).p_value
+        bank = NullBank(seed, reps, grid=100)
         for alpha in (0.01, 0.05, 0.1, 0.5):
             hits += p_value == alpha
-            assert rejects(fit, alpha, reps=reps, grid=100,
-                           seed=seed) == (p_value <= alpha)
+            assert bank.rejects(fit, alpha) == (p_value <= alpha)
     if reps == 19:
         assert hits > 0
 
@@ -339,10 +339,10 @@ def test_rejects_on_a_degenerate_spectrum_matches_test():
         fit = fit_break(series)
         report = ff_test(fit, reps=19, grid=100, seed=0)
         assert report.degenerate
+        bank = NullBank(0, 19, grid=100)
         for alpha in (0.01, 0.05, 0.1, 0.5):
-            decision = rejects(fit, alpha, reps=19, grid=100, seed=0)
-            assert decision == (report.p_value <= alpha)
-        assert rejects(fit, 0.05, reps=19, grid=100, seed=0) == expected
+            assert bank.rejects(fit, alpha) == (report.p_value <= alpha)
+        assert bank.rejects(fit, 0.05) == expected
 
 
 def test_rounding_level_cusum_counts_as_zero():
@@ -355,7 +355,7 @@ def test_rounding_level_cusum_counts_as_zero():
     assert fit.norms[fit.k_hat] > 0.0 and fit.flat
     report = ff_test(fit, reps=19, grid=100, seed=0)
     assert report.stat == 0.0 and report.p_value == 1.0
-    assert not rejects(fit, 0.5, reps=19, grid=100, seed=0)
+    assert not NullBank(0, 19, grid=100).rejects(fit, 0.5)
     with pytest.raises(ValueError, match="break function is zero"):
         date_break(fit)
     step = level.copy()
@@ -376,17 +376,18 @@ def test_fit_break_rejects_coefficients_whose_fourth_powers_overflow():
 
 
 def record_drawn_replications(monkeypatch) -> list:
-    """A list that gets one entry per replication the null sampler draws."""
+    """A list that gets one entry, the block's generator, per replication that
+    the null sampler draws."""
     import funcbreak.detect as detect
 
     drawn = []
-    bridge_sq_block = detect._bridge_sq_block
+    squared_bridges = detect._squared_bridges
 
     def counting(rng, size, *args):
         drawn.extend([rng] * size)
-        return bridge_sq_block(rng, size, *args)
+        return squared_bridges(rng, size, *args)
 
-    monkeypatch.setattr(detect, "_bridge_sq_block", counting)
+    monkeypatch.setattr(detect, "_squared_bridges", counting)
     return drawn
 
 
@@ -394,26 +395,26 @@ def test_rejects_stops_drawing_once_the_decision_is_final(monkeypatch):
     drawn = record_drawn_replications(monkeypatch)
     rng = np.random.default_rng(21)
     null = random_series(rng, 50, 3)
-    assert not rejects(fit_break(null), 0.05, reps=200, grid=100, seed=3)
+    assert not NullBank(3, 200, grid=100).rejects(fit_break(null), 0.05)
     assert 0 < len(drawn) < 200
     # a rejection is final only after every replication is drawn
     drawn.clear()
     data = 0.1 * rng.standard_normal((50, 3))
     data[25:, 0] += 1.0
-    assert rejects(fit_break(make_series(data)), 0.05, reps=200, grid=100, seed=3)
+    assert NullBank(3, 200, grid=100).rejects(fit_break(make_series(data)), 0.05)
     assert len(drawn) == 200
 
 
-@pytest.mark.parametrize("d, grid, reps, seed", [
-    (21, 1000, 99, 1),  # one replication per block
-    (21, 1000, 99, 2),
-    (3, 100, 299, 3),  # 109 replications per block, final in the first block
-    (3, 100, 299, 11),  # final at draw 98, in the first block
-    (3, 100, 299, 29),  # final at draw 189, in the second of three blocks
-    (3, 100, 299, 5),  # a rejection, final only at the last draw
-])
-def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
-                                                           reps, seed):
+def deciding_case(d, grid, reps, seed, final, rejected):
+    """A fit of D = d whose decision at 5% is ``rejected`` and becomes final
+    after draw ``final`` (1-based) of the null at (reps, grid, seed)."""
+    return pytest.param(d, grid, reps, seed, final, rejected,
+                        id=f"{d}-{grid}-{reps}-{seed}")
+
+
+def deciding_fit(d, grid, reps, seed, final, rejected):
+    """The fit of a ``deciding_case`` and the number of blocks up to the one in
+    which its decision becomes final; asserts the case's decision and draw."""
     import funcbreak.detect as detect
 
     rng = np.random.default_rng(seed)
@@ -421,56 +422,132 @@ def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid,
     report = ff_test(fit, reps=reps, grid=grid, seed=seed)
     lam = report.eigenvalues_used
     assert np.count_nonzero(lam > 0) == d
-    # the 1-based index of the draw after which p <= alpha is decided
-    final, exceed = reps, 0
+    decided, exceed = reps, 0
     for i, draw in enumerate(serial_null_maxima(lam, reps, grid, seed), start=1):
         exceed += draw >= report.stat
         if (1 + exceed) / (reps + 1) > 0.05:
-            final = i
+            decided = i
             break
+    assert (report.p_value <= 0.05) == rejected
+    assert decided == final
     block = max(1, detect._BLOCK_NORMALS // (d * grid))
-    drawn = record_drawn_replications(monkeypatch)
-    decision = rejects(fit, 0.05, reps=reps, grid=grid, seed=seed)
-    assert decision == (report.p_value <= 0.05)
-    assert len(drawn) == min(reps, -(-final // block) * block)
+    return fit, block, -(-final // block)
 
 
-@pytest.mark.parametrize("d, grid, reps, seed", [
-    (21, 1000, 99, 1),  # one replication per block, stops early
-    (3, 100, 299, 29),  # stops in the second of three blocks
-    (3, 100, 299, 5),  # a rejection reads every block
+# 109 replications per block at d = 3, one at d = 21
+@pytest.mark.parametrize("d, grid, reps, seed, final, rejected", [
+    deciding_case(21, 1000, 99, 1, 5, False),  # final at draw 5, one replication per block
+    deciding_case(21, 1000, 99, 2, 7, False),  # final at draw 7
+    deciding_case(3, 100, 299, 3, 27, False),  # final at draw 27, early in the first block
+    deciding_case(3, 100, 299, 11, 89, False),  # final at draw 89, late in the first block
+    deciding_case(3, 100, 299, 33, 122, False),  # final at draw 122, in the second of three
+    deciding_case(3, 100, 299, 29, 245, False),  # final at draw 245, in the last of three
+    deciding_case(3, 100, 299, 5, 299, True),  # a rejection, final only at the last draw
 ])
-def test_rejects_spawns_only_the_blocks_it_reads(monkeypatch, d, grid, reps, seed):
-    import funcbreak.detect as detect
+def test_rejects_draws_up_to_the_end_of_the_deciding_block(monkeypatch, d, grid, reps,
+                                                           seed, final, rejected):
+    fit, block, blocks = deciding_fit(d, grid, reps, seed, final, rejected)
+    drawn = record_drawn_replications(monkeypatch)
+    bank = NullBank(seed, reps, grid=grid)
+    assert bank.rejects(fit, 0.05) == rejected
+    assert len(drawn) == min(reps, blocks * block)
+    # a second read of the same fit draws nothing
+    assert bank.rejects(fit, 0.05) == rejected
+    assert len(drawn) == min(reps, blocks * block)
 
-    spawned = []
+
+@pytest.mark.parametrize("d, grid, reps, seed, final, rejected", [
+    deciding_case(21, 1000, 99, 1, 5, False),  # one replication per block, stops at 5
+    deciding_case(3, 100, 299, 33, 122, False),  # stops in the second of three blocks
+    deciding_case(3, 100, 299, 29, 245, False),  # stops in the last of three blocks
+    deciding_case(3, 100, 299, 5, 299, True),  # a rejection reads every block
+])
+def test_rejects_spawns_only_the_blocks_it_reads(monkeypatch, d, grid, reps, seed,
+                                                 final, rejected):
+    children = []
 
     class CountingSeedSequence(np.random.SeedSequence):
-        def spawn(self, n_children):
-            spawned.append(n_children)
-            return super().spawn(n_children)
+        def __init__(self, *args, spawn_key=(), **kwargs):
+            super().__init__(*args, spawn_key=spawn_key, **kwargs)
+            if spawn_key:
+                children.append(spawn_key)
 
-    rng = np.random.default_rng(seed)
-    fit = fit_break(random_series(rng, 60 if d == 21 else 50, d))
+    fit, _, blocks = deciding_fit(d, grid, reps, seed, final, rejected)
     drawn = record_drawn_replications(monkeypatch)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    decision = rejects(fit, 0.05, reps=reps, grid=grid, seed=seed)
-    block = max(1, detect._BLOCK_NORMALS // (d * grid))
-    assert sum(spawned) == len(set(map(id, drawn))) == -(-len(drawn) // block)
-    assert (sum(spawned) < -(-reps // block)) != decision
+    assert NullBank(seed, reps, grid=grid).rejects(fit, 0.05) == rejected
+    assert children == [(b,) for b in range(blocks)]
+    assert len(set(map(id, drawn))) == blocks
 
 
 def test_rejects_checks_its_arguments_like_test():
     fit = fit_break(seeded_series(1))
     with pytest.raises(ValueError, match="alpha"):
-        rejects(fit, 1.0)
+        NullBank(0).rejects(fit, 1.0)
     with pytest.raises(ValueError, match="replication"):
-        rejects(fit, 0.05, reps=0)
+        NullBank(0, reps=0).rejects(fit, 0.05)
     with pytest.raises(ValueError, match="grid"):
-        rejects(fit, 0.05, reps=10, grid=50)
+        NullBank(0, reps=10, grid=50).rejects(fit, 0.05)
     # an explicit grid approximates the continuous supremum and needs 100 steps
     with pytest.raises(ValueError, match="grid"):
         ff_test(fit, reps=10, grid=50)
+
+
+def test_fits_that_share_a_bank_each_decide_as_test(monkeypatch):
+    # D = 4 and one grid for all: one sub-bank, drawn as deep as the deepest fit
+    fits = [fit_break(seeded_series(seed)) for seed in range(12)]
+    decisions = [ff_test(fit, reps=199, grid=100, seed=7).p_value <= 0.05 for fit in fits]
+    assert 0 < sum(decisions) < len(fits)
+    depths = []  # replications that a bank of its own draws for each fit
+    drawn = record_drawn_replications(monkeypatch)
+    for fit in fits:
+        drawn.clear()
+        NullBank(7, 199, grid=100).rejects(fit, 0.05)
+        depths.append(len(drawn))
+    assert len(set(depths)) > 1
+    drawn.clear()
+    bank = NullBank(7, 199, grid=100)
+    assert [bank.rejects(fit, 0.05) for fit in fits] == decisions
+    assert len(drawn) == max(depths)
+    assert list(bank._banks) == [(4, 100)]
+
+
+def test_a_deeper_fit_extends_the_bank(monkeypatch):
+    # a null fit decides in the first block, a break needs every block
+    shallow = fit_break(seeded_series(1))
+    data = 0.1 * np.random.default_rng(8).standard_normal((50, 4))
+    data[25:, 0] += 1.0
+    deep = fit_break(make_series(data))
+    drawn = record_drawn_replications(monkeypatch)
+    bank = NullBank(9, 299, grid=100)
+    assert not bank.rejects(shallow, 0.05)
+    first = list(drawn)
+    assert 0 < len(first) < 299
+    assert bank.rejects(deep, 0.05)
+    assert len(drawn) == 299 and drawn[:len(first)] == first
+    # the kept blocks are the ones that a fresh read of the same seed draws
+    kept = bank._banks[4, 100][1]
+    fresh = NullBank(9, 299, grid=100)
+    assert fresh.rejects(deep, 0.05)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, fresh._banks[4, 100][1]))
+    drawn.clear()
+    assert not bank.rejects(shallow, 0.05) and bank.rejects(deep, 0.05)
+    assert drawn == []
+
+
+def test_fits_of_another_resolved_dimension_read_their_own_sub_bank():
+    # D = 4 and D = 2 (two columns of zeros) under one seed and one grid
+    wide = fit_break(seeded_series(3))
+    data = seeded_series(6).data.copy()
+    data[:, 2:] = 0.0
+    narrow = fit_break(make_series(data))
+    bank = NullBank(5, 99, grid=100)
+    for fit, dim in ((wide, 4), (narrow, 2), (wide, 4)):
+        p_value = ff_test(fit, reps=99, grid=100, seed=5).p_value
+        for alpha in (0.05, 0.5):
+            assert bank.rejects(fit, alpha) == (p_value <= alpha)
+        assert all(block.shape[1:] == (dim, 100) for block in bank._banks[dim, 100][1])
+    assert sorted(bank._banks) == [(2, 100), (4, 100)]
 
 
 def test_report_echoes_configuration():

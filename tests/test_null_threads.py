@@ -1,13 +1,16 @@
 """The FF null draws run on a thread pool; nothing may depend on its size.
 
-Every check compares with ``serial_null_draws``, a serial loop over the blocks
-of replications that ``simulate_null_limit`` spreads over threads, or, where a
-block is one replication, with a loop over replications.
+Every check of the sampler compares with ``serial_null_draws``, a serial loop
+over the blocks of replications that ``simulate_null_limit`` spreads over
+threads, or, where a block is one replication, with a loop over replications.
+The CLI checks compare the reports of one daily CSV under each thread cap.
 """
 
+import json
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ import pytest
 import funcbreak.detect as detect
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
-from funcbreak.detect import fit_break, rejects, resolve_workers, simulate_null_limit
+from funcbreak.detect import NullBank, fit_break, resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
 from limit_oracles import serial_null_maxima
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # FUNCBREAK_THREADS values; None leaves it unset (then all of the CPUs are used)
 THREAD_CAPS = ["1", "2", None]
@@ -33,13 +38,13 @@ def serial_null_draws(eigenvalues, reps, grid, seed):
 
 def per_replication_draws(eigenvalues, reps, grid, seed):
     """Sorted grid maxima of sum_l lam_l B_l^2 for positive lam, replication i
-    drawn alone from the i-th child of SeedSequence(seed)."""
+    drawn alone by SFC64 from the i-th child of SeedSequence(seed)."""
     lam = np.asarray(eigenvalues, dtype=float)
     steps = np.arange(1, grid + 1) / grid
     draws = []
     for child in np.random.SeedSequence(seed).spawn(reps):
-        walks = np.cumsum(np.random.default_rng(child).standard_normal((lam.size, grid)),
-                          axis=1)
+        rng = np.random.Generator(np.random.SFC64(child))
+        walks = np.cumsum(rng.standard_normal((lam.size, grid)), axis=1)
         bridges = walks - walks[:, -1:] * steps
         draws.append(((lam / grid) @ np.square(bridges)).max())
     return np.sort(draws)
@@ -106,13 +111,13 @@ def test_one_replication_blocks_draw_each_replication_from_its_own_child(
 
 def test_draws_run_off_the_calling_thread_only_when_allowed(thread_cap, monkeypatch):
     callers = set()
-    block = detect._bridge_sq_block
+    squared_bridges = detect._squared_bridges
 
     def recording(*args):
         callers.add(threading.get_ident())
-        return block(*args)
+        return squared_bridges(*args)
 
-    monkeypatch.setattr(detect, "_bridge_sq_block", recording)
+    monkeypatch.setattr(detect, "_squared_bridges", recording)
     simulate_null_limit([1.0, 0.5], reps=20, grid=100, seed=1)
     on_caller = callers == {threading.get_ident()}
     assert on_caller == (thread_cap == "1")
@@ -139,8 +144,9 @@ def test_default_grid_draws_the_serial_loop_on_the_series_own_steps(thread_cap, 
     assert report.p_value == (1 + np.count_nonzero(draws >= report.stat)) / 1001
     assert report.critical_values == {
         a: float(np.quantile(draws, 1.0 - a)) for a in (0.01, 0.05, 0.10)}
+    bank = NullBank(n)
     for alpha in (0.01, 0.05, 0.10, report.p_value):
-        assert rejects(fit, alpha, seed=n) == (report.p_value <= alpha)
+        assert bank.rejects(fit, alpha) == (report.p_value <= alpha)
 
 
 def test_many_threads_with_frequent_switches_match_the_serial_loop(monkeypatch):
@@ -165,3 +171,44 @@ def test_non_integer_thread_cap_is_named(monkeypatch, tmp_path, capsys):
     for command in ("detect", "date"):
         assert main([command, str(tmp_path / "absent.csv")]) == 2
         assert "error: FUNCBREAK_THREADS must be an integer" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def daily_csv(tmp_path_factory):
+    """The benchmark's first daily CSV of seed 1: 150 years, one of them dropped."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from inputs import build_csv
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    path = tmp_path_factory.mktemp("daily") / "daily.csv"
+    build_csv(path, 1, 0)
+    return path
+
+
+@pytest.mark.parametrize("command", ["detect", "date"])
+def test_cli_report_does_not_depend_on_the_thread_count(monkeypatch, tmp_path,
+                                                        daily_csv, command):
+    # a cap of 3 threads can exceed the machine's CPUs; unset, all CPUs are used
+    reports = []
+    for cap in ("1", "2", "3", None):
+        if cap is None:
+            monkeypatch.delenv("FUNCBREAK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FUNCBREAK_THREADS", cap)
+        out = tmp_path / f"{command}-{cap}.json"
+        assert main([command, str(daily_csv), "--seed", "1", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1:] == reports[:1] * 3
+
+
+def test_cli_default_grid_equals_an_explicit_grid_of_n(tmp_path, daily_csv):
+    # the default null grid is the series' own n steps (149 curves: one year is
+    # dropped); an explicit grid of n must draw through the same path
+    reports = []
+    for name, extra in (("default", []), ("grid", ["--grid", "149"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["date", str(daily_csv), "--seed", "1", "--out", str(out), *extra]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["grid"] == 149

@@ -17,7 +17,7 @@ import funcbreak
 import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
-from funcbreak.detect import fit_break
+from funcbreak.detect import NullBank, fit_break
 from funcbreak.detect import test as ff_test
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
@@ -71,8 +71,8 @@ def serial_errors(cfg, rng, permutation=None, burnin=100):
 
 
 def serial_replications(dgp, spec, reps, seed):
-    """(series, aux seed, k_star) of each replication of a ``run_experiment``
-    cell, generated one after the other through ``gen_errors`` from their own
+    """(series, k_star) of each replication of a ``run_experiment`` cell,
+    generated one after the other through ``gen_errors`` from their own
     streams."""
     digest = simlab._cell_digest(dgp)
     for rep in range(reps):
@@ -80,29 +80,35 @@ def serial_replications(dgp, spec, reps, seed):
         perm = rng.permutation(dgp.n_basis) if dgp.permute else None
         series, psi = gen_errors(dgp, rng=rng, permutation=perm,
                                  return_operator=True)
-        aux_seed = int(rng.integers(0, 2**63))
         sigma = sigma_vector(dgp.setting, dgp.n_basis)
         trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
         c = snr_to_c(spec.snr, spec.theta, trace_c)
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, break_function(spec.m, c, dgp.n_basis,
                                                      permutation=perm), k_star)
-        yield series, aux_seed, k_star
+        yield series, k_star
+
+
+def cell_seed(dgp, seed):
+    """The seed of the FF null that every replication of a cell reads."""
+    return simlab._bank_seed(seed, simlab._cell_digest(dgp))
 
 
 def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
                      null_grid):
-    """Rows of one ``run_experiment`` cell from ``serial_replications``."""
+    """Rows of one ``run_experiment`` cell from ``serial_replications``, every
+    FF decision read from one bank of the cell's null."""
     task = simlab._CellTask(
         kind=kind, dgp=dgp, break_spec=spec, detectors=tuple(detectors),
         alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
         null_reps=null_reps, null_grid=null_grid, conservative=False,
         lr_config=LongRunConfig())
+    bank = NullBank(cell_seed(dgp, seed), null_reps, null_grid)
     per_rep = []
-    for series, aux_seed, k_star in serial_replications(dgp, spec, reps, seed):
+    for series, k_star in serial_replications(dgp, spec, reps, seed):
         fit = fit_break(series, task.lr_config)
         per_rep.append(({name: simlab._eval_detector(
-            task, *simlab._parse_detector(name), fit, aux_seed, k_star)
+            task, *simlab._parse_detector(name), fit, bank, k_star)
             for name in detectors}, {}))
     return simlab._cell_rows(task, per_rep)
 
@@ -560,8 +566,9 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
     spec = BreakSpec(m=1, snr=0.1, theta=0.5)  # p-values on both sides of 5%
     res = run_experiment("power", dgp, [spec], detectors=["FF"], reps=8, seed=19,
                          workers=1, null_reps=99)
-    decisions = [ff_test(fit_break(series), 0.05, reps=99, seed=aux_seed).p_value <= 0.05
-                 for series, aux_seed, _ in serial_replications(dgp, spec, 8, 19)]
+    decisions = [ff_test(fit_break(series), 0.05, reps=99,
+                         seed=cell_seed(dgp, 19)).p_value <= 0.05
+                 for series, _ in serial_replications(dgp, spec, 8, 19)]
     assert 0.0 < np.mean(decisions) < 1.0
     assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
 
@@ -655,8 +662,86 @@ def test_csv_schema_and_stderr_formula():
     assert len(lines) == 2
     row = res.rows[0]
     p_hat = row["value"]
-    assert row["stderr"] == pytest.approx(np.sqrt(p_hat * (1 - p_hat) / 30))
+    # the replications share one critical value: k = floor(0.05 * 101) = 5 of
+    # N = 100 null draws, whose rejection probability is Beta(5, 96) under H0
+    bank_var = 5 * 96 / (101**2 * 102)
+    assert row["stderr"] == pytest.approx(np.sqrt(p_hat * (1 - p_hat) / 30 + bank_var))
     assert row["m"] == 0 and row["snr"] == 0.0 and row["theta"] == 0.0
+
+
+def test_only_ff_size_rows_carry_the_bank_term():
+    dgp = DgpConfig(setting=1, n=30, n_basis=4)
+    kwargs = dict(detectors=["FF", "Aligned"], reps=30, seed=14, workers=1,
+                  null_reps=100)
+    size = run_experiment("size", dgp, **kwargs).rows
+    power = run_experiment("power", dgp, [BreakSpec(m=1, snr=0.5, theta=0.5)],
+                           **kwargs).rows
+    for row in size + power:
+        rate = row["value"]
+        binomial = rate * (1 - rate) / 30
+        bank = 5 * 96 / (101**2 * 102) if row is size[0] else 0.0
+        assert row["stderr"] == pytest.approx(np.sqrt(binomial + bank), rel=1e-12)
+    assert [row["detector"] for row in size] == ["FF", "Aligned"]
+
+
+def test_ff_size_stderr_carries_the_spread_of_the_bank_over_cell_seeds():
+    # Fixed before the first run: K = 40 cell seeds (0..39) of R = 150
+    # replications each, N = 99 null draws, alpha = 5%. Were the test exact,
+    # a cell's rejection probability would be Beta(5, 95) over banks; binomial
+    # rates at such probabilities put the sample variance S^2 of the 40 rates
+    # outside [1/3, 3] times the mean reported stderr^2, or at or below the
+    # mean binomial term r (1 - r) / R alone, with probability about 4e-4
+    # (200,000 simulated sets of 40 cells).
+    dgp = DgpConfig(setting=1, n=30)
+    rows = [run_experiment("size", dgp, detectors=["FF"], reps=150, seed=seed,
+                           workers=1, null_reps=99).rows for seed in range(40)]
+    assert all(len(cell) == 1 and cell[0]["reps"] == 150 for cell in rows)
+    rates = np.array([cell[0]["value"] for cell in rows])
+    spread = rates.var(ddof=1)
+    stderr_sq = np.mean([cell[0]["stderr"] ** 2 for cell in rows])
+    assert stderr_sq / 3 <= spread <= 3 * stderr_sq
+    assert spread > np.mean(rates * (1 - rates) / 150)
+
+
+@pytest.mark.parametrize("seed", [0, 14, 2**32 + 3])
+def test_the_bank_stream_is_none_of_the_replication_streams(seed):
+    dgp = DgpConfig(setting=1, n=30)
+    digest = simlab._cell_digest(dgp)
+    bank = cell_seed(dgp, seed)
+    replications = [np.random.SeedSequence((seed, digest, rep))
+                    for rep in [*range(2000), *(k << 32 for k in range(1, 50))]]
+    taken = {tuple(seq.generate_state(4)) for seq in replications}
+    blocks = [np.random.SeedSequence(bank.entropy, spawn_key=(*bank.spawn_key, b))
+              for b in range(100)]
+    assert not {tuple(seq.generate_state(4)) for seq in [bank, *blocks]} & taken
+    if seed >= 1 << 32:
+        # with 4 words of (seed, digest) a one-word key (0,) is not padded,
+        # and it would give the stream of replication 0
+        one_word = np.random.SeedSequence((seed, digest), spawn_key=(0,))
+        assert tuple(one_word.generate_state(4)) in taken
+
+
+def test_identical_calls_each_draw_their_own_bank(monkeypatch):
+    import funcbreak.detect as detect
+
+    drawn = []
+    null_rng = detect._null_rng
+
+    def recording(child):
+        drawn.append(child.spawn_key)
+        return null_rng(child)
+
+    monkeypatch.setattr(detect, "_null_rng", recording)
+    kwargs = dict(detectors=["FF"], reps=40, seed=3, workers=1, null_reps=99)
+    calls = []
+    for _ in range(2):
+        drawn.clear()
+        rows = run_experiment("size", DgpConfig(setting=1, n=30), **kwargs).rows
+        calls.append((rows, list(drawn)))
+    assert calls[0] == calls[1]
+    # three jobs of 16, 16 and 8 replications, each of which draws from block 0
+    assert simlab._job_bounds(40, 1) == [(0, 16), (16, 32), (32, 40)]
+    assert calls[0][1].count((0, 0, 0)) == 3
 
 
 def test_failed_replications_are_counted(monkeypatch):
