@@ -178,6 +178,10 @@ def fit_curve(basis: FourierBasis, t, values) -> np.ndarray:
     NaN values are treated as missing and excluded from the fit. The normal
     equations are solved unless ill-conditioned, when ``np.linalg.lstsq`` fits
     the design. Raises DegenerateFitError when fewer than D usable points remain.
+
+    It stays public as the per-year reference: ``cli.ingest`` fits every year
+    in one stacked solve and is tested against it, and the benchmark traces it
+    as a layer.
     """
     t = np.asarray(t, dtype=float).ravel()
     y = np.asarray(values, dtype=float).ravel()

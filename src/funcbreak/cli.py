@@ -462,7 +462,7 @@ def _cmd_simulate(args) -> None:
     result = run_experiment(
         args.kind, dgps, specs, detectors=detectors, reps=args.sim_reps,
         alpha=args.alpha, seed=args.seed, workers=args.workers,
-        null_reps=args.reps, null_grid=args.grid, xi_reps=args.xi_reps,
+        null_reps=args.reps, null_grid=args.grid,
         conservative=args.conservative, lr_config=_lr_config(args),
     )
     result.to_csv(args.out or sys.stdout)
@@ -553,9 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--df", type=int, default=None)
     p_sim.add_argument("--kappa", type=float, default=0.5)
     p_sim.add_argument("--no-permute", action="store_true", dest="no_permute")
-    p_sim.add_argument("--xi-reps", type=int, default=2000, dest="xi_reps",
-                       help="no effect: the argmax limit law is evaluated "
-                            "exactly (accepted for compatibility)")
     p_sim.add_argument("--conservative", action="store_true")
     p_sim.add_argument("--workers", type=int, default=None,
                        help="processes (default: one per CPU), at most FUNCBREAK_THREADS")

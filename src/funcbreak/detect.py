@@ -455,10 +455,13 @@ class NullBank:
         Blocks are read in order, and reading stops at the end of the block in
         which the count of draws >= the statistic makes (1 + count) /
         (reps + 1) exceed alpha: under the null the decision takes a fraction
-        of the draws. Kernel, grid and argument checks are those of ``test``.
+        of the draws. Kernel, grid and argument checks are those of ``test``;
+        when 1 / (reps + 1) > alpha no count can reject, and none is drawn.
         """
         weights = _bridge_weights(fit.null[2].values, self.reps,
                                   _null_grid(alpha, self.grid, fit.series.n))
+        if 1 / (self.reps + 1) > alpha:
+            return False
         exceed = 0
         for squares in self._blocks(weights):
             maxima = np.matmul(weights[0], squares).max(axis=1)

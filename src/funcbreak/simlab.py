@@ -577,26 +577,21 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     reproducible in isolation and cells sharing a DGP replay identical errors,
     whatever the block size or ``workers``. Failed replications are counted
     per detector in ``failures`` rows. FF size and power decisions are those
-    of ``detect.test`` at one cell seed, read from a bank of null draws per
-    job (``detect.NullBank``, see the module docstring); ``null_reps`` and
-    ``null_grid`` (None, the default: each series' own n steps) affect only
-    them. Since the replications of a cell share one Monte Carlo critical
-    value, the ``stderr`` of an FF size row is sqrt(r (1 - r) / R + v), where
-    v = k (N + 1 - k) / ((N + 1)^2 (N + 2)), k = floor(alpha (N + 1)) and
-    N = ``null_reps``, is the variance over banks of an exact test's
-    rejection probability under H0; power rows leave the bank term out and
-    give the binomial sqrt(r (1 - r) / R). ``xi_reps`` has no effect:
+    of ``detect.test`` at one cell seed (see the module docstring for the
+    bank they read); ``null_reps`` and ``null_grid`` (None, the default: each
+    series' own n steps) affect only them. ``xi_reps`` has no effect:
     coverage intervals use the exact Xi law. ``workers`` processes (default:
     one per CPU) run the replications, at most FUNCBREAK_THREADS of them; with
-    one they run in this process. Each cell is cut into jobs of about a
-    quarter of a worker's share but at least one generation block of
-    replications (fewer only when the cell is smaller than a block per
-    worker), because each job pays a pool round trip and each block a full
-    FAR(1) recursion. The worker processes are kept between calls
-    and idle in between with their memory; they see the module state of the
-    moment they were forked. A call that resolves to another worker count
-    replaces them, and a call that raises or finds a worker dead drops them
-    (see the module docstring).
+    one they run in this process.
+
+    Since the replications of a cell share one Monte Carlo critical value,
+    the ``stderr`` of an FF size row is sqrt(r (1 - r) / R + v), where
+    v = k (N + 1 - k) / ((N + 1)^2 (N + 2)), k = floor(alpha (N + 1)) and
+    N = ``null_reps``, is the variance over banks of an exact test's
+    rejection probability under H0. Power rows leave the bank term out and
+    give the binomial sqrt(r (1 - r) / R), which understates their spread
+    over cell seeds: at setting 1, n = 30, N = 99 and SNR 0.1 the variance
+    over 40 seeds was 10.4 times the binomial term.
     """
     if reps < 1 or null_reps < 1:
         raise ValueError("need at least one replication")

@@ -2,7 +2,11 @@ import csv
 import datetime
 import io
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from funcbreak.cli import DataFormatError, ingest, main, read_coeffs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_daily_csv(path, year_values, missing=()):
@@ -191,6 +197,39 @@ def test_coefficient_csv_with_byte_order_mark_reads_as_plain(step_file, tmp_path
     assert labels == plain_labels
 
 
+def cli_report(tmp_path, command, path, *options):
+    out = tmp_path / f"{command}-{path.stem}.json"
+    assert main([command, str(path), "--seed", "1", *options, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("options", [[], ["--weight", "parzen", "--bandwidth", "n13"]])
+def test_date_repeats_the_detect_report(tmp_path, daily_csv, options):
+    # detect and date build one fit of the input through one path
+    detect, date = (json.loads(cli_report(tmp_path, command, daily_csv, *options))
+                    for command in ("detect", "date"))
+    detect_config, date_config = detect.pop("config"), date.pop("config")
+    assert {key: date.get(key) for key in detect} == detect
+    assert {key: date_config.get(key) for key in detect_config} == detect_config
+
+
+# spreadsheets save "CSV UTF-8" with a byte-order mark; ingest parses LF and CRLF lines
+# in bulk, quoted values in the csv row loop, and values -?digits[.digits] in bulk, any
+# other (here with "e0" appended from line 2 on) through float
+@pytest.mark.parametrize("rewrite, commands", [
+    (lambda data: b"\xef\xbb\xbf" + data, ["detect"]),
+    (lambda data: data.replace(b"\n", b"\r\n"), ["detect"]),
+    (lambda data: re.sub(rb"(?m),(.*)$", rb',"\1"', data), ["detect"]),
+    (lambda data: re.sub(rb"(\n[^,\n]*),(.+)", rb"\1,\2e0", data), ["detect", "date"]),
+], ids=["byte-order-mark", "crlf", "quoted", "e0"])
+def test_report_does_not_depend_on_how_the_values_are_written(tmp_path, daily_csv,
+                                                              rewrite, commands):
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(rewrite(daily_csv.read_bytes()))
+    for command in commands:
+        assert cli_report(tmp_path, command, copy) == cli_report(tmp_path, command, daily_csv)
+
+
 def test_date_command_reports_interval_with_labels(step_file, capsys):
     assert main(["date", str(step_file), "--seed", "5", "--reps", "150",
                  "--grid", "150", "--xi-reps", "400"]) == 0
@@ -305,6 +344,40 @@ def test_coefficients_below_the_overflow_check_run_clean(tmp_path, capsys):
     assert main(["date", str(path), "--coeffs", "--basis-size", "3", "--fpca", *FAST]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["k_hat"] == 15 and report["ci"]["lo"] <= 15 <= report["ci"]["hi"]
+
+
+# "dropped years" is the warning the daily CSV is built to give
+QUIET = ["-W", "ignore:dropped years:UserWarning"]
+
+
+@pytest.mark.parametrize("flags, argv, code", [
+    (QUIET, "detect {csv} --seed 1 --out {out}/detect.json", 0),
+    (QUIET, "date {csv} --fpca --seed 1 --out {out}/date.json", 0),
+    (QUIET, "simulate size --setting 1 --n 30 --sim-reps 4 --reps 99 --grid 100 "
+            "--detectors FF Aligned --workers 2 --out {out}/size.csv", 0),
+    (QUIET, "simulate coverage --setting 2 --dependence far1 --theta 0.25 --n 30 "
+            "--sim-reps 8 --detectors FF --workers 2 --out {out}/coverage.csv", 0),
+    (QUIET, "simulate dating --setting 2 --n 30 --sim-reps 8 --detectors FF fPCA@0.90 "
+            "--workers 2 --out {out}/dating.csv", 0),
+    ([], "detect {huge} --coeffs --basis-size 3 --seed 1", 3),
+    ([], "date {huge} --coeffs --basis-size 3 --seed 1", 3),
+    # without --detectors a run takes the defaults that its kind supports
+    ([], "simulate dating --setting 2 --n 30 --sim-reps 3 --workers 2 --out {out}/d.csv", 0),
+    ([], "simulate coverage --setting 2 --n 30 --sim-reps 3 --workers 2 --out {out}/c.csv", 0),
+], ids=["detect", "date", "size", "coverage", "dating", "detect-overflow", "date-overflow",
+        "dating-defaults", "coverage-defaults"])
+def test_cli_runs_clean_in_development_mode(tmp_path, daily_csv, flags, argv, code):
+    # with warnings as errors a numpy deprecation fails a command, and an unclosed
+    # stream is reported on stderr as it is collected; coefficients of 1e155 give
+    # one numerical error and no numpy warning
+    huge = scaled_step_coeffs(tmp_path / "huge.csv", 1e155)
+    args = [part.format(csv=daily_csv, huge=huge, out=tmp_path) for part in argv.split()]
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *flags,
+                           "-m", "funcbreak.cli", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert len(done.stderr.splitlines()) == (code != 0), done.stderr
+    assert done.stderr.startswith("numerical error:" if code else ""), done.stderr
 
 
 def test_constant_daily_series_has_no_break(tmp_path, capsys):
@@ -483,6 +556,14 @@ def test_simulate_repeated_detector_exits_before_work(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_takes_no_xi_reps(capsys):
+    # the interval's limit law is exact; only date still accepts the option
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "coverage", "--setting", "1", "--n", "30", "--xi-reps", "10"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --xi-reps 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["fpca@abc", "fpca@", "fPCA@1.5"])
 def test_simulate_bad_tve_names_its_detector(tmp_path, capsys, name):
     out = tmp_path / "size.csv"
@@ -579,3 +660,10 @@ def test_simulate_table_has_full_grid_shape(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     rate_rows = [r for r in rows if r["metric"] == "rejection_rate"]
     assert len(rate_rows) == 3 * 2 * 2 * 5  # settings x dgps x n x detectors
+
+
+def test_src_imports_no_scipy():
+    # scipy is a test-only dependency: the package itself runs on numpy alone
+    pattern = re.compile(r"^[ \t]*(import[ \t].*\bscipy|from[ \t]+scipy)\b", re.M)
+    assert [path.name for path in (SRC / "funcbreak").glob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))] == []

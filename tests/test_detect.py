@@ -535,6 +535,15 @@ def test_a_deeper_fit_extends_the_bank(monkeypatch):
     assert drawn == []
 
 
+def test_a_level_below_every_p_value_draws_nothing(monkeypatch):
+    # at N = 99 the least p-value is 1 / 100 > 0.005: no count can reject
+    fit = fit_break(seeded_series(3))
+    expected = ff_test(fit, 0.005, reps=99, grid=100, seed=4).p_value <= 0.005
+    drawn = record_drawn_replications(monkeypatch)
+    assert NullBank(4, 99, grid=100).rejects(fit, 0.005) == expected
+    assert drawn == []
+
+
 def test_fits_of_another_resolved_dimension_read_their_own_sub_bank():
     # D = 4 and D = 2 (two columns of zeros) under one seed and one grid
     wide = fit_break(seeded_series(3))

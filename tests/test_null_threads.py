@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from funcbreak.cli import main
 from funcbreak.detect import NullBank, fit_break, resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
 from limit_oracles import serial_null_maxima
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # FUNCBREAK_THREADS values; None leaves it unset (then all of the CPUs are used)
 THREAD_CAPS = ["1", "2", None]
@@ -171,19 +168,6 @@ def test_non_integer_thread_cap_is_named(monkeypatch, tmp_path, capsys):
     for command in ("detect", "date"):
         assert main([command, str(tmp_path / "absent.csv")]) == 2
         assert "error: FUNCBREAK_THREADS must be an integer" in capsys.readouterr().err
-
-
-@pytest.fixture(scope="module")
-def daily_csv(tmp_path_factory):
-    """The benchmark's first daily CSV of seed 1: 150 years, one of them dropped."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from inputs import build_csv
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    path = tmp_path_factory.mktemp("daily") / "daily.csv"
-    build_csv(path, 1, 0)
-    return path
 
 
 @pytest.mark.parametrize("command", ["detect", "date"])
