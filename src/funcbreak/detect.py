@@ -21,7 +21,7 @@ weights do, so a ``NullBank`` keeps them for fits that share a seed: its
 ``rejects`` gives the decision p <= alpha of ``test`` at that seed, reading the
 kept blocks in order and drawing the next only when the decision is not final
 at the end of the last (sequential Monte Carlo, Besag & Clifford 1991), so
-simlab's size and power replications of one job share their draws.
+simlab's size and power replications at one seed, in any job, share them.
 ``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
 bridge, the null limit of the fPCA and aligned detectors.
 
@@ -40,10 +40,11 @@ makes the child of a block only when it draws the block.
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -440,13 +441,14 @@ class NullBank:
 
     ``rejects`` of a fit reads the blocks that ``test(fit, alpha, reps=reps,
     grid=grid, seed=seed)`` draws, from the sub-bank of the fit's resolved D
-    and G. A block is drawn when the first fit that needs it reads it, and
-    kept: a sub-bank holds at most reps D G float64 values.
+    and G. A block is drawn (once, under the bank's lock) when the first fit
+    that needs it reads it, and kept: a sub-bank holds at most reps D G float64s.
     """
 
     def __init__(self, seed, reps: int = 1000, grid: int | None = None):
         self.seed, self.reps, self.grid = seed, reps, grid
         self._banks = {}  # (D, G) -> (blocks not yet drawn, squared bridges kept)
+        self._lock, self.nbytes = threading.Lock(), 0  # bytes of the kept blocks
 
     def rejects(self, fit: BreakFit, alpha: float) -> bool:
         """Whether ``test`` of ``fit`` at ``alpha`` and this bank's arguments
@@ -473,12 +475,14 @@ class NullBank:
     def _blocks(self, weights):
         """The squared bridges of each block for ``weights``' D and G, in draw
         order: the kept blocks, then new ones, each kept as it is drawn."""
-        lam_over_grid, grid_frac = weights
-        key = (lam_over_grid.size, grid_frac.size)
-        if key not in self._banks:
-            self._banks[key] = (_null_blocks(self.seed, self.reps, weights), [])
-        pending, kept = self._banks[key]
-        yield from kept
-        for child, size in pending:
-            kept.append(_squared_bridges(_null_rng(child), size, key[0], grid_frac))
-            yield kept[-1]
+        dim, grid_frac = weights[0].size, weights[1]
+        pending, kept = self._banks.setdefault((dim, grid_frac.size), (
+            _null_blocks(self.seed, self.reps, weights), []))  # atomic: one sub-bank
+        for i in count():
+            with self._lock:  # draw block i unless another thread has drawn it
+                for child, size in islice(pending, int(i == len(kept))):
+                    kept.append(_squared_bridges(_null_rng(child), size, dim, grid_frac))
+                    self.nbytes += kept[-1].nbytes
+                if i == len(kept):
+                    return
+            yield kept[i]

@@ -13,30 +13,34 @@ is smaller than a block per worker: every job pays one pool round trip and
 one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. FF size and power
-decisions read one ``detect.NullBank`` per job, seeded by ``_bank_seed`` from
-(seed, DGP digest): every job of a cell, on any worker count, and the size and
-power cells of one DGP read the same draws, and a job draws only the blocks
-that its slowest replication reads. A bank lives as long as its job; it keeps
-null_reps D G float64 values per resolved dimension D at most (168 MB per
-worker at G = 1000, D = 21; 16.8 MB at the default G = n = 100). Every
-replication builds one ``detect.BreakFit`` of its series, and every detector reads it:
-FF and aligned (oversized in setting 1, see ``fpca.aligned_statistic``) the
-long-run kernel, and every fPCA level the one sample covariance spectrum,
-each computed on first use; so a dating replication estimates no kernel.
+replications affect only the fully functional (FF) test. FF size and power jobs
+read the ``detect.NullBank`` of (seed, DGP digest, null_reps, null_grid) that
+their process keeps until a job of another seed runs there: the jobs and break
+specs of a DGP, and size and power calls at one seed, share it, drawn as deep
+as the slowest replication read. A full bank is null_reps D G float64s per
+resolved D (16.8 MB at n = G = 100, D = 21; 168 MB at G = 1000). A job that
+ends evicts least recently used other banks above ``_BANK_BUDGET`` = 256 MiB:
+between jobs a process or pool worker keeps 256 MiB, or its last job's bank if
+larger, at most, plus a full bank per running job, and holds them while idle.
+Every replication builds one ``detect.BreakFit`` of its series, and every
+detector reads it: FF and aligned (oversized in setting 1, see
+``fpca.aligned_statistic``) the long-run kernel, and every fPCA level the one
+sample covariance spectrum, each computed on first use; so a dating replication
+estimates no kernel.
 
 Runs with more than one worker map their replications on one pool of worker
-processes per process, kept between ``run_experiment`` calls: its workers
-idle there, holding their memory, until the interpreter exits. They are
-forked on first use and see the module state of that moment, and each keeps
-its own caches (the fPCA and aligned critical values) from call to call. The
-pool is replaced, the old one joined first, when a call resolves to another
-worker count, and dropped when a call raises; a call that finds a worker of
-the kept pool dead runs its jobs again on a fresh pool.
+processes per process, kept between ``run_experiment`` calls: its workers idle
+there, holding their memory, until the interpreter exits. They are forked on
+first use and see the module state of that moment but no bank, and each keeps
+its own caches (the fPCA and aligned critical values, the banks) from call to
+call. The pool is replaced, the old one joined first, when a call resolves to
+another worker count, and dropped when a call raises; a call that finds a
+worker of the kept pool dead runs its jobs again on a fresh pool.
 """
 
 import contextlib
 import hashlib
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -380,10 +384,36 @@ def _bank_seed(seed: int, digest: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, digest), spawn_key=(0, 0))
 
 
+# FF null banks by (seed, digest, null_reps, null_grid), least recently used first
+_BANK_BUDGET = 256 << 20
+_banks, _banks_lock = {}, threading.Lock()
+
+
+def _forget_banks() -> None:
+    """Empty the bank cache, with a new lock (a forked child's lock may be held)."""
+    global _banks, _banks_lock
+    _banks, _banks_lock = {}, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_banks)
+
+
+def _kept_bank(task: _CellTask) -> NullBank:
+    """``task``'s FF null bank, kept or made, now the most recently used."""
+    key = (task.seed, task.digest, task.null_reps, task.null_grid)
+    with _banks_lock:
+        for old in [old for old in _banks if old[0] != task.seed]:
+            del _banks[old]  # a study that moved to a new seed reads none again
+        bank = _banks[key] = _banks.pop(key, None) or NullBank(
+            _bank_seed(task.seed, task.digest), task.null_reps, task.null_grid)
+        return bank
+
+
 def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     dgp = task.dgp
     basis = FourierBasis(dgp.n_basis)
-    bank = NullBank(_bank_seed(task.seed, task.digest), task.null_reps, task.null_grid)
+    ff_null = ("ff", None) in map(_parse_detector, task.detectors)
+    bank = _kept_bank(task) if ff_null and task.kind in ("size", "power") else None
     out = []
     for lo in range(start, stop, _BLOCK_REPS):
         rngs = [np.random.default_rng(np.random.SeedSequence((task.seed, task.digest, rep)))
@@ -393,6 +423,11 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
         for r, perm in enumerate(perms):
             series = CurveSeries(_apply_permutation(data[r], perm), basis)
             out.append(_replicate(task, series, psi[r], perm, bank))
+    if bank is not None:  # it has grown: evict the least recently used others
+        with _banks_lock:
+            others = [key for key, old in _banks.items() if old is not bank]
+            while others and sum(old.nbytes for old in _banks.values()) > _BANK_BUDGET:
+                del _banks[others.pop(0)]
     return out
 
 

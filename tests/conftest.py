@@ -3,6 +3,17 @@ from pathlib import Path
 
 import pytest
 
+import funcbreak.simlab as simlab
+
+
+@pytest.fixture(autouse=True)
+def no_kept_null_banks():
+    """Each test starts with an empty cache of FF null banks in this process,
+    so no serial run reads the draws, or a patched sampler's draws, of an
+    earlier test. The kept pool's workers keep their own banks from test to
+    test; no test patches a sampler and runs on the pool."""
+    simlab._forget_banks()
+
 
 @pytest.fixture(scope="session")
 def daily_csv(tmp_path_factory):

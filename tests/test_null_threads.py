@@ -10,15 +10,19 @@ import json
 import os
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import funcbreak.detect as detect
+import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
 from funcbreak.detect import NullBank, fit_break, resolve_workers, simulate_null_limit
 from funcbreak.detect import test as ff_test
+from funcbreak.simlab import BreakSpec, DgpConfig, run_experiment
 from limit_oracles import serial_null_maxima
 
 # FUNCBREAK_THREADS values; None leaves it unset (then all of the CPUs are used)
@@ -156,6 +160,41 @@ def test_many_threads_with_frequent_switches_match_the_serial_loop(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(sample.draws, serial_null_draws([1.0, 0.4, 0.1], 61, 100, 8))
+
+
+def test_serial_calls_on_threads_share_one_bank_and_draw_each_block_once(monkeypatch):
+    # a strong break makes FF read every block of the cell's bank: 199 draws
+    # of D = 21 bridges on 30 steps come in 4 blocks
+    args = ("power", DgpConfig(setting=3, n=30), [BreakSpec(m=1, snr=4.0, theta=0.5)])
+    kwargs = dict(detectors=["FF"], reps=24, seed=5, workers=1, null_reps=199)
+    expected = run_experiment(*args, **kwargs).rows
+    (sequential,) = simlab._banks.values()
+    simlab._forget_banks()
+    drawn = []
+    null_rng = detect._null_rng
+
+    def recording(child):
+        drawn.append(child.spawn_key)
+        # slow draws, the later blocks faster: threads that read the bank
+        # meanwhile must wait for the block, not draw the next one
+        time.sleep(0.01 * (4 - child.spawn_key[-1]))
+        return null_rng(child)
+
+    monkeypatch.setattr(detect, "_null_rng", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as threads:
+            calls = [threads.submit(run_experiment, *args, **kwargs) for _ in range(4)]
+            results = [call.result(timeout=120) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result.rows == expected for result in results)
+    assert drawn == [(0, 0, b) for b in range(4)]
+    (shared,) = simlab._banks.values()
+    kept, in_order = shared._banks[21, 30][1], sequential._banks[21, 30][1]
+    assert len(kept) == len(in_order) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(kept, in_order))
 
 
 def test_non_integer_thread_cap_is_named(monkeypatch, tmp_path, capsys):

@@ -447,6 +447,14 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited, left for its parent to reap."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+    except ChildProcessError:  # reaped already
+        return True
+
+
 def small_run(workers, dgp=None):
     return run_experiment("size", dgp or DgpConfig(setting=3, n=30),
                           detectors=["FF", "Aligned"], reps=8, seed=31,
@@ -497,11 +505,12 @@ def test_a_killed_worker_is_replaced_and_the_rows_kept(reaped):
     small_run(2)
     victim = pool_pids()[0]
     os.kill(victim, signal.SIGKILL)
-    if reaped:  # the pool has seen the death and joined its workers
-        for _ in range(200):
-            if not pid_alive(victim):
-                break
-            time.sleep(0.05)
+    # the victim has exited; when reaped, the pool has also seen the death and
+    # joined its workers, and when not, it may not have noticed yet
+    for _ in range(200):
+        if not pid_alive(victim) if reaped else exited(victim):
+            break
+        time.sleep(0.05)
     assert small_run(2) == expected
     assert len(pool_pids()) == 2 and victim not in pool_pids()
 
@@ -721,7 +730,7 @@ def test_the_bank_stream_is_none_of_the_replication_streams(seed):
         assert tuple(one_word.generate_state(4)) in taken
 
 
-def test_identical_calls_each_draw_their_own_bank(monkeypatch):
+def test_identical_calls_share_one_bank(monkeypatch):
     import funcbreak.detect as detect
 
     drawn = []
@@ -738,10 +747,120 @@ def test_identical_calls_each_draw_their_own_bank(monkeypatch):
         drawn.clear()
         rows = run_experiment("size", DgpConfig(setting=1, n=30), **kwargs).rows
         calls.append((rows, list(drawn)))
-    assert calls[0] == calls[1]
-    # three jobs of 16, 16 and 8 replications, each of which draws from block 0
+    assert calls[0][0] == calls[1][0]
+    # three jobs of 16, 16 and 8 replications read one bank: block 0 is drawn
+    # once, and the second call finds every block it reads already drawn
     assert simlab._job_bounds(40, 1) == [(0, 16), (16, 32), (32, 40)]
-    assert calls[0][1].count((0, 0, 0)) == 3
+    assert calls[0][1].count((0, 0, 0)) == 1
+    assert calls[1][1] == []
+
+
+def test_a_process_keeps_the_banks_of_one_seed(monkeypatch):
+    import funcbreak.detect as detect
+
+    drawn = []
+    null_rng = detect._null_rng
+
+    def recording(child):
+        drawn.append(child.spawn_key)
+        return null_rng(child)
+
+    monkeypatch.setattr(detect, "_null_rng", recording)
+    dgp = DgpConfig(setting=3, n=30)  # 199 draws of D = 21 bridges: 4 blocks
+    kwargs = dict(detectors=["FF"], reps=8, workers=1, null_reps=199)
+    for seed in range(4):
+        drawn.clear()
+        run_experiment("size", dgp, seed=seed, **kwargs)
+    # a loop over seeds holds the bank of its last seed, not one of every seed
+    assert [key[0] for key in simlab._banks] == [3]
+    # a power call after the size call at its seed reads the size call's bank:
+    # a strong break reads every block, and only those not yet drawn are drawn
+    size_drawn = list(drawn)
+    drawn.clear()
+    run_experiment("power", dgp, [BreakSpec(m=1, snr=4.0, theta=0.5)], seed=3, **kwargs)
+    assert size_drawn and drawn
+    assert size_drawn + drawn == [(0, 0, b) for b in range(len(size_drawn) + len(drawn))]
+
+
+def kept_bytes() -> int:
+    return sum(bank.nbytes for bank in simlab._banks.values())
+
+
+def test_kept_banks_stay_within_the_budget(monkeypatch):
+    # a strong break makes FF read every block, so each bank fills: 99 draws
+    # of D = 21 bridges on 30 steps
+    args = ([DgpConfig(setting=3, n=30), DgpConfig(setting=3, n=30, kappa=0.3,
+                                                    dependence="far1")],
+            [BreakSpec(m=1, snr=4.0, theta=0.5)])
+    kwargs = dict(detectors=["FF"], reps=40, workers=1, null_reps=99)
+    first = run_experiment("power", *args, seed=0, **kwargs).rows
+    full = 99 * 21 * 30 * 8
+    assert [bank.nbytes for bank in simlab._banks.values()] == [full, full]
+    # room for one full bank and a half: a job that ends evicts the least
+    # recently used other banks until the total fits, and keeps its own
+    monkeypatch.setattr(simlab, "_BANK_BUDGET", full * 3 // 2)
+    fetch, replicate, run_chunk = simlab._kept_bank, simlab._replicate, simlab._run_chunk
+    fetched, ended = [], []
+
+    def fetching(task):
+        fetched.append(fetch(task))
+        return fetched[-1]
+
+    def replicating(task, series, psi, perm, bank):
+        assert any(kept is bank for kept in simlab._banks.values())
+        return replicate(task, series, psi, perm, bank)
+
+    def running(*job):
+        out = run_chunk(*job)
+        ended.append((fetched[-1], kept_bytes()))
+        assert any(kept is fetched[-1] for kept in simlab._banks.values())
+        return out
+
+    monkeypatch.setattr(simlab, "_kept_bank", fetching)
+    monkeypatch.setattr(simlab, "_replicate", replicating)
+    monkeypatch.setattr(simlab, "_run_chunk", running)
+    for seed in (1, 2, 0):
+        rows = run_experiment("power", *args, seed=seed, **kwargs).rows
+        # every bank filled after its fetch, yet the budget holds between calls
+        assert kept_bytes() <= simlab._BANK_BUDGET
+    assert len(ended) == 3 * 2 * 3  # three calls of two cells of three jobs
+    assert all(total <= max(simlab._BANK_BUDGET, bank.nbytes) for bank, total in ended)
+    assert rows == first  # seed 0's banks went and were drawn again
+
+
+@pytest.mark.parametrize("kind, detectors", [("dating", ["FF", "fPCA@0.90"]),
+                                             ("coverage", ["FF"]),
+                                             ("size", ["Aligned", "fPCA@0.90"])])
+def test_runs_that_read_no_ff_null_take_no_bank(kind, detectors):
+    specs = [] if kind == "size" else [BreakSpec(m=1, snr=1.0, theta=0.5)]
+    run_experiment(kind, DgpConfig(setting=1, n=30), specs, detectors=detectors,
+                   reps=4, workers=1)
+    assert simlab._banks == {}
+
+
+def run_in_child(results) -> None:
+    results.put((dict(simlab._banks), small_run(1)))
+
+
+def test_a_forked_child_starts_without_banks_or_held_locks():
+    # the parent holds the cache's lock and a bank's lock across the fork, as
+    # another of its threads may: the child must neither wait on them nor
+    # read the parent's bank
+    expected = small_run(1)
+    (bank,) = simlab._banks.values()
+    fork = multiprocessing.get_context("fork")
+    results = fork.Queue()
+    with simlab._banks_lock, bank._lock:
+        child = fork.Process(target=run_in_child, args=(results,))
+        child.start()
+    try:
+        kept, rows = results.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert kept == {} and rows == expected
 
 
 def test_failed_replications_are_counted(monkeypatch):
