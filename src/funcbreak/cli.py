@@ -480,10 +480,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seeded Monte Carlo draws for the FF null law; detect "
                              "and date draw on up to FUNCBREAK_THREADS threads "
                              "(default: one per CPU), and no result depends on the "
-                             "thread count; simulate draws the null once per cell "
-                             "and job, and its replications share the draws; the "
-                             "funcbreak.detect module docstring gives the block "
-                             "layout of the draws")
+                             "thread count; simulate keeps one bank of draws per "
+                             "process, seed and DGP, which its replications share; "
+                             "the funcbreak.detect module docstring gives the "
+                             "block layout of the draws")
     parser.add_argument("--grid", type=int, default=None,
                         help="Brownian bridge steps of the null law (default: the "
                              "number of curves n, the exact law for iid Gaussian "

@@ -16,12 +16,14 @@ both, the CUSUM and k_hat; the kernel split at k_hat, the sample covariance
 and their spectra are computed on first use, so dating by k_hat alone
 estimates no kernel.
 ``test`` streams its null replications: it keeps the grid maxima and drops
-each block's bridges. The bridges do not depend on the data, only their
-weights do, so a ``NullBank`` keeps them for fits that share a seed: its
-``rejects`` gives the decision p <= alpha of ``test`` at that seed, reading the
-kept blocks in order and drawing the next only when the decision is not final
-at the end of the last (sequential Monte Carlo, Besag & Clifford 1991), so
-simlab's size and power replications at one seed, in any job, share them.
+each block's bridges, as the bridges of 1000 replications at the CLI's
+n = G = 149, D = 21 would take 23.9 MiB, about half the CLI's peak memory. They
+do not depend on the data, only their weights do, so a ``NullBank`` keeps them
+for fits that share a seed: its ``rejects`` gives the decision p <= alpha of
+``test`` at that seed, reading the kept blocks in order and drawing the next
+only while the decision is not final (sequential Monte Carlo, Besag & Clifford
+1991), so simlab's size and power replications at one seed, in any job, share
+them.
 ``KieferLaw`` is the exact law of the sup of a squared d-dimensional Brownian
 bridge, the null limit of the fPCA and aligned detectors.
 
@@ -30,12 +32,12 @@ the D eigenvalues above rounding level: block b is replications [bB, (b + 1)B),
 drawn in one call from an SFC64 generator seeded by child b of
 SeedSequence(seed), the SeedSequence with the seed's spawn key extended by b;
 the last block may be shorter, and when D grid > 2^14, B = 1 and replication i
-has child i alone. ``simulate_null_limit``, and so ``test``, spreads the
-blocks over up to FUNCBREAK_THREADS threads (default: one per CPU, see
-``resolve_workers``), so the draws, p-values and critical values do not
-depend on the thread count. A ``NullBank`` draws the same blocks in order on
-the calling thread (its simlab callers already run one process per CPU) and
-makes the child of a block only when it draws the block.
+has child i alone. ``_null_block`` alone draws a block, for both readers:
+``simulate_null_limit``, and so ``test``, spreads the blocks over up to
+FUNCBREAK_THREADS threads (default: one per CPU, see ``resolve_workers``), so
+no draw, p-value or critical value depends on the thread count; a ``NullBank``
+draws them in order on the calling thread (its simlab callers already run one
+process per CPU).
 """
 
 import math
@@ -44,7 +46,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -203,30 +204,25 @@ def _bridge_weights(eigenvalues, reps: int, grid: int):
             np.arange(1, grid + 1) / grid)
 
 
-def _null_blocks(seed, reps: int, weights):
-    """The (child, size) of each block of null replications, in draw order (see
-    the module docstring). Each child is made as its block is read, and the
-    seed is not spawned from, so a SeedSequence seed gives the same blocks on
-    every read."""
-    size = max(1, _BLOCK_NORMALS // (max(1, weights[0].size) * weights[1].size))
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for b, start in enumerate(range(0, reps, size)):
-        child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, b),
-                                       pool_size=root.pool_size)
-        yield child, min(size, reps - start)
+def _block_size(weights) -> int:
+    """B, the replications of a full block of the layout for ``weights``."""
+    return max(1, _BLOCK_NORMALS // (max(1, weights[0].size) * weights[1].size))
 
 
-def _null_rng(child) -> np.random.Generator:
-    """The generator of a block: SFC64, part of the seeded layout."""
-    return np.random.Generator(np.random.SFC64(child))
+def _null_block(root, b: int, reps: int, weights) -> np.ndarray:
+    """Squared bridges (size, D, G) of block b of the seeded layout (see the
+    module docstring) for ``weights`` from ``_bridge_weights``. ``root``, a
+    SeedSequence, is not spawned from, so block b is the same on every draw."""
+    size = _block_size(weights)
+    child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, b),
+                                   pool_size=root.pool_size)
+    return _squared_bridges(np.random.Generator(np.random.SFC64(child)),
+                            min(size, reps - b * size), weights[0].size, weights[1])
 
 
-def _null_maxima(block, weights) -> np.ndarray:
-    """Grid maxima of sum_l lam_l B_l^2 for the replications of one block;
-    ``weights`` from ``_bridge_weights`` (no resolved lam_l gives zeros)."""
-    (child, size), (lam_over_grid, grid_frac) = block, weights
-    squares = _squared_bridges(_null_rng(child), size, lam_over_grid.size, grid_frac)
-    return np.matmul(lam_over_grid, squares).max(axis=1)
+def _grid_maxima(weights, squares) -> np.ndarray:
+    """Grid maxima of sum_l lam_l B_l^2 for each replication of ``squares``."""
+    return np.matmul(weights[0], squares).max(axis=1)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -258,16 +254,21 @@ def simulate_null_limit(eigenvalues, reps: int, grid: int,
     deterministic for a given (seed, reps, grid), whatever the thread count.
     """
     weights = _bridge_weights(eigenvalues, reps, grid)
-    blocks = list(_null_blocks(seed, reps, weights))
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    blocks = range(-(-reps // _block_size(weights)))
+
+    def maxima(b):
+        return _grid_maxima(weights, _null_block(root, b, reps, weights))
+
     workers = resolve_workers(None)
     if workers == 1:
-        parts = [_null_maxima(block, weights) for block in blocks]
+        parts = list(map(maxima, blocks))
     else:
         # numpy releases the GIL while it fills, sums and weights the paths.
         # The workers call private helpers only: perfbench's tracer wraps the
         # public functions and keeps one span stack, which threads would corrupt.
         with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_null_maxima, blocks, repeat(weights)))
+            parts = list(pool.map(maxima, blocks))
     return LimitSample(np.sort(np.concatenate(parts)), degenerate=not weights[0].size)
 
 
@@ -446,43 +447,29 @@ class NullBank:
     """
 
     def __init__(self, seed, reps: int = 1000, grid: int | None = None):
-        self.seed, self.reps, self.grid = seed, reps, grid
-        self._banks = {}  # (D, G) -> (blocks not yet drawn, squared bridges kept)
+        self.reps, self.grid = reps, grid
+        self.root = (seed if isinstance(seed, np.random.SeedSequence)
+                     else np.random.SeedSequence(seed))
+        self._banks = {}  # (D, G) -> the squared bridges of the blocks drawn
         self._lock, self.nbytes = threading.Lock(), 0  # bytes of the kept blocks
 
     def rejects(self, fit: BreakFit, alpha: float) -> bool:
         """Whether ``test`` of ``fit`` at ``alpha`` and this bank's arguments
-        gives p_value <= alpha.
-
-        Blocks are read in order, and reading stops at the end of the block in
-        which the count of draws >= the statistic makes (1 + count) /
-        (reps + 1) exceed alpha: under the null the decision takes a fraction
-        of the draws. Kernel, grid and argument checks are those of ``test``;
-        when 1 / (reps + 1) > alpha no count can reject, and none is drawn.
-        """
+        gives p_value <= alpha. Blocks are read in order, and reading stops
+        before a block once the count of draws >= the statistic makes
+        (1 + count) / (reps + 1) exceed alpha: under the null the decision
+        takes a fraction of the draws, and none when 1 / (reps + 1) > alpha.
+        Kernel, grid and argument checks are those of ``test``."""
         weights = _bridge_weights(fit.null[2].values, self.reps,
                                   _null_grid(alpha, self.grid, fit.series.n))
-        if 1 / (self.reps + 1) > alpha:
-            return False
+        kept = self._banks.setdefault((weights[0].size, weights[1].size), [])
         exceed = 0
-        for squares in self._blocks(weights):
-            maxima = np.matmul(weights[0], squares).max(axis=1)
-            exceed += np.count_nonzero(maxima >= fit.stat)
+        for b in range(-(-self.reps // _block_size(weights))):
             if (1 + exceed) / (self.reps + 1) > alpha:
                 return False
-        return True
-
-    def _blocks(self, weights):
-        """The squared bridges of each block for ``weights``' D and G, in draw
-        order: the kept blocks, then new ones, each kept as it is drawn."""
-        dim, grid_frac = weights[0].size, weights[1]
-        pending, kept = self._banks.setdefault((dim, grid_frac.size), (
-            _null_blocks(self.seed, self.reps, weights), []))  # atomic: one sub-bank
-        for i in count():
-            with self._lock:  # draw block i unless another thread has drawn it
-                for child, size in islice(pending, int(i == len(kept))):
-                    kept.append(_squared_bridges(_null_rng(child), size, dim, grid_frac))
+            with self._lock:  # draw block b unless another thread has drawn it
+                if b == len(kept):
+                    kept.append(_null_block(self.root, b, self.reps, weights))
                     self.nbytes += kept[-1].nbytes
-                if i == len(kept):
-                    return
-            yield kept[i]
+            exceed += int(np.count_nonzero(_grid_maxima(weights, kept[b]) >= fit.stat))
+        return (1 + exceed) / (self.reps + 1) <= alpha

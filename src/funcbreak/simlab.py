@@ -35,7 +35,8 @@ first use and see the module state of that moment but no bank, and each keeps
 its own caches (the fPCA and aligned critical values, the banks) from call to
 call. The pool is replaced, the old one joined first, when a call resolves to
 another worker count, and dropped when a call raises; a call that finds a
-worker of the kept pool dead runs its jobs again on a fresh pool.
+worker of the kept pool dead runs its jobs again on a fresh pool. A process
+forked from one that keeps a pool or banks starts with neither.
 """
 
 import contextlib
@@ -318,7 +319,7 @@ class _CellTask:
     kind: str
     dgp: DgpConfig
     break_spec: BreakSpec | None
-    detectors: tuple[str, ...]
+    detectors: tuple[tuple[str, str, float | None], ...]  # (name, kind, TVE)
     alpha: float
     seed: int
     digest: int
@@ -346,8 +347,7 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
     # detector that reads it counts its own failure
     fit = fit_break(series, task.lr_config)
     outcomes, errors = {}, {}
-    for name in task.detectors:
-        kind_name, tve = _parse_detector(name)
+    for name, kind_name, tve in task.detectors:
         try:
             outcomes[name] = _eval_detector(task, kind_name, tve, fit, bank, k_star)
         except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
@@ -395,9 +395,6 @@ def _forget_banks() -> None:
     _banks, _banks_lock = {}, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_banks)
-
-
 def _kept_bank(task: _CellTask) -> NullBank:
     """``task``'s FF null bank, kept or made, now the most recently used."""
     key = (task.seed, task.digest, task.null_reps, task.null_grid)
@@ -412,7 +409,7 @@ def _kept_bank(task: _CellTask) -> NullBank:
 def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     dgp = task.dgp
     basis = FourierBasis(dgp.n_basis)
-    ff_null = ("ff", None) in map(_parse_detector, task.detectors)
+    ff_null = any(kind_name == "ff" for _, kind_name, _ in task.detectors)
     bank = _kept_bank(task) if ff_null and task.kind in ("size", "power") else None
     out = []
     for lo in range(start, stop, _BLOCK_REPS):
@@ -440,6 +437,18 @@ def _job_bounds(reps: int, workers: int) -> list:
 # the process's kept worker pool as (worker count, executor), see _map_chunks
 _pool = None
 _pool_lock = threading.Lock()
+
+
+def _after_fork() -> None:
+    """A forked child keeps no bank and no pool of its parent (the pool's
+    threads are not in the child), and takes new locks: the parent's other
+    threads may have held them across the fork."""
+    global _pool, _pool_lock
+    _forget_banks()
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork)
 
 
 def _drop_pool() -> None:
@@ -564,7 +573,7 @@ def _cell_rows(task: _CellTask, per_rep: list) -> list:
         "seed": task.seed,
     }
     rows = []
-    for name in task.detectors:
+    for name, kind_name, _ in task.detectors:
         values = [out[name] for out, _ in per_rep if name in out]
         fails = sum(1 for _, errs in per_rep if name in errs)
         done = len(values)
@@ -576,7 +585,7 @@ def _cell_rows(task: _CellTask, per_rep: list) -> list:
         if task.kind in ("size", "power") and done:
             rate = float(np.mean(values))
             var = rate * (1 - rate) / done
-            if task.kind == "size" and _parse_detector(name)[0] == "ff":
+            if task.kind == "size" and kind_name == "ff":
                 var += _bank_variance(task.null_reps, task.alpha)
             _row("rejection_rate", rate, float(np.sqrt(var)))
         elif task.kind == "dating" and done:
@@ -635,13 +644,14 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
     specs = list(break_specs) if break_specs else []
     validate_grid(kind, dgps, specs, detectors)
 
+    parsed = tuple((name, *_parse_detector(name)) for name in detectors)
     tasks = []
     for cfg in dgps:
         digest = _cell_digest(cfg)
         for spec in (specs or [None]):
             tasks.append(_CellTask(
                 kind=kind, dgp=cfg, break_spec=spec,
-                detectors=tuple(detectors), alpha=alpha, seed=seed,
+                detectors=parsed, alpha=alpha, seed=seed,
                 digest=digest, null_reps=null_reps, null_grid=null_grid,
                 conservative=conservative,
                 lr_config=lr_config or LongRunConfig(),

@@ -526,13 +526,32 @@ def test_a_deeper_fit_extends_the_bank(monkeypatch):
     assert bank.rejects(deep, 0.05)
     assert len(drawn) == 299 and drawn[:len(first)] == first
     # the kept blocks are the ones that a fresh read of the same seed draws
-    kept = bank._banks[4, 100][1]
+    kept = bank._banks[4, 100]
     fresh = NullBank(9, 299, grid=100)
     assert fresh.rejects(deep, 0.05)
-    assert all(np.array_equal(a, b) for a, b in zip(kept, fresh._banks[4, 100][1]))
+    assert all(np.array_equal(a, b) for a, b in zip(kept, fresh._banks[4, 100]))
     drawn.clear()
     assert not bank.rejects(shallow, 0.05) and bank.rejects(deep, 0.05)
     assert drawn == []
+
+
+@pytest.mark.parametrize("grid", [None, 100])
+def test_a_full_bank_keeps_the_blocks_that_simulate_null_limit_draws(grid):
+    # a strong break makes rejects read every block; its kept blocks must
+    # give the draws of test's streamed null at the same seed, reps and grid
+    data = 0.1 * np.random.default_rng(8).standard_normal((50, 4))
+    data[25:, 0] += 1.0
+    fit = fit_break(make_series(data))
+    bank = NullBank(9, 299, grid=grid)
+    assert bank.rejects(fit, 0.05)
+    steps = grid or fit.series.n
+    lam = fit.null[2].values
+    (kept,) = bank._banks.values()
+    weights = lam[lam > lam.size * np.finfo(float).eps * lam.max()] / steps
+    kept_maxima = np.concatenate([(weights @ block).max(axis=1) for block in kept])
+    assert kept_maxima.size == 299
+    sample = simulate_null_limit(lam, 299, steps, 9)
+    assert np.array_equal(np.sort(kept_maxima), sample.draws)
 
 
 def test_a_level_below_every_p_value_draws_nothing(monkeypatch):
@@ -555,7 +574,7 @@ def test_fits_of_another_resolved_dimension_read_their_own_sub_bank():
         p_value = ff_test(fit, reps=99, grid=100, seed=5).p_value
         for alpha in (0.05, 0.5):
             assert bank.rejects(fit, alpha) == (p_value <= alpha)
-        assert all(block.shape[1:] == (dim, 100) for block in bank._banks[dim, 100][1])
+        assert all(block.shape[1:] == (dim, 100) for block in bank._banks[dim, 100])
     assert sorted(bank._banks) == [(2, 100), (4, 100)]
 
 

@@ -171,16 +171,16 @@ def test_serial_calls_on_threads_share_one_bank_and_draw_each_block_once(monkeyp
     (sequential,) = simlab._banks.values()
     simlab._forget_banks()
     drawn = []
-    null_rng = detect._null_rng
+    null_block = detect._null_block
 
-    def recording(child):
-        drawn.append(child.spawn_key)
+    def recording(root, b, *args):
+        drawn.append((*root.spawn_key, b))
         # slow draws, the later blocks faster: threads that read the bank
         # meanwhile must wait for the block, not draw the next one
-        time.sleep(0.01 * (4 - child.spawn_key[-1]))
-        return null_rng(child)
+        time.sleep(0.01 * (4 - b))
+        return null_block(root, b, *args)
 
-    monkeypatch.setattr(detect, "_null_rng", recording)
+    monkeypatch.setattr(detect, "_null_block", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -192,7 +192,7 @@ def test_serial_calls_on_threads_share_one_bank_and_draw_each_block_once(monkeyp
     assert all(result.rows == expected for result in results)
     assert drawn == [(0, 0, b) for b in range(4)]
     (shared,) = simlab._banks.values()
-    kept, in_order = shared._banks[21, 30][1], sequential._banks[21, 30][1]
+    kept, in_order = shared._banks[21, 30], sequential._banks[21, 30]
     assert len(kept) == len(in_order) == 4
     assert all(np.array_equal(a, b) for a, b in zip(kept, in_order))
 

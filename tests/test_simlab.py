@@ -99,7 +99,8 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
     """Rows of one ``run_experiment`` cell from ``serial_replications``, every
     FF decision read from one bank of the cell's null."""
     task = simlab._CellTask(
-        kind=kind, dgp=dgp, break_spec=spec, detectors=tuple(detectors),
+        kind=kind, dgp=dgp, break_spec=spec,
+        detectors=tuple((name, *simlab._parse_detector(name)) for name in detectors),
         alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
         null_reps=null_reps, null_grid=null_grid, conservative=False,
         lr_config=LongRunConfig())
@@ -108,8 +109,8 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
     for series, k_star in serial_replications(dgp, spec, reps, seed):
         fit = fit_break(series, task.lr_config)
         per_rep.append(({name: simlab._eval_detector(
-            task, *simlab._parse_detector(name), fit, bank, k_star)
-            for name in detectors}, {}))
+            task, kind_name, tve, fit, bank, k_star)
+            for name, kind_name, tve in task.detectors}, {}))
     return simlab._cell_rows(task, per_rep)
 
 
@@ -730,17 +731,23 @@ def test_the_bank_stream_is_none_of_the_replication_streams(seed):
         assert tuple(one_word.generate_state(4)) in taken
 
 
-def test_identical_calls_share_one_bank(monkeypatch):
+def record_drawn_blocks(monkeypatch) -> list:
+    """A list that gets the spawn key of each FF null block as it is drawn."""
     import funcbreak.detect as detect
 
     drawn = []
-    null_rng = detect._null_rng
+    null_block = detect._null_block
 
-    def recording(child):
-        drawn.append(child.spawn_key)
-        return null_rng(child)
+    def recording(root, b, *args):
+        drawn.append((*root.spawn_key, b))
+        return null_block(root, b, *args)
 
-    monkeypatch.setattr(detect, "_null_rng", recording)
+    monkeypatch.setattr(detect, "_null_block", recording)
+    return drawn
+
+
+def test_identical_calls_share_one_bank(monkeypatch):
+    drawn = record_drawn_blocks(monkeypatch)
     kwargs = dict(detectors=["FF"], reps=40, seed=3, workers=1, null_reps=99)
     calls = []
     for _ in range(2):
@@ -756,16 +763,7 @@ def test_identical_calls_share_one_bank(monkeypatch):
 
 
 def test_a_process_keeps_the_banks_of_one_seed(monkeypatch):
-    import funcbreak.detect as detect
-
-    drawn = []
-    null_rng = detect._null_rng
-
-    def recording(child):
-        drawn.append(child.spawn_key)
-        return null_rng(child)
-
-    monkeypatch.setattr(detect, "_null_rng", recording)
+    drawn = record_drawn_blocks(monkeypatch)
     dgp = DgpConfig(setting=3, n=30)  # 199 draws of D = 21 bridges: 4 blocks
     kwargs = dict(detectors=["FF"], reps=8, workers=1, null_reps=199)
     for seed in range(4):
@@ -861,6 +859,34 @@ def test_a_forked_child_starts_without_banks_or_held_locks():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
     assert kept == {} and rows == expected
+
+
+def run_on_a_pool_in_child(results) -> None:
+    try:
+        results.put(small_run(2))
+    finally:
+        simlab._drop_pool()  # join the child's workers, so that none outlives it
+
+
+def test_a_forked_child_of_a_pool_keeper_runs_on_a_pool_of_its_own():
+    # the child inherits the record of the parent's kept pool but not its
+    # threads, and the parent holds the pool's lock across the fork, as another
+    # of its threads may: the child must make its own pool and not wait
+    expected = small_run(1)
+    small_run(2)
+    fork = multiprocessing.get_context("fork")
+    results = fork.Queue()
+    with simlab._pool_lock:
+        child = fork.Process(target=run_on_a_pool_in_child, args=(results,))
+        child.start()
+    try:
+        rows = results.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert rows == expected
 
 
 def test_failed_replications_are_counted(monkeypatch):
