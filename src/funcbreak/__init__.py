@@ -50,7 +50,6 @@ from .fpca import (
 from .longrun import (
     LongRunConfig,
     WeightFunction,
-    bandwidth,
     estimate_longrun,
     longrun_kernel,
     trace,

@@ -4,7 +4,8 @@ Implements the break-adjusted lag-window estimator: sample autocovariances are
 computed from observations demeaned piecewise around a supplied split point
 (or around the overall mean when no split is given), then tapered by a
 symmetric weight function with bounded support and summed over lags up to the
-bandwidth.
+bandwidth h. ``estimate_longrun`` sets h from the n curves by an exponent rule
+(n^(1/3), n^(1/4) or n^(1/5)) or by the adaptive plug-in rule, floored at 1.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ __all__ = [
     "WEIGHTS",
     "LongRunConfig",
     "longrun_kernel",
-    "bandwidth",
     "trace",
     "estimate_longrun",
 ]
@@ -114,9 +114,7 @@ def _split_demean(data: np.ndarray, split: int | None) -> np.ndarray:
 
 def _lagged_cov(centered: np.ndarray, lag: int) -> np.ndarray:
     n = centered.shape[0]
-    if lag >= 0:
-        return centered[: n - lag].T @ centered[lag:] / n
-    return centered[-lag:].T @ centered[: n + lag] / n
+    return centered[: n - lag].T @ centered[lag:] / n
 
 
 def _lag_window_sum(centered: np.ndarray, wf: WeightFunction, h: float,
@@ -176,33 +174,27 @@ def _adaptive_constant(series: CurveSeries, wf: WeightFunction, split: int) -> f
     return (num ** power) / (den ** power)
 
 
-def bandwidth(rule: str, n: int, series: CurveSeries | None = None,
-              weight="bartlett", split: int | None = None) -> float:
-    """Bandwidth h for the lag-window estimator.
-
-    Exponent rules return n to the named power. The adaptive rule returns
-    M_hat * n^(1/(1+2 tau)) with M_hat estimated from pilot fits of the series;
-    it needs the series, a Bartlett or Parzen target weight, and the demeaning
-    split. Results are floored at 1.
-    """
-    if n < MIN_CURVES:
-        raise ValueError(f"bandwidth selection needs n >= {MIN_CURVES}")
-    LongRunConfig(weight, rule)  # checks the taper, the rule and their pairing
-    if rule in BANDWIDTH_EXPONENTS:
-        return max(1.0, float(n) ** BANDWIDTH_EXPONENTS[rule])
-    if series is None:
-        raise ValueError("adaptive bandwidth needs the series data")
-    if split is None:
-        raise ValueError("adaptive bandwidth needs the demeaning split")
-    wf = _resolve_weight(weight)
-    m_hat = _adaptive_constant(series, wf, split)
-    return max(1.0, m_hat * float(n) ** (1.0 / (1.0 + 2.0 * wf.order)))
-
-
 def estimate_longrun(series: CurveSeries, config: LongRunConfig | None = None,
                      split: int | None = None) -> tuple[KernelMatrix, float]:
-    """Estimate the long-run kernel under a config; returns (kernel, h used)."""
+    """Estimate the long-run kernel under a config; returns (kernel, h used).
+
+    Exponent rules take h = n to the named power. The adaptive rule takes
+    h = M_hat * n^(1/(1+2 tau)), tau the order of the Bartlett or Parzen taper,
+    with M_hat estimated from flat-top pilot fits of the series demeaned at
+    ``split``, which it needs. Either way h is floored at 1, and every rule
+    needs n >= MIN_CURVES curves.
+    """
     cfg = config or LongRunConfig()
-    h = bandwidth(cfg.bandwidth, series.n, series=series,
-                  weight=cfg.weight, split=split)
+    n = series.n
+    if n < MIN_CURVES:
+        raise ValueError(f"bandwidth selection needs n >= {MIN_CURVES}")
+    if cfg.bandwidth in BANDWIDTH_EXPONENTS:
+        h = float(n) ** BANDWIDTH_EXPONENTS[cfg.bandwidth]
+    elif split is None:
+        raise ValueError("adaptive bandwidth needs the demeaning split")
+    else:
+        wf = _resolve_weight(cfg.weight)
+        power = 1.0 / (1.0 + 2.0 * wf.order)
+        h = _adaptive_constant(series, wf, split) * float(n) ** power
+    h = max(1.0, h)
     return longrun_kernel(series, weight=cfg.weight, h=h, split=split), h

@@ -30,7 +30,7 @@ estimates no kernel.
 
 Runs with more than one worker map their replications on one pool of worker
 processes per process, kept between ``run_experiment`` calls: its workers idle
-there, holding their memory, until the interpreter exits. They are forked on
+there, holding their memory, until the process exits. They are forked on
 first use and see the module state of that moment but no bank, and each keeps
 its own caches (the fPCA and aligned critical values, the banks) from call to
 call. The pool is replaced, the old one joined first, when a call resolves to
@@ -41,6 +41,7 @@ forked from one that keeps a pool or banks starts with neither.
 
 import contextlib
 import hashlib
+import multiprocessing.util
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -475,6 +476,9 @@ def _map_chunks(jobs: list, workers: int) -> list:
             reused = _pool is not None
             if not reused:
                 _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+                # stops the workers at exit before multiprocessing's queues
+                # close (priority 10) and it joins them, else it waits for ever
+                multiprocessing.util.Finalize(None, _drop_pool, exitpriority=100)
             try:
                 return list(_pool[1].map(_run_chunk, *zip(*jobs)))
             except BrokenProcessPool:

@@ -375,6 +375,15 @@ def test_fit_break_rejects_coefficients_whose_fourth_powers_overflow():
     assert fit.k_hat == fit_break(make_series(data)).k_hat and not fit.flat
 
 
+@pytest.mark.parametrize("rule", ["n14", "adaptive"])
+def test_kernel_of_fewer_than_four_curves_is_refused(rule):
+    rng = np.random.default_rng(5)
+    fit = fit_break(random_series(rng, 3, 2), LongRunConfig(bandwidth=rule))
+    with pytest.raises(ValueError, match="n >= 4"):
+        fit.kernel
+    assert fit_break(random_series(rng, 4, 2), LongRunConfig(bandwidth=rule)).h >= 1.0
+
+
 def record_drawn_replications(monkeypatch) -> list:
     """A list that gets one entry, the block's generator, per replication that
     the null sampler draws."""
