@@ -49,7 +49,6 @@ from .fpca import (
 )
 from .longrun import (
     LongRunConfig,
-    WeightFunction,
     estimate_longrun,
     longrun_kernel,
     trace,

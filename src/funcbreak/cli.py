@@ -63,7 +63,6 @@ def _check_options(args) -> None:
             raise DataFormatError(f"{flag} must be {requirement}, got {value}")
     try:  # the thread cap in the environment, read by the null simulation
         detect.resolve_workers(None)
-        _lr_config(args)  # and the --weight/--bandwidth pair
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 
@@ -471,10 +470,12 @@ def _cmd_simulate(args) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--basis-size", "-D", type=int, default=21,
                         dest="basis_size", help="number of Fourier basis functions")
-    parser.add_argument("--weight", choices=sorted(WEIGHTS), default="bartlett")
-    parser.add_argument("--bandwidth",
-                        choices=sorted(BANDWIDTH_EXPONENTS) + ["adaptive"],
-                        default="n14")
+    parser.add_argument("--weight", choices=sorted(WEIGHTS), default="bartlett",
+                        help="lag-window taper of the long-run covariance kernel")
+    parser.add_argument("--bandwidth", choices=sorted(BANDWIDTH_EXPONENTS),
+                        default="n14",
+                        help="lag-window bandwidth h = n^(1/3), n^(1/4) (default) "
+                             "or n^(1/5) for n curves, floored at 1")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=1000,
                         help="seeded Monte Carlo draws for the FF null law; detect "

@@ -147,8 +147,8 @@ def fit_break(series: CurveSeries,
     Coefficients too large for the pipeline's sums raise OverflowError."""
     with np.errstate(over="ignore"):  # checked once, here, for every consumer
         energy = np.sum(series.data ** 2)
-        # dating's quadratic form and the adaptive bandwidth's squared pilots
-        # sum products of four coefficients, below (n energy)^2
+        # dating's quadratic form delta' C delta sums products of four
+        # coefficients, below (n energy)^2
         if not np.isfinite((series.n * energy) ** 2):
             raise OverflowError("curve coefficients too large: products of four "
                                 "of them overflow the float range")

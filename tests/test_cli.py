@@ -291,18 +291,17 @@ def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys
     assert fragment in capsys.readouterr().err
 
 
-def test_adaptive_flattop_is_a_data_error_before_any_work(tmp_path, capsys):
-    # the input does not exist: the setting is refused before it is opened
+def test_adaptive_bandwidth_is_an_invalid_choice(tmp_path, capsys):
+    # the input does not exist: the option is refused before it is opened
     missing = str(tmp_path / "missing.csv")
-    bad = ["--weight", "flattop", "--bandwidth", "adaptive"]
     out = tmp_path / "size.csv"
     for command in (["detect", missing], ["date", missing],
                     ["simulate", "size", "--setting", "1", "--n", "30", "--sim-reps",
-                     "2", "--reps", "20", "--workers", "1", "--detectors", "FF",
-                     "--out", str(out)]):
-        assert main([*command, *bad]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: adaptive bandwidth")
+                     "2", "--reps", "20", "--workers", "1", "--detectors", "FF"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--bandwidth", "adaptive", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'adaptive'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,8 +324,7 @@ def scaled_step_coeffs(path, scale):
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e80])
-@pytest.mark.parametrize("command", [["detect"], ["date"], ["date", "--fpca"],
-                                     ["date", "--bandwidth", "adaptive"]])
+@pytest.mark.parametrize("command", [["detect"], ["date"], ["date", "--fpca"]])
 def test_coefficients_that_overflow_exit_with_one_numeric_message(tmp_path, capsys,
                                                                   command, scale):
     # squares (1e155) or fourth powers (1e80) of the coefficients overflow, which

@@ -242,7 +242,7 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
     series = make_series(data)
     noise = make_series(0.3 * rng.standard_normal((60, 4)))
-    cfg = LongRunConfig(weight="parzen", bandwidth="adaptive")
+    cfg = LongRunConfig(weight="parzen", bandwidth="n13")
 
     # count the CUSUMs and split kernels that fits compute
     cusums, estimates = [], []
@@ -375,7 +375,7 @@ def test_fit_break_rejects_coefficients_whose_fourth_powers_overflow():
     assert fit.k_hat == fit_break(make_series(data)).k_hat and not fit.flat
 
 
-@pytest.mark.parametrize("rule", ["n14", "adaptive"])
+@pytest.mark.parametrize("rule", ["n14", "n13"])
 def test_kernel_of_fewer_than_four_curves_is_refused(rule):
     rng = np.random.default_rng(5)
     fit = fit_break(random_series(rng, 3, 2), LongRunConfig(bandwidth=rule))

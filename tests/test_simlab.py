@@ -838,7 +838,24 @@ def test_runs_that_read_no_ff_null_take_no_bank(kind, detectors):
     assert simlab._banks == {}
 
 
+def start_in_own_group(child) -> None:
+    """Start ``child`` as the leader of a process group of its own; its target
+    calls ``os.setpgid(0, 0)`` first, so either side may set it first."""
+    child.start()
+    os.setpgid(child.pid, child.pid)
+
+
+def join_or_kill_group(child) -> None:
+    """Join ``child``; if it hangs, kill its whole group, so that no pool
+    worker it started outlives the test."""
+    child.join(timeout=60)
+    if child.is_alive():
+        os.killpg(child.pid, signal.SIGKILL)
+        child.join()
+
+
 def run_in_child(results) -> None:
+    os.setpgid(0, 0)
     results.put((dict(simlab._banks), small_run(1)))
 
 
@@ -852,18 +869,17 @@ def test_a_forked_child_starts_without_banks_or_held_locks():
     results = fork.Queue()
     with simlab._banks_lock, bank._lock:
         child = fork.Process(target=run_in_child, args=(results,))
-        child.start()
+        start_in_own_group(child)
     try:
         kept, rows = results.get(timeout=60)
     finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert not child.is_alive() and child.exitcode == 0
+        join_or_kill_group(child)
+    assert child.exitcode == 0
     assert kept == {} and rows == expected
 
 
 def run_on_a_pool_in_child(results) -> None:
+    os.setpgid(0, 0)
     results.put(small_run(2))  # the child's exit must still stop its pool
 
 
@@ -877,14 +893,12 @@ def test_a_forked_child_of_a_pool_keeper_runs_on_a_pool_of_its_own():
     results = fork.Queue()
     with simlab._pool_lock:
         child = fork.Process(target=run_on_a_pool_in_child, args=(results,))
-        child.start()
+        start_in_own_group(child)
     try:
         rows = results.get(timeout=60)
     finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert not child.is_alive() and child.exitcode == 0
+        join_or_kill_group(child)
+    assert child.exitcode == 0
     assert rows == expected
 
 
