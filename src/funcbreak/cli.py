@@ -447,7 +447,7 @@ def _cmd_simulate(args) -> None:
         dgps = [
             DgpConfig(setting=s, dependence=dep, innovation=args.innovation,
                       df=args.df, n=n, n_basis=args.basis_size,
-                      kappa=args.kappa, permute=not args.no_permute)
+                      kappa=args.kappa)
             for s in args.setting for dep in args.dependence for n in args.n
         ]
         if args.kind == "size":
@@ -553,8 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="gaussian")
     p_sim.add_argument("--df", type=int, default=None)
     p_sim.add_argument("--kappa", type=float, default=0.5)
-    p_sim.add_argument("--no-permute", action="store_true", dest="no_permute")
-    p_sim.add_argument("--conservative", action="store_true")
+    p_sim.add_argument("--conservative", action="store_true",
+                       help="coverage runs only: intervals use the top "
+                            "eigenvalue instead of sigma^2")
     p_sim.add_argument("--workers", type=int, default=None,
                        help="processes (default: one per CPU), at most FUNCBREAK_THREADS")
     p_sim.set_defaults(seed=0)

@@ -95,7 +95,9 @@ def sigma_vector(setting: int, n_basis: int = 21) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """One data generating process of the simulation study."""
+    """One data generating process of the simulation study. Curves are drawn
+    in coefficient space, with sigma_l on column l, and every detector is
+    invariant under relabeling the basis."""
 
     setting: int
     dependence: str = "iid"
@@ -104,7 +106,6 @@ class DgpConfig:
     n: int = 100
     n_basis: int = 21
     kappa: float = 0.5
-    permute: bool = True
 
     def __post_init__(self):
         if self.setting not in (1, 2, 3):
@@ -187,43 +188,31 @@ def _far1_filter(psi: np.ndarray, z: np.ndarray) -> None:
         prev = row
 
 
-def _apply_permutation(data: np.ndarray, permutation) -> np.ndarray:
-    if permutation is None:
-        return data
-    out = np.empty_like(data)
-    out[:, np.asarray(permutation)] = data
-    return out
-
-
 def gen_errors(cfg: DgpConfig, rng: np.random.Generator | None = None,
-               permutation=None, burnin: int = DEFAULT_BURNIN,
-               return_operator: bool = False):
+               burnin: int = DEFAULT_BURNIN, return_operator: bool = False):
     """Generate the error sequence of the configured DGP from ``rng`` (None: a
     fresh unseeded generator).
 
     For far1 dependence the random operator (Psi = kappa * Psi0 with Psi0
     scaled to unit operator norm) is drawn first, then the innovations; the
-    recursion discards ``burnin`` initial curves. A permutation relabels the
-    coefficient columns of the finished series. With ``return_operator`` the
-    (unpermuted) Psi matrix is returned alongside the series.
+    recursion discards ``burnin`` initial curves. With ``return_operator`` the
+    Psi matrix is returned alongside the series.
     """
     if burnin < 0:
         raise ValueError(f"burnin must be nonnegative, got {burnin}")
     data, psi = _error_block(cfg, [np.random.default_rng(rng)], burnin)
-    series = CurveSeries(_apply_permutation(data[0], permutation),
-                         FourierBasis(cfg.n_basis))
+    series = CurveSeries(data[0], FourierBasis(cfg.n_basis))
     return (series, psi[0]) if return_operator else series
 
 
-def break_function(m: int, c: float, n_basis: int = 21, permutation=None) -> Curve:
-    """Break curve sqrt(c/m) * sum of the first m (permuted) basis functions."""
+def break_function(m: int, c: float, n_basis: int = 21) -> Curve:
+    """Break curve sqrt(c/m) * sum of the first m basis functions."""
     if not 1 <= m <= n_basis:
         raise ValueError(f"m must be in [1, {n_basis}]")
     if c < 0.0:
         raise ValueError("c must be nonnegative")
     coeffs = np.zeros(n_basis)
-    targets = np.arange(m) if permutation is None else np.asarray(permutation)[:m]
-    coeffs[targets] = np.sqrt(c / m)
+    coeffs[:m] = np.sqrt(c / m)
     return Curve(coeffs, FourierBasis(n_basis))
 
 
@@ -310,7 +299,7 @@ def _cell_digest(dgp: DgpConfig) -> int:
     # iid cells, which ignore kappa, are keyed at its default
     kappa = dgp.kappa if dgp.dependence == "far1" else DgpConfig.kappa
     key = (dgp.setting, dgp.dependence, dgp.innovation, dgp.df, dgp.n,
-           dgp.n_basis, kappa, dgp.permute)
+           dgp.n_basis, kappa)
     blob = hashlib.sha256(repr(key).encode()).digest()
     return int.from_bytes(blob[:8], "big")
 
@@ -330,7 +319,7 @@ class _CellTask:
     lr_config: LongRunConfig
 
 
-def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
+def _replicate(task: _CellTask, series: CurveSeries, psi,
                bank: NullBank) -> tuple[dict, dict]:
     """Run one replication; returns (detector -> outcome, detector -> error)."""
     dgp = task.dgp
@@ -340,7 +329,7 @@ def _replicate(task: _CellTask, series: CurveSeries, psi, perm,
         sigma = sigma_vector(dgp.setting, dgp.n_basis)
         trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
         c = snr_to_c(spec.snr, spec.theta, trace_c)
-        delta = break_function(spec.m, c, dgp.n_basis, permutation=perm)
+        delta = break_function(spec.m, c, dgp.n_basis)
         k_star = int(spec.theta * dgp.n)
         series = insert_break(series, delta, k_star)
 
@@ -416,11 +405,9 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
     for lo in range(start, stop, _BLOCK_REPS):
         rngs = [np.random.default_rng(np.random.SeedSequence((task.seed, task.digest, rep)))
                 for rep in range(lo, min(lo + _BLOCK_REPS, stop))]
-        perms = [rng.permutation(dgp.n_basis) if dgp.permute else None for rng in rngs]
         data, psi = _error_block(dgp, rngs, DEFAULT_BURNIN)
-        for r, perm in enumerate(perms):
-            series = CurveSeries(_apply_permutation(data[r], perm), basis)
-            out.append(_replicate(task, series, psi[r], perm, bank))
+        out.extend(_replicate(task, CurveSeries(series, basis), operator, bank)
+                   for series, operator in zip(data, psi))
     if bank is not None:  # it has grown: evict the least recently used others
         with _banks_lock:
             others = [key for key, old in _banks.items() if old is not bank]

@@ -555,11 +555,13 @@ def test_simulate_repeated_detector_exits_before_work(tmp_path, capsys):
 
 
 def test_simulate_takes_no_xi_reps(capsys):
-    # the interval's limit law is exact; only date still accepts the option
-    with pytest.raises(SystemExit) as exit_:
-        main(["simulate", "coverage", "--setting", "1", "--n", "30", "--xi-reps", "10"])
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --xi-reps 10" in capsys.readouterr().err
+    # the interval's limit law is exact; only date still accepts the option.
+    # Nor is there a --no-permute: simlab draws no relabeling of the basis
+    for option in (["--xi-reps", "10"], ["--no-permute"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "coverage", "--setting", "1", "--n", "30", *option])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["fpca@abc", "fpca@", "fPCA@1.5"])

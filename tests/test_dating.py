@@ -91,7 +91,7 @@ def test_break_function_estimate_is_consistent():
     # Setting 2 at SNR 1: relative error of delta-hat stays under 25% in median
     rng = np.random.default_rng(1)
     d, n, theta = 8, 400, 0.5
-    cfg = DgpConfig(setting=2, n=n, n_basis=d, permute=False)
+    cfg = DgpConfig(setting=2, n=n, n_basis=d)
     sigma = 3.0 ** -np.arange(1.0, d + 1.0)
     c = snr_to_c(1.0, theta, float(sigma @ sigma))
     delta = break_function(3, c, d)
@@ -454,7 +454,7 @@ def test_fixed_break_limit_matches_finite_sample_dating_error():
     c = snr_to_c(1.0, theta, float(sigma @ sigma))
     delta = break_function(2, c, d)
     k_star = int(theta * n)
-    cfg = DgpConfig(setting=2, n=n, n_basis=d, permute=False)
+    cfg = DgpConfig(setting=2, n=n, n_basis=d)
     finite = []
     for _ in range(500):
         series = gen_errors(cfg, rng=rng)

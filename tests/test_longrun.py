@@ -163,7 +163,7 @@ def test_bartlett_longrun_is_positive_semidefinite():
 
 def test_far1_longrun_trace_within_band():
     cfg = DgpConfig(setting=2, dependence="far1", n=2000, n_basis=8,
-                    kappa=0.5, permute=False)
+                    kappa=0.5)
     series, psi = gen_errors(cfg, rng=np.random.default_rng(20), return_operator=True)
     sigma = sigma_vector(2, 8)
     analytic = far1_longrun_trace(sigma, psi)

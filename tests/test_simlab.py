@@ -17,8 +17,10 @@ import funcbreak
 import funcbreak.simlab as simlab
 from funcbreak.basis import CurveSeries, FourierBasis
 from funcbreak.cli import main
+from funcbreak.dating import date_break
 from funcbreak.detect import NullBank, fit_break
 from funcbreak.detect import test as ff_test
+from funcbreak.fpca import aligned_statistic, fit_fpca
 from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
     CSV_COLUMNS,
@@ -34,10 +36,9 @@ from funcbreak.simlab import (
     snr_to_c,
     validate_grid,
 )
-from limit_oracles import detector_stat
 
 
-def serial_errors(cfg, rng, permutation=None, burnin=100):
+def serial_errors(cfg, rng, burnin=100):
     """``gen_errors`` data and operator, the FAR(1) recursion run one curve
     after the other as ``prev = psi @ prev + z[i]``."""
     sigma = sigma_vector(cfg.setting, cfg.n_basis)
@@ -63,10 +64,6 @@ def serial_errors(cfg, rng, permutation=None, burnin=100):
             prev = psi @ prev + z[i]
             data[i] = prev
         data = data[burnin:]
-    if permutation is not None:
-        out = np.empty_like(data)
-        out[:, np.asarray(permutation)] = data
-        data = out
     return data, psi
 
 
@@ -77,15 +74,12 @@ def serial_replications(dgp, spec, reps, seed):
     digest = simlab._cell_digest(dgp)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, digest, rep)))
-        perm = rng.permutation(dgp.n_basis) if dgp.permute else None
-        series, psi = gen_errors(dgp, rng=rng, permutation=perm,
-                                 return_operator=True)
+        series, psi = gen_errors(dgp, rng=rng, return_operator=True)
         sigma = sigma_vector(dgp.setting, dgp.n_basis)
         trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
         c = snr_to_c(spec.snr, spec.theta, trace_c)
         k_star = int(spec.theta * dgp.n)
-        series = insert_break(series, break_function(spec.m, c, dgp.n_basis,
-                                                     permutation=perm), k_star)
+        series = insert_break(series, break_function(spec.m, c, dgp.n_basis), k_star)
         yield series, k_star
 
 
@@ -137,21 +131,21 @@ def test_sigma_vectors_match_the_three_settings():
 
 
 def test_setting1_innovations_load_three_directions():
-    cfg = DgpConfig(setting=1, n=50, permute=False)
+    cfg = DgpConfig(setting=1, n=50)
     series = gen_errors(cfg, rng=np.random.default_rng(0))
     assert np.all(series.data[:, 3:] == 0.0)
     assert np.any(series.data[:, :3] != 0.0)
 
 
 def test_innovations_are_reproducible():
-    cfg = DgpConfig(setting=2, n=30, permute=False)
+    cfg = DgpConfig(setting=2, n=30)
     a = gen_errors(cfg, rng=np.random.default_rng(7))
     b = gen_errors(cfg, rng=np.random.default_rng(7))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_innovation_scales_match_sigma():
-    cfg = DgpConfig(setting=3, n=10_000, n_basis=6, permute=False)
+    cfg = DgpConfig(setting=3, n=10_000, n_basis=6)
     series = gen_errors(cfg, rng=np.random.default_rng(1))
     sigma = sigma_vector(3, 6)
     np.testing.assert_allclose(series.data.std(axis=0), sigma, rtol=0.05)
@@ -160,7 +154,7 @@ def test_innovation_scales_match_sigma():
 def test_student_innovations_need_df():
     with pytest.raises(ValueError, match="df"):
         DgpConfig(setting=1, innovation="student")
-    cfg = DgpConfig(setting=2, innovation="student", df=3, n=40, permute=False)
+    cfg = DgpConfig(setting=2, innovation="student", df=3, n=40)
     assert gen_errors(cfg, rng=np.random.default_rng(2)).n == 40
 
 
@@ -171,10 +165,9 @@ def test_gen_errors_matches_the_per_step_recursion(dependence, burnin,
                                                    innovation, df):
     cfg = DgpConfig(setting=3, dependence=dependence, innovation=innovation,
                     df=df, n=60)
-    perm = np.random.default_rng(2).permutation(21)
-    series, psi = gen_errors(cfg, rng=np.random.default_rng(21), permutation=perm,
-                             burnin=burnin, return_operator=True)
-    data, psi_ref = serial_errors(cfg, np.random.default_rng(21), perm, burnin)
+    series, psi = gen_errors(cfg, rng=np.random.default_rng(21), burnin=burnin,
+                             return_operator=True)
+    data, psi_ref = serial_errors(cfg, np.random.default_rng(21), burnin)
     assert series.data.tobytes() == data.tobytes()
     if dependence == "iid":
         assert psi is None and psi_ref is None
@@ -219,8 +212,7 @@ def test_negative_burnin_is_rejected():
 
 
 def test_far1_with_zero_kappa_equals_innovations():
-    cfg = DgpConfig(setting=2, dependence="far1", kappa=0.0, n=25, n_basis=5,
-                    permute=False)
+    cfg = DgpConfig(setting=2, dependence="far1", kappa=0.0, n=25, n_basis=5)
     far = gen_errors(cfg, rng=np.random.default_rng(3))
     # reproduce by consuming the operator draw, then the innovations
     rng = np.random.default_rng(3)
@@ -232,7 +224,7 @@ def test_far1_with_zero_kappa_equals_innovations():
 
 def test_far1_lag_one_autocovariance_matches_yule_walker():
     cfg = DgpConfig(setting=2, dependence="far1", n=20_000, n_basis=5,
-                    kappa=0.5, permute=False)
+                    kappa=0.5)
     series, psi = gen_errors(cfg, rng=np.random.default_rng(4), return_operator=True)
     sigma = sigma_vector(2, 5)
     stationary = sla.solve_discrete_lyapunov(psi, np.diag(sigma**2))
@@ -243,7 +235,7 @@ def test_far1_lag_one_autocovariance_matches_yule_walker():
 
 
 def test_far1_mean_stability_under_null():
-    cfg = DgpConfig(setting=3, dependence="far1", n=2000, permute=False)
+    cfg = DgpConfig(setting=3, dependence="far1", n=2000)
     series, psi = gen_errors(cfg, rng=np.random.default_rng(5), return_operator=True)
     half = series.n // 2
     diff = series.data[:half].mean(axis=0) - series.data[half:].mean(axis=0)
@@ -267,9 +259,6 @@ def test_break_function_layouts():
     np.testing.assert_array_equal(one.coeffs, [1.0, 0.0, 0.0, 0.0])
     full = break_function(4, 1.0, 4)
     np.testing.assert_allclose(full.coeffs, np.full(4, 0.5))
-    permuted = break_function(2, 1.0, 4, permutation=[3, 1, 0, 2])
-    np.testing.assert_allclose(permuted.coeffs,
-                               [0.0, np.sqrt(0.5), 0.0, np.sqrt(0.5)])
     with pytest.raises(ValueError, match="m"):
         break_function(5, 1.0, 4)
 
@@ -301,7 +290,7 @@ def test_far1_longrun_trace_checks_the_radius_not_the_norm():
 
 def test_far1_longrun_trace_matches_long_simulation():
     cfg = DgpConfig(setting=2, dependence="far1", n=50_000, n_basis=4,
-                    kappa=0.5, permute=False)
+                    kappa=0.5)
     series, psi = gen_errors(cfg, rng=np.random.default_rng(6), return_operator=True)
     sigma = sigma_vector(2, 4)
     analytic = far1_longrun_trace(sigma, psi)
@@ -334,15 +323,30 @@ def test_snr_calibration_is_exact_for_generated_data():
     assert achieved == pytest.approx(snr, rel=1e-12)
 
 
-def test_statistic_invariant_under_basis_permutation():
-    cfg = DgpConfig(setting=3, n=60, permute=False)
-    rng_a = np.random.default_rng(59)
-    rng_b = np.random.default_rng(59)
-    perm = np.random.default_rng(1).permutation(21)
-    plain = gen_errors(cfg, rng=rng_a)
-    permuted = gen_errors(cfg, rng=rng_b, permutation=perm)
-    assert detector_stat(plain) == pytest.approx(detector_stat(permuted),
-                                                 abs=1e-10)
+def relabeling_outcomes(series):
+    """(exact, close) outcomes of every detector on ``series``: k_hat, the FF
+    p-value, the fPCA@0.90 d and k_tilde; the FF, fPCA and aligned statistics,
+    sigma^2 and the raw interval."""
+    fit = fit_break(series, LongRunConfig())
+    report = ff_test(fit, reps=199, seed=5)
+    fpca, dating = fit_fpca(fit, tve=0.90), date_break(fit)
+    return ((fit.k_hat, report.p_value, fpca.d, fpca.k_hat),
+            (report.stat, fpca.stat, aligned_statistic(fit), dating.sigma2_hat,
+             *dating.ci_raw))
+
+
+@pytest.mark.parametrize("dependence", ["iid", "far1"])
+@pytest.mark.parametrize("setting", [1, 2, 3])
+def test_every_detector_ignores_a_relabeling_of_the_basis(setting, dependence):
+    # simlab draws its curves unrelabeled: a replication whose columns, errors
+    # and break alike, are permuted gives every detector the same outcomes
+    dgp = DgpConfig(setting=setting, dependence=dependence, n=60)
+    perm = np.random.default_rng(setting).permutation(dgp.n_basis)
+    for series, _ in serial_replications(dgp, BreakSpec(2, 0.3, 0.5), reps=3, seed=11):
+        exact, close = relabeling_outcomes(series)
+        relabeled = relabeling_outcomes(CurveSeries(series.data[:, perm], series.basis))
+        assert relabeled[0] == exact
+        assert relabeled[1] == pytest.approx(close, rel=1e-12)
 
 
 # --- experiment runner ------------------------------------------------------
@@ -768,16 +772,22 @@ def test_a_process_keeps_the_banks_of_one_seed(monkeypatch):
     drawn = record_drawn_blocks(monkeypatch)
     dgp = DgpConfig(setting=3, n=30)  # 199 draws of D = 21 bridges: 4 blocks
     kwargs = dict(detectors=["FF"], reps=8, workers=1, null_reps=199)
-    for seed in range(4):
+    # the blocks a size call reads depend on its data: the loop stops at the
+    # first seed from 3 on whose size call leaves a block undrawn
+    for seed in range(20):
         drawn.clear()
         run_experiment("size", dgp, seed=seed, **kwargs)
+        if seed >= 3 and len(drawn) < 4:
+            break
+    else:
+        pytest.fail("the size calls of seeds 3 to 19 each drew all 4 blocks")
     # a loop over seeds holds the bank of its last seed, not one of every seed
-    assert [key[0] for key in simlab._banks] == [3]
+    assert [key[0] for key in simlab._banks] == [seed]
     # a power call after the size call at its seed reads the size call's bank:
     # a strong break reads every block, and only those not yet drawn are drawn
     size_drawn = list(drawn)
     drawn.clear()
-    run_experiment("power", dgp, [BreakSpec(m=1, snr=4.0, theta=0.5)], seed=3, **kwargs)
+    run_experiment("power", dgp, [BreakSpec(m=1, snr=4.0, theta=0.5)], seed=seed, **kwargs)
     assert size_drawn and drawn
     assert size_drawn + drawn == [(0, 0, b) for b in range(len(size_drawn) + len(drawn))]
 
@@ -806,9 +816,9 @@ def test_kept_banks_stay_within_the_budget(monkeypatch):
         fetched.append(fetch(task))
         return fetched[-1]
 
-    def replicating(task, series, psi, perm, bank):
+    def replicating(task, series, psi, bank):
         assert any(kept is bank for kept in simlab._banks.values())
-        return replicate(task, series, psi, perm, bank)
+        return replicate(task, series, psi, bank)
 
     def running(*job):
         out = run_chunk(*job)
