@@ -123,9 +123,6 @@ class KernelMatrix:
             raise ValueError("kernel entries must be finite")
         object.__setattr__(self, "entries", _readonly(e))
 
-    def max_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
-
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
@@ -202,15 +199,21 @@ def eigen_decompose(k: KernelMatrix) -> EigenSystem:
     Ties keep the underlying decomposition's order (stable sort); each
     eigenvector's sign is fixed by making its largest-magnitude entry positive.
     """
-    a = k.entries
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if k.max_asymmetry() > 1e-8 * scale:
+    (values,), (vectors,) = _eigen_stack(k.entries[None])
+    return EigenSystem(values, vectors)
+
+
+def _eigen_stack(a: np.ndarray) -> tuple:
+    """``eigen_decompose`` of a (R, D, D) stack of finite kernel entries in
+    one ``eigh``: (R, D) values and (R, D, D) vectors."""
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1.0)
+    at = a.mT
+    if (np.abs(a - at).max(axis=(1, 2)) > 1e-8 * scale).any():
         raise ValueError("kernel is not symmetric")
-    a = (a + a.T) / 2.0
-    values, vectors = np.linalg.eigh(a)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    anchor = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[anchor, np.arange(values.size)])
-    return EigenSystem(values, vectors * signs)
+    values, vectors = np.linalg.eigh((a + at) / 2.0)
+    order = np.argsort(-values, axis=1, kind="stable")
+    rows = np.arange(len(a))[:, None]
+    columns = vectors[rows, :, order]  # (R, D, D): row j holds the j-th eigenvector
+    anchor = np.argmax(np.abs(columns), axis=2)
+    signs = np.sign(columns[rows, np.arange(a.shape[2]), anchor])
+    return values[rows, order], (columns * signs[..., None]).mT

@@ -40,6 +40,7 @@ draws them in order on the calling thread (its simlab callers already run one
 process per CPU).
 """
 
+import contextlib
 import math
 import os
 import threading
@@ -49,8 +50,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis import CurveSeries, EigenSystem, KernelMatrix, eigen_decompose
-from .longrun import LongRunConfig, estimate_longrun, longrun_kernel, trace
+from .basis import CurveSeries, EigenSystem, KernelMatrix, _eigen_stack, eigen_decompose
+from .longrun import (LongRunConfig, _kernel_entries, estimate_longrun, longrun_kernel,
+                      trace)
 
 __all__ = [
     "LimitSample",
@@ -71,9 +73,14 @@ def cusum_paths(series: CurveSeries) -> np.ndarray:
     """Scaled tied-down CUSUM rows (S_k - (k/n) S_n) / sqrt(n) of the partial
     sums S_k, k = 0..n, shape (n+1, D), rows 0 and n zero: the one CUSUM of
     the data, of which every detector is a quadratic form (see ``fpca``)."""
-    n, dim = series.data.shape
-    sums = np.cumsum(np.vstack([np.zeros((1, dim)), series.data]), axis=0)
-    return (sums - np.arange(n + 1)[:, None] / n * sums[-1]) / np.sqrt(n)
+    return _cusum_stack(series.data[None])[0]
+
+
+def _cusum_stack(data: np.ndarray) -> np.ndarray:
+    """``cusum_paths`` of a (R, n, D) stack of series' data, (R, n+1, D)."""
+    n = data.shape[1]
+    sums = np.cumsum(np.concatenate([np.zeros_like(data[:, :1]), data], axis=1), axis=1)
+    return (sums - np.arange(n + 1)[:, None] / n * sums[:, -1:]) / np.sqrt(n)
 
 
 def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
@@ -81,9 +88,10 @@ def cusum_norm_sq(series: CurveSeries) -> np.ndarray:
     return fit_break(series).norms
 
 
-def _smallest_argmax(per_k: np.ndarray) -> int:
-    """Smallest k in 1..n maximizing a per-k sequence indexed k = 0..n."""
-    return int(np.argmax(per_k[1:])) + 1
+def _smallest_argmax(per_k: np.ndarray):
+    """Smallest k in 1..n maximizing a per-k sequence indexed k = 0..n, or each
+    sequence of a stack."""
+    return np.argmax(per_k[..., 1:], axis=-1) + 1
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,8 @@ class BreakFit:
     @cached_property
     def cov(self) -> EigenSystem:
         """Eigensystem of the sample covariance around the overall mean: the
-        lag window at h = 1 keeps the lag-0 term alone."""
+        lag window at h = 1 keeps the lag-0 term alone (``_fit_stack`` may
+        fill it in for a stack of fits, with the same bits)."""
         return eigen_decompose(longrun_kernel(self.series, h=1.0))
 
     @cached_property
@@ -145,20 +154,34 @@ def fit_break(series: CurveSeries,
     its norm; a flat series (the largest norm is rounding noise) takes the date
     of an all-zero CUSUM, k = 1. The kernels use ``config`` on first use.
     Coefficients too large for the pipeline's sums raise OverflowError."""
+    return _fit_stack([series], config, series.data[None],
+                      cusum=lambda _: cusum_paths(series)[None])[0]
+
+
+def _fit_stack(series: list, config: LongRunConfig | None, data: np.ndarray,
+               cusum=None, cov: bool = False) -> list:
+    """``fit_break`` of R ``series`` with data ``data`` (R, n, D), one call per
+    step; ``cusum`` replaces ``_cusum_stack`` (``fit_break``'s goes through the
+    public ``cusum_paths``). ``cov`` fills in every ``cov`` by one ``eigh``."""
     with np.errstate(over="ignore"):  # checked once, here, for every consumer
-        energy = np.sum(series.data ** 2)
+        energy = np.square(data).reshape(len(data), -1).sum(axis=1)
         # dating's quadratic form delta' C delta sums products of four
         # coefficients, below (n energy)^2
-        if not np.isfinite((series.n * energy) ** 2):
+        if not np.isfinite((data.shape[1] * energy) ** 2).all():
             raise OverflowError("curve coefficients too large: products of four "
                                 "of them overflow the float range")
-    paths = cusum_paths(series)
-    norms = np.einsum("ij,ij->i", paths, paths)
+    paths = (cusum or _cusum_stack)(data)
+    norms = np.einsum("rij,rij->ri", paths, paths)
     # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
-    floor = 100.0 * series.n * np.finfo(float).eps ** 2 * energy
-    flat = bool(norms.max() <= floor)
-    return BreakFit(series, config or LongRunConfig(), paths, norms,
-                    1 if flat else _smallest_argmax(norms), flat)
+    flat = norms.max(axis=1) <= 100.0 * data.shape[1] * np.finfo(float).eps ** 2 * energy
+    config = config or LongRunConfig()
+    fits = [BreakFit(x, config, p, s, 1 if f else k, f) for x, p, s, k, f in zip(
+        series, paths, norms, _smallest_argmax(norms).tolist(), flat.tolist())]
+    if cov:  # if it raises, each fit decomposes its own on first read, and may fail alone
+        with contextlib.suppress(Exception):
+            for fit, pair in zip(fits, zip(*_eigen_stack(_kernel_entries(data)))):
+                fit.__dict__["cov"] = EigenSystem(*pair)  # ``cached_property``'s slot
+    return fits
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def fit_fpca(fit: BreakFit, d: int | None = None,
         raise RankError(f"retained eigenvalue {d} is numerically zero; the "
                         "quadratic form is rank deficient")
     per_k = ((fit.paths @ eig.vectors[:, :d]) ** 2 / tau).sum(axis=1)
-    k_hat = _smallest_argmax(per_k)
+    k_hat = int(_smallest_argmax(per_k))
     return FpcaResult(d, float(per_k[k_hat]), per_k, k_hat)
 
 

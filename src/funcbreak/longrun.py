@@ -75,19 +75,38 @@ class LongRunConfig:
 
 def _split_demean(data: np.ndarray, split: int | None) -> np.ndarray:
     if split is None:
-        return data - data.mean(axis=0)
-    n = data.shape[0]
+        return data - data.mean(axis=-2, keepdims=True)
+    n = data.shape[-2]
     if not 1 <= split <= n - 1:
         raise ValueError(f"split must be in [1, {n - 1}], got {split}")
     out = data.copy()
-    out[:split] -= data[:split].mean(axis=0)
-    out[split:] -= data[split:].mean(axis=0)
+    out[..., :split, :] -= data[..., :split, :].mean(axis=-2, keepdims=True)
+    out[..., split:, :] -= data[..., split:, :].mean(axis=-2, keepdims=True)
     return out
 
 
 def _lagged_cov(centered: np.ndarray, lag: int) -> np.ndarray:
-    n = centered.shape[0]
-    return centered[: n - lag].T @ centered[lag:] / n
+    n = centered.shape[-2]
+    return centered[..., : n - lag, :].mT @ centered[..., lag:, :] / n
+
+
+def _kernel_entries(data: np.ndarray, weight="bartlett", h: float = 1.0,
+                    split: int | None = None) -> np.ndarray:
+    """``longrun_kernel`` entries of a (..., n, D) stack of series' data, (..., D, D);
+    the defaults give the sample covariances."""
+    taper = _resolve_weight(weight)
+    if h < 1.0:
+        raise ValueError("bandwidth must be at least 1")
+    centered = _split_demean(data, split)
+    n = centered.shape[-2]
+    acc = _lagged_cov(centered, 0)
+    for lag in range(1, min(n - 1, int(np.floor(h))) + 1):
+        w_val = float(taper(lag / h))
+        if w_val == 0.0:
+            continue
+        g = _lagged_cov(centered, lag)
+        acc += w_val * (g + g.mT)
+    return (acc + acc.mT) / 2.0
 
 
 def longrun_kernel(series: CurveSeries, weight="bartlett", h: float = 1.0,
@@ -99,19 +118,7 @@ def longrun_kernel(series: CurveSeries, weight="bartlett", h: float = 1.0,
     ``split`` (the estimated break date) or, with ``split=None``, by the
     overall mean. The result is symmetrized.
     """
-    taper = _resolve_weight(weight)
-    if h < 1.0:
-        raise ValueError("bandwidth must be at least 1")
-    centered = _split_demean(series.data, split)
-    n = centered.shape[0]
-    acc = _lagged_cov(centered, 0)
-    for lag in range(1, min(n - 1, int(np.floor(h))) + 1):
-        w_val = float(taper(lag / h))
-        if w_val == 0.0:
-            continue
-        g = _lagged_cov(centered, lag)
-        acc += w_val * (g + g.T)
-    return KernelMatrix((acc + acc.T) / 2.0)
+    return KernelMatrix(_kernel_entries(series.data, weight, h, split))
 
 
 def trace(k: KernelMatrix) -> float:

@@ -3,14 +3,18 @@
 Generates the three eigenvalue-decay settings with iid or first-order
 functional autoregressive errors, inserts mean breaks calibrated to a target
 signal-to-noise ratio, and drives size/power/dating/coverage experiments over
-parameter grids with reproducible per-replication random streams. A worker
-generates its replications a block at a time, each from its own stream in
-the order ``gen_errors`` draws, and runs the block's FAR(1) recursions
-together; so the output does not depend on blocks or workers. A cell is cut
-into jobs of about a quarter of a worker's share, but of at least one block
-of ``_BLOCK_REPS`` replications, or an equal share per worker when the cell
-is smaller than a block per worker: every job pays one pool round trip and
-one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
+parameter grids with reproducible per-replication random streams. A job runs
+in blocks of up to ``_BLOCK_REPS`` = 128 replications, each drawn from its own
+stream in the order ``gen_errors`` draws. Each later step is one stacked numpy
+call per block, with the bits of one call per replication: the FAR(1)
+recursions, operator norms and calibration traces, the break insertion, the
+CUSUM fits (``detect.fit_break`` runs the same code for one series) and, for
+an fPCA detector, the sample covariance spectra; so the output does not depend
+on blocks or workers. A FAR(1) dating block of 128 at D = 21 peaks at 13 MiB
+(n = 100) or 23 MiB (n = 200). A cell is cut into jobs of about a quarter of a
+worker's share, but of at least ``_JOB_REPS`` = 16 replications, or an equal
+share per worker when the cell is smaller: every job pays one pool round trip
+and one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
 and aligned detectors are compared with exact quantiles of the continuous sup
 of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
 replications affect only the fully functional (FF) test. FF size and power jobs
@@ -22,11 +26,12 @@ resolved D (16.8 MB at n = G = 100, D = 21; 168 MB at G = 1000). A job that
 ends evicts least recently used other banks above ``_BANK_BUDGET`` = 256 MiB:
 between jobs a process or pool worker keeps 256 MiB, or its last job's bank if
 larger, at most, plus a full bank per running job, and holds them while idle.
-Every replication builds one ``detect.BreakFit`` of its series, and every
+Every replication has one ``detect.BreakFit`` of its series, and every
 detector reads it: FF and aligned (oversized in setting 1, see
-``fpca.aligned_statistic``) the long-run kernel, and every fPCA level the one
-sample covariance spectrum, each computed on first use; so a dating replication
-estimates no kernel.
+``fpca.aligned_statistic``) the long-run kernel, computed on first use, and
+every fPCA level the one sample covariance spectrum, computed for the block
+(or on first use, if the block's decomposition raised); so a dating
+replication estimates no kernel.
 
 Runs with more than one worker map their replications on one pool of worker
 processes per process, kept between ``run_experiment`` calls: its workers idle
@@ -53,7 +58,7 @@ import numpy as np
 
 from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
-from .detect import KieferLaw, NullBank, _null_grid, fit_break, resolve_workers
+from .detect import KieferLaw, NullBank, _fit_stack, _null_grid, resolve_workers
 from .fpca import aligned_statistic, fit_fpca
 from .longrun import LongRunConfig
 
@@ -77,8 +82,10 @@ __all__ = [
 ]
 
 DEFAULT_BURNIN = 100
-# replications generated together, about 0.5 MB of far1 draws at n = 100, D = 21
-_BLOCK_REPS = 16
+# the most replications of a block; each adds 0.1 MiB to it at n = 100, D = 21
+_BLOCK_REPS = 128
+# the fewest replications of a job, unless the cell is smaller than that per worker
+_JOB_REPS = 16
 
 
 def sigma_vector(setting: int, n_basis: int = 21) -> np.ndarray:
@@ -158,9 +165,8 @@ def _error_block(cfg: DgpConfig, rngs, burnin: int):
     psi = np.empty((len(rngs), cfg.n_basis, cfg.n_basis)) if far1 else None
     for r, rng in enumerate(rngs):
         if far1:
-            psi0 = rng.standard_normal((cfg.n_basis, cfg.n_basis)) * np.outer(sigma, sigma)
-            psi0 /= np.linalg.norm(psi0, 2)
-            np.multiply(cfg.kappa, psi0, out=psi[r])
+            np.multiply(rng.standard_normal((cfg.n_basis, cfg.n_basis)),
+                        np.outer(sigma, sigma), out=psi[r])
         if cfg.innovation == "gaussian":
             draws = rng.standard_normal((steps, cfg.n_basis))
         else:
@@ -168,6 +174,8 @@ def _error_block(cfg: DgpConfig, rngs, burnin: int):
         np.multiply(draws, sigma, out=z[r])
     if not far1:
         return z, [None] * len(rngs)
+    psi /= np.linalg.norm(psi, 2, axis=(1, 2))[:, None, None]  # Psi0, of unit norm
+    psi *= cfg.kappa
     _far1_filter(psi, z)
     return z[:, burnin:], psi
 
@@ -211,32 +219,39 @@ def break_function(m: int, c: float, n_basis: int = 21) -> Curve:
         raise ValueError(f"m must be in [1, {n_basis}]")
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-    coeffs = np.zeros(n_basis)
-    coeffs[:m] = np.sqrt(c / m)
-    return Curve(coeffs, FourierBasis(n_basis))
+    return Curve(_break_coeffs(m, c, n_basis), FourierBasis(n_basis))
 
 
-def snr_to_c(snr: float, theta: float, trace_ceps: float) -> float:
-    """Break energy c giving the target signal-to-noise ratio."""
+def _break_coeffs(m: int, c, n_basis: int) -> np.ndarray:
+    """``break_function`` coefficients, (..., n_basis) for break energies c (...)."""
+    return np.sqrt(np.divide(c, m))[..., None] * (np.arange(n_basis) < m)
+
+
+def snr_to_c(snr: float, theta: float, trace_ceps):
+    """Break energy c giving the target signal-to-noise ratio, one per trace."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if trace_ceps <= 0.0:
+    if np.min(trace_ceps) <= 0.0:
         raise ValueError("trace of the long-run kernel must be positive")
     return snr * trace_ceps / (theta * (1.0 - theta))
 
 
-def far1_longrun_trace(sigma, psi) -> float:
-    """Analytic long-run trace of a FAR(1): tr((I-Psi)^-1 S (I-Psi')^-1)."""
+def far1_longrun_trace(sigma, psi):
+    """Analytic long-run trace tr((I-Psi)^-1 S (I-Psi')^-1), S = diag(sigma^2),
+    of a FAR(1) with operator ``psi``: a float for a (D, D) operator, an (R,)
+    array for a stack of R, all inverted in one call."""
     sigma = np.asarray(sigma, dtype=float).ravel()
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (sigma.size, sigma.size):
+    if psi.ndim not in (2, 3) or psi.shape[-2:] != (sigma.size, sigma.size):
         raise ValueError("operator shape does not match sigma")
+    stack = psi.reshape(-1, sigma.size, sigma.size)
     # the spectral radius is at most the Frobenius norm, so most draws skip eigvals
-    if (not np.linalg.norm(psi) < 1.0
-            and np.max(np.abs(np.linalg.eigvals(psi))) >= 1.0):
+    wide = stack[~(np.linalg.norm(stack, axis=(1, 2)) < 1.0)]
+    if wide.size and np.max(np.abs(np.linalg.eigvals(wide))) >= 1.0:
         raise ValueError("operator spectral radius must be below 1")
-    binv = np.linalg.inv(np.eye(sigma.size) - psi)
-    return float((binv**2 @ sigma**2).sum())
+    binv = np.linalg.inv(np.eye(sigma.size) - stack)
+    traces = (binv**2 @ sigma**2).sum(axis=1)
+    return traces if psi.ndim == 3 else float(traces[0])
 
 
 def insert_break(series: CurveSeries, delta: Curve, k_star: int) -> CurveSeries:
@@ -319,30 +334,36 @@ class _CellTask:
     lr_config: LongRunConfig
 
 
-def _replicate(task: _CellTask, series: CurveSeries, psi,
-               bank: NullBank) -> tuple[dict, dict]:
-    """Run one replication; returns (detector -> outcome, detector -> error)."""
-    dgp = task.dgp
+def _replicate_block(task: _CellTask, reps: range, bank: NullBank) -> list:
+    """Run replications ``reps`` of a cell as one block (see the module
+    docstring); returns (detector -> outcome, detector -> error) of each."""
+    dgp, spec = task.dgp, task.break_spec
+    data, psi = _error_block(dgp, [np.random.default_rng(np.random.SeedSequence(
+        (task.seed, task.digest, rep))) for rep in reps], DEFAULT_BURNIN)
     k_star = 0
-    spec = task.break_spec
     if spec is not None:
         sigma = sigma_vector(dgp.setting, dgp.n_basis)
-        trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
-        c = snr_to_c(spec.snr, spec.theta, trace_c)
-        delta = break_function(spec.m, c, dgp.n_basis)
+        trace_c = (far1_longrun_trace(sigma, psi) if dgp.dependence == "far1"
+                   else float(sigma @ sigma))
         k_star = int(spec.theta * dgp.n)
-        series = insert_break(series, delta, k_star)
+        data[:, k_star:] += _break_coeffs(
+            spec.m, snr_to_c(spec.snr, spec.theta, trace_c), dgp.n_basis)[..., None, :]
 
     # one fit for every detector: a kernel that raises is not kept, so each
     # detector that reads it counts its own failure
-    fit = fit_break(series, task.lr_config)
-    outcomes, errors = {}, {}
-    for name, kind_name, tve in task.detectors:
-        try:
-            outcomes[name] = _eval_detector(task, kind_name, tve, fit, bank, k_star)
-        except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
-            errors[name] = f"{type(exc).__name__}: {exc}"
-    return outcomes, errors
+    basis = FourierBasis(dgp.n_basis)
+    fpca = any(kind_name == "fpca" for _, kind_name, _ in task.detectors)
+    fits = _fit_stack([CurveSeries(x, basis) for x in data], task.lr_config, data, cov=fpca)
+    out = []
+    for fit in fits:
+        outcomes, errors = {}, {}
+        for name, kind_name, tve in task.detectors:
+            try:
+                outcomes[name] = _eval_detector(task, kind_name, tve, fit, bank, k_star)
+            except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
+                errors[name] = f"{type(exc).__name__}: {exc}"
+        out.append((outcomes, errors))
+    return out
 
 
 def _eval_detector(task: _CellTask, kind_name: str, tve: float | None,
@@ -397,17 +418,11 @@ def _kept_bank(task: _CellTask) -> NullBank:
 
 
 def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
-    dgp = task.dgp
-    basis = FourierBasis(dgp.n_basis)
     ff_null = any(kind_name == "ff" for _, kind_name, _ in task.detectors)
     bank = _kept_bank(task) if ff_null and task.kind in ("size", "power") else None
     out = []
     for lo in range(start, stop, _BLOCK_REPS):
-        rngs = [np.random.default_rng(np.random.SeedSequence((task.seed, task.digest, rep)))
-                for rep in range(lo, min(lo + _BLOCK_REPS, stop))]
-        data, psi = _error_block(dgp, rngs, DEFAULT_BURNIN)
-        out.extend(_replicate(task, CurveSeries(series, basis), operator, bank)
-                   for series, operator in zip(data, psi))
+        out.extend(_replicate_block(task, range(lo, min(lo + _BLOCK_REPS, stop)), bank))
     if bank is not None:  # it has grown: evict the least recently used others
         with _banks_lock:
             others = [key for key, old in _banks.items() if old is not bank]
@@ -418,7 +433,7 @@ def _run_chunk(task: _CellTask, start: int, stop: int) -> list:
 
 def _job_bounds(reps: int, workers: int) -> list:
     """(start, stop) of each job of a cell, sized as the module docstring says."""
-    chunk = max(-(-reps // (4 * workers)), min(_BLOCK_REPS, -(-reps // workers)))
+    chunk = max(-(-reps // (4 * workers)), min(_JOB_REPS, -(-reps // workers)))
     return [(start, min(start + chunk, reps)) for start in range(0, reps, chunk)]
 
 
@@ -504,7 +519,7 @@ def validate_grid(kind, dgps, specs, detectors) -> None:
         for spec in specs:
             if spec.m > cfg.n_basis:
                 problems.append(f"m={spec.m} exceeds the basis size {cfg.n_basis}")
-            if int(spec.theta * cfg.n) < 1:  # the break date k* of ``_replicate``
+            if int(spec.theta * cfg.n) < 1:  # the break date k* of ``_replicate_block``
                 problems.append(f"theta={spec.theta} places no break at n={cfg.n}")
     if problems:
         raise ValueError("invalid experiment grid: "

@@ -70,16 +70,18 @@ def serial_errors(cfg, rng, burnin=100):
 def serial_replications(dgp, spec, reps, seed):
     """(series, k_star) of each replication of a ``run_experiment`` cell,
     generated one after the other through ``gen_errors`` from their own
-    streams."""
+    streams; a spec of None (size) inserts no break."""
     digest = simlab._cell_digest(dgp)
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, digest, rep)))
         series, psi = gen_errors(dgp, rng=rng, return_operator=True)
-        sigma = sigma_vector(dgp.setting, dgp.n_basis)
-        trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
-        c = snr_to_c(spec.snr, spec.theta, trace_c)
-        k_star = int(spec.theta * dgp.n)
-        series = insert_break(series, break_function(spec.m, c, dgp.n_basis), k_star)
+        k_star = 0
+        if spec is not None:
+            sigma = sigma_vector(dgp.setting, dgp.n_basis)
+            trace_c = float(sigma @ sigma) if psi is None else far1_longrun_trace(sigma, psi)
+            c = snr_to_c(spec.snr, spec.theta, trace_c)
+            k_star = int(spec.theta * dgp.n)
+            series = insert_break(series, break_function(spec.m, c, dgp.n_basis), k_star)
         yield series, k_star
 
 
@@ -541,23 +543,44 @@ def test_a_call_that_raises_drops_the_pool():
     assert small_run(2) == small_run(1)
 
 
+CAP = simlab._BLOCK_REPS
+
+
 @pytest.mark.parametrize("kind,dependence", [("dating", "far1"),
                                              ("coverage", "far1"),
                                              ("power", "far1"),
-                                             ("dating", "iid")])
-@pytest.mark.parametrize("reps", [1, 3, 37, 100])
+                                             ("dating", "iid"),
+                                             ("size", "iid"),
+                                             ("size", "far1")])
+@pytest.mark.parametrize("reps", [1, 3, 37, 100, CAP + 1, 2 * CAP + 3])
 def test_cell_rows_match_serial_generation(kind, dependence, reps):
     # worker counts 1 and 2 cut 3 and 100 replications into different jobs and blocks
     dgp = DgpConfig(setting=3, dependence=dependence, n=50)
-    spec = BreakSpec(m=1, snr=0.5, theta=0.5)
-    detectors = ["FF"] if kind == "coverage" else ["FF", "fPCA@0.90"]
+    specs = [] if kind == "size" else [BreakSpec(m=1, snr=0.5, theta=0.5)]
+    detectors = {"coverage": ["FF"], "size": ["FF", "fPCA@0.90", "Aligned"]}.get(
+        kind, ["FF", "fPCA@0.90"])
     kwargs = dict(detectors=detectors, reps=reps, seed=17, null_reps=99,
                   null_grid=100)
-    serial = csv_text(run_experiment(kind, dgp, [spec], workers=1, **kwargs).rows)
-    parallel = csv_text(run_experiment(kind, dgp, [spec], workers=2, **kwargs).rows)
+    serial = csv_text(run_experiment(kind, dgp, specs, workers=1, **kwargs).rows)
+    parallel = csv_text(run_experiment(kind, dgp, specs, workers=2, **kwargs).rows)
     assert serial == parallel
     del kwargs["detectors"]
-    assert serial == csv_text(serial_cell_rows(kind, dgp, spec, detectors, **kwargs))
+    oracle = serial_cell_rows(kind, dgp, (specs or [None])[0], detectors, **kwargs)
+    assert serial == csv_text(oracle)
+
+
+@pytest.mark.parametrize("dependence", ["iid", "far1"])
+def test_a_job_of_several_blocks_matches_serial_generation(dependence):
+    # one worker cuts 4 CAP + 1 replications into jobs of CAP + 1: a full
+    # generation block and a block of one
+    dgp = DgpConfig(setting=2, dependence=dependence, n=50)
+    spec = BreakSpec(m=2, snr=0.5, theta=0.5)
+    assert simlab._job_bounds(4 * CAP + 1, 1)[0] == (0, CAP + 1)
+    kwargs = dict(reps=4 * CAP + 1, seed=7, null_reps=99, null_grid=None)
+    rows = run_experiment("dating", dgp, [spec], detectors=["FF", "fPCA@0.90"],
+                          workers=1, **kwargs).rows
+    assert csv_text(rows) == csv_text(serial_cell_rows(
+        "dating", dgp, spec, ["FF", "fPCA@0.90"], **kwargs))
 
 
 @pytest.mark.parametrize("reps, workers, bounds", [
@@ -590,37 +613,50 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
 
 
 @pytest.mark.parametrize("kind, detectors, per_rep", [
-    # FF and Aligned read one fit: one CUSUM, one kernel and one decomposition
+    # FF and Aligned read one fit: one CUSUM, one kernel and its decomposition
     ("size", ["FF", "Aligned"],
-     {"cusum_paths": 1, "estimate_longrun": 1, "eigen_decompose": 1}),
+     {"cusum": 1, "estimate_longrun": 1, "eigen_decompose": 1, "covariance": 0}),
     # fPCA adds the covariance spectrum of the same fit
     ("size", ["FF", "fPCA@0.90", "Aligned"],
-     {"cusum_paths": 1, "estimate_longrun": 1, "eigen_decompose": 2}),
+     {"cusum": 1, "estimate_longrun": 1, "eigen_decompose": 1, "covariance": 1}),
     # FF dates by the fit's k_hat and the fPCA levels share one covariance
     # spectrum: no long-run kernel
     ("dating", ["FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95"],
-     {"cusum_paths": 1, "estimate_longrun": 0, "eigen_decompose": 1}),
+     {"cusum": 1, "estimate_longrun": 0, "eigen_decompose": 0, "covariance": 1}),
 ], ids=["size-ff-aligned", "size-ff-fpca-aligned", "dating-ff-fpca"])
 def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_rep):
     import funcbreak.basis as basis
     import funcbreak.detect as detect
     import funcbreak.longrun as longrun
 
-    originals = {"cusum_paths": detect.cusum_paths,
-                 "estimate_longrun": longrun.estimate_longrun,
-                 "eigen_decompose": basis.eigen_decompose}
-    calls = dict.fromkeys(originals, 0)
+    # the stacked units count the replications of each call: every CUSUM, of
+    # a block or of one fit, and every block's covariance spectra go through
+    # them (a lone fit's spectrum would count as an eigen_decompose)
+    stacked = {"cusum": ("_cusum_stack", detect._cusum_stack),
+               "covariance": ("_eigen_stack", detect._eigen_stack)}
+    single = {"estimate_longrun": longrun.estimate_longrun,
+              "eigen_decompose": basis.eigen_decompose}
+    sizes = {name: [] for name in stacked}
+    calls = dict.fromkeys(single, 0)
+
+    def counting_stack(name, fn):
+        def wrapper(data, *args, **kwargs):
+            sizes[name].append(len(data))
+            return fn(data, *args, **kwargs)
+        return wrapper
 
     def counting(name):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return originals[name](*args, **kwargs)
+            return single[name](*args, **kwargs)
         return wrapper
 
+    for name, (attr, fn) in stacked.items():
+        monkeypatch.setattr(detect, attr, counting_stack(name, fn))
     # every namespace that holds a counted function by name
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "funcbreak":
-            for name, fn in originals.items():
+            for name, fn in single.items():
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name))
     dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
@@ -628,7 +664,45 @@ def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_re
     res = run_experiment(kind, dgps, specs, detectors=detectors, reps=3, seed=23,
                          workers=1, null_reps=19)
     assert not res.select(metric="failures")
-    assert calls == {name: 2 * 3 * count for name, count in per_rep.items()}
+    # one block of the three replications per cell
+    assert sizes == {name: [3, 3] if per_rep[name] else [] for name in stacked}
+    assert calls == {name: 2 * 3 * per_rep[name] for name in single}
+
+
+def test_a_failed_stacked_spectrum_falls_back_to_each_fits_own(monkeypatch):
+    import funcbreak.detect as detect
+
+    dgp = DgpConfig(setting=3, dependence="far1", n=40)
+    args = ("dating", dgp, [BreakSpec(m=1, snr=0.5, theta=0.5)])
+    kwargs = dict(detectors=["FF", "fPCA@0.90"], reps=20, seed=3, workers=1)
+    expected = run_experiment(*args, **kwargs).rows
+    raised, lone = [], detect.eigen_decompose
+
+    def raising(a):
+        raised.append(len(a))
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    # the stacked decomposition raises for the whole block: each fit then
+    # decomposes its own covariance, and the rows do not change
+    monkeypatch.setattr(detect, "_eigen_stack", raising)
+    assert csv_text(run_experiment(*args, **kwargs).rows) == csv_text(expected)
+    assert sum(raised) == 20  # every block took the fallback
+
+    # of those, one that fails counts alone, in its fPCA detector's rows
+    def failing_once(kernel):
+        failing_once.calls += 1
+        if failing_once.calls == 5:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return lone(kernel)
+
+    failing_once.calls = 0
+    monkeypatch.setattr(detect, "eigen_decompose", failing_once)
+    res = run_experiment(*args, **kwargs)
+    assert res.value(metric="failures", detector="fPCA@0.90") == 1
+    assert res.select(metric="bias", detector="fPCA@0.90")[0]["reps"] == 19
+    assert not res.select(metric="failures", detector="FF")
+    assert csv_text(res.select(detector="FF")) == csv_text(
+        [row for row in expected if row["detector"] == "FF"])
 
 
 def test_a_detectors_rows_do_not_depend_on_the_others(tmp_path):
@@ -809,16 +883,18 @@ def test_kept_banks_stay_within_the_budget(monkeypatch):
     # room for one full bank and a half: a job that ends evicts the least
     # recently used other banks until the total fits, and keeps its own
     monkeypatch.setattr(simlab, "_BANK_BUDGET", full * 3 // 2)
-    fetch, replicate, run_chunk = simlab._kept_bank, simlab._replicate, simlab._run_chunk
-    fetched, ended = [], []
+    fetch, replicate, run_chunk = (simlab._kept_bank, simlab._replicate_block,
+                                   simlab._run_chunk)
+    fetched, ended, replicated = [], [], []
 
     def fetching(task):
         fetched.append(fetch(task))
         return fetched[-1]
 
-    def replicating(task, series, psi, bank):
+    def replicating(task, reps, bank):
         assert any(kept is bank for kept in simlab._banks.values())
-        return replicate(task, series, psi, bank)
+        replicated.extend(reps)
+        return replicate(task, reps, bank)
 
     def running(*job):
         out = run_chunk(*job)
@@ -827,13 +903,14 @@ def test_kept_banks_stay_within_the_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(simlab, "_kept_bank", fetching)
-    monkeypatch.setattr(simlab, "_replicate", replicating)
+    monkeypatch.setattr(simlab, "_replicate_block", replicating)
     monkeypatch.setattr(simlab, "_run_chunk", running)
     for seed in (1, 2, 0):
         rows = run_experiment("power", *args, seed=seed, **kwargs).rows
         # every bank filled after its fetch, yet the budget holds between calls
         assert kept_bytes() <= simlab._BANK_BUDGET
     assert len(ended) == 3 * 2 * 3  # three calls of two cells of three jobs
+    assert sorted(replicated) == sorted(list(range(40)) * 3 * 2)  # each bank was read
     assert all(total <= max(simlab._BANK_BUDGET, bank.nbytes) for bank, total in ended)
     assert rows == first  # seed 0's banks went and were drawn again
 
