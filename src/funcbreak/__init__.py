@@ -48,7 +48,6 @@ from .fpca import (
     tve_dimension,
 )
 from .longrun import (
-    LongRunConfig,
     estimate_longrun,
     longrun_kernel,
     trace,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dating, detect, fpca, simlab
 from .basis import CurveSeries, FourierBasis, _least_squares
-from .longrun import BANDWIDTH_EXPONENTS, MIN_CURVES, WEIGHTS, LongRunConfig
+from .longrun import MIN_CURVES
 from .simlab import BreakSpec, DgpConfig, run_experiment, validate_grid
 
 __all__ = ["DataFormatError", "ingest", "read_coeffs", "main"]
@@ -352,12 +352,12 @@ def _load_fit(args):
         dropped = []
     else:
         series, labels, dropped = ingest(source, args.basis_size, args.max_missing)
-    if series.n < MIN_CURVES:  # the bandwidth rules need that many curves
+    if series.n < MIN_CURVES:  # the bandwidth rule needs that many curves
         name = "<stream>" if args.path == "-" else args.path
         raise DataFormatError(f"{name}: {series.n} curves, fewer than {MIN_CURVES}")
     if args.dump_coeffs:
         _dump_coeffs(series, labels, args.dump_coeffs)
-    return detect.fit_break(series, _lr_config(args)), labels, dropped
+    return detect.fit_break(series), labels, dropped
 
 
 def _check_finite(node, crumb="report"):
@@ -384,10 +384,6 @@ def _emit_json(report: dict, out_path) -> None:
 def _year_label(labels, index: int) -> str:
     index = min(max(index, 1), len(labels))
     return labels[index - 1]
-
-
-def _lr_config(args) -> LongRunConfig:
-    return LongRunConfig(weight=args.weight, bandwidth=args.bandwidth)
 
 
 def _detection_report(args, fit, labels, dropped) -> dict:
@@ -462,7 +458,7 @@ def _cmd_simulate(args) -> None:
         args.kind, dgps, specs, detectors=detectors, reps=args.sim_reps,
         alpha=args.alpha, seed=args.seed, workers=args.workers,
         null_reps=args.reps, null_grid=args.grid,
-        conservative=args.conservative, lr_config=_lr_config(args),
+        conservative=args.conservative,
     )
     result.to_csv(args.out or sys.stdout)
 
@@ -470,12 +466,6 @@ def _cmd_simulate(args) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--basis-size", "-D", type=int, default=21,
                         dest="basis_size", help="number of Fourier basis functions")
-    parser.add_argument("--weight", choices=sorted(WEIGHTS), default="bartlett",
-                        help="lag-window taper of the long-run covariance kernel")
-    parser.add_argument("--bandwidth", choices=sorted(BANDWIDTH_EXPONENTS),
-                        default="n14",
-                        help="lag-window bandwidth h = n^(1/3), n^(1/4) (default) "
-                             "or n^(1/5) for n curves, floored at 1")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=1000,
                         help="seeded Monte Carlo draws for the FF null law; detect "

@@ -3,7 +3,9 @@
 The break date estimate is the smallest maximizer of the CUSUM norm. Interval
 construction takes quantiles of the argmax law of a two-sided Brownian motion
 with triangular drift, whose slopes are the estimated break fraction and whose
-diffusion scale is the long-run variance in the estimated break direction.
+diffusion scale is the long-run variance in the estimated break direction,
+read from the one long-run kernel of ``longrun`` (Bartlett, h = n^(1/4)
+floored at 1) split at the estimated date; the report echoes h.
 That law is evaluated in closed form (``XiLaw``); ``simulate_xi`` draws it on
 a grid and is kept as the reference the closed form is tested against.
 """
@@ -40,7 +42,9 @@ def estimate_break_function(series: CurveSeries, k_hat: int) -> Curve:
 
 def sigma2_hat(c_hat: KernelMatrix, delta_hat: Curve) -> float:
     """Long-run variance in the break direction: the normalized quadratic form."""
-    d = delta_hat.coeffs
+    # scaled by a power of two to a largest entry in [1/2, 1), which moves no
+    # bit of the ratio, so that d' C d cannot underflow at tiny coefficients
+    d = np.ldexp(delta_hat.coeffs, -np.frexp(np.abs(delta_hat.coeffs).max())[1])
     norm_sq = float(d @ d)
     if norm_sq == 0.0:
         raise ValueError("break function is zero; sigma^2 is undefined")
@@ -259,7 +263,7 @@ def date_break(fit: BreakFit, alpha: float = 0.05, *,
     can only widen the interval. A flat fit (a CUSUM at rounding level) has no
     break to date. Unlike the test, the interval always reads the kernel split
     at k_hat (``BreakFit.eig``): it is built at the estimated break. The
-    report echoes the fit's ``LongRunConfig``.
+    report echoes the kernel's bandwidth h.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -269,8 +273,8 @@ def date_break(fit: BreakFit, alpha: float = 0.05, *,
     k_hat = fit.k_hat
     delta = estimate_break_function(fit.series, k_hat)
     lambda1 = float(max(fit.eig.values[0], 0.0))
-    # a Rayleigh quotient in [0, lambda1]: non-PSD tapers can push it slightly
-    # below 0, and rounding past lambda1 (at D = 1 the two are equal)
+    # a Rayleigh quotient in [0, lambda1] of a PSD Bartlett kernel, clipped
+    # against rounding (at D = 1 the two are equal)
     sigma2 = min(max(sigma2_hat(fit.kernel, delta), 0.0), lambda1)
     theta_hat = k_hat / n
     xi = XiLaw(theta_hat, lambda1 if conservative else sigma2)
@@ -288,8 +292,6 @@ def date_break(fit: BreakFit, alpha: float = 0.05, *,
         conservative=conservative,
         config={
             "alpha": alpha,
-            "weight": fit.config.weight,
-            "bandwidth": fit.config.bandwidth,
             "h": fit.h,
             "conservative": conservative,
         },

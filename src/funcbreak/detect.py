@@ -9,12 +9,13 @@ default G is the series' own n, which for iid Gaussian curves with that kernel
 gives the exact law of the statistic, at n normals per eigenvalue and
 replication; an explicit grid must have at least 100 steps and approximates
 the supremum of the continuous limit.
-``fit_break`` is the one step that reads a series and a ``LongRunConfig``. Its
-``BreakFit``, the one data input of ``test``, ``NullBank.rejects``,
-``dating.date_break``, ``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds
-both, the CUSUM and k_hat; the kernel split at k_hat, the sample covariance
-and their spectra are computed on first use, so dating by k_hat alone
-estimates no kernel.
+``fit_break`` is the one step that reads a series. Its ``BreakFit``, the one
+data input of ``test``, ``NullBank.rejects``, ``dating.date_break``,
+``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds it, the CUSUM and
+k_hat; the long-run kernel (the one Bartlett rule of ``longrun``, h = n^(1/4)
+floored at 1) split at k_hat, the sample covariance and their spectra are
+computed on first use, so dating by k_hat alone estimates no kernel. The
+reports echo the bandwidth h.
 ``test`` streams its null replications: it keeps the grid maxima and drops
 each block's bridges, as the bridges of 1000 replications at the CLI's
 n = G = 149, D = 21 would take 23.9 MiB, about half the CLI's peak memory. They
@@ -51,8 +52,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import CurveSeries, EigenSystem, KernelMatrix, _eigen_stack, eigen_decompose
-from .longrun import (LongRunConfig, _kernel_entries, estimate_longrun, longrun_kernel,
-                      trace)
+from .longrun import _kernel_entries, estimate_longrun, longrun_kernel, trace
 
 __all__ = [
     "LimitSample",
@@ -103,7 +103,6 @@ class BreakFit:
     """
 
     series: CurveSeries
-    config: LongRunConfig  # taper and bandwidth rule of the kernels; reports echo it
     paths: np.ndarray  # (n+1, D) scaled tied-down CUSUM rows
     norms: np.ndarray  # (n+1,) squared norms of the rows
     k_hat: int
@@ -116,7 +115,7 @@ class BreakFit:
 
     @cached_property
     def _longrun(self) -> tuple[KernelMatrix, float]:
-        return estimate_longrun(self.series, self.config, split=self.k_hat)
+        return estimate_longrun(self.series, split=self.k_hat)
 
     # the long-run kernel demeaned piecewise at k_hat, and its bandwidth
     kernel = property(lambda self: self._longrun[0])
@@ -142,24 +141,22 @@ class BreakFit:
         fitted step carries most of the variance), else that kernel and split
         = None. Splitting at the statistic's own argmax would deflate the
         kernel exactly when the statistic is large."""
-        pooled = longrun_kernel(self.series, self.config.weight, h=self.h)
+        pooled = longrun_kernel(self.series, h=self.h)
         if trace(self.kernel) >= 0.5 * trace(pooled):
             return None, pooled, eigen_decompose(pooled)
         return self.k_hat, self.kernel, self.eig
 
 
-def fit_break(series: CurveSeries,
-              config: LongRunConfig | None = None) -> BreakFit:
+def fit_break(series: CurveSeries) -> BreakFit:
     """CUSUM of ``series`` and its date k_hat, the smallest k in 1..n maximizing
     its norm; a flat series (the largest norm is rounding noise) takes the date
-    of an all-zero CUSUM, k = 1. The kernels use ``config`` on first use.
-    Coefficients too large for the pipeline's sums raise OverflowError."""
-    return _fit_stack([series], config, series.data[None],
+    of an all-zero CUSUM, k = 1. Coefficients too large for the pipeline's sums
+    raise OverflowError."""
+    return _fit_stack([series], series.data[None],
                       cusum=lambda _: cusum_paths(series)[None])[0]
 
 
-def _fit_stack(series: list, config: LongRunConfig | None, data: np.ndarray,
-               cusum=None, cov: bool = False) -> list:
+def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False) -> list:
     """``fit_break`` of R ``series`` with data ``data`` (R, n, D), one call per
     step; ``cusum`` replaces ``_cusum_stack`` (``fit_break``'s goes through the
     public ``cusum_paths``). ``cov`` fills in every ``cov`` by one ``eigh``."""
@@ -174,8 +171,7 @@ def _fit_stack(series: list, config: LongRunConfig | None, data: np.ndarray,
     norms = np.einsum("rij,rij->ri", paths, paths)
     # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
     flat = norms.max(axis=1) <= 100.0 * data.shape[1] * np.finfo(float).eps ** 2 * energy
-    config = config or LongRunConfig()
-    fits = [BreakFit(x, config, p, s, 1 if f else k, f) for x, p, s, k, f in zip(
+    fits = [BreakFit(x, p, s, 1 if f else k, f) for x, p, s, k, f in zip(
         series, paths, norms, _smallest_argmax(norms).tolist(), flat.tolist())]
     if cov:  # if it raises, each fit decomposes its own on first read, and may fail alone
         with contextlib.suppress(Exception):
@@ -426,11 +422,10 @@ def test(fit: BreakFit, alpha: float = 0.05, *, reps: int = 1000,
     (``BreakFit.null``) above D eps max(lam); ``simulate_null_limit`` drops the
     rest as rounding noise, and ``eigenvalues_used`` lists all D, negatives
     clipped to zero. ``config["split"]`` echoes the kernel's split (k_hat or
-    None), ``config["weight"]``/``["bandwidth"]`` the fit's ``LongRunConfig``,
-    and ``config["grid"]`` the G of ``grid`` (None, the default: the series'
-    own n steps; see the module docstring). The report gives the statistic,
-    critical values and the finite-sample Monte Carlo p-value
-    (1 + #{draws >= stat}) / (reps + 1).
+    None), ``config["h"]`` its bandwidth and ``config["grid"]`` the G of
+    ``grid`` (None, the default: the series' own n steps; see the module
+    docstring). The report gives the statistic, critical values and the
+    finite-sample Monte Carlo p-value (1 + #{draws >= stat}) / (reps + 1).
     """
     grid = _null_grid(alpha, grid, fit.series.n)
     split, _, eig = fit.null
@@ -447,8 +442,6 @@ def test(fit: BreakFit, alpha: float = 0.05, *, reps: int = 1000,
         eigenvalues_used=lam,
         config={
             "alpha": alpha,
-            "weight": fit.config.weight,
-            "bandwidth": fit.config.bandwidth,
             "h": fit.h,
             "reps": reps,
             "grid": grid,

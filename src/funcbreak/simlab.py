@@ -60,7 +60,6 @@ from .basis import Curve, CurveSeries, FourierBasis
 from .dating import date_break
 from .detect import KieferLaw, NullBank, _fit_stack, _null_grid, resolve_workers
 from .fpca import aligned_statistic, fit_fpca
-from .longrun import LongRunConfig
 
 __all__ = [
     "DgpConfig",
@@ -331,7 +330,6 @@ class _CellTask:
     null_reps: int
     null_grid: int | None
     conservative: bool
-    lr_config: LongRunConfig
 
 
 def _replicate_block(task: _CellTask, reps: range, bank: NullBank) -> list:
@@ -353,7 +351,7 @@ def _replicate_block(task: _CellTask, reps: range, bank: NullBank) -> list:
     # detector that reads it counts its own failure
     basis = FourierBasis(dgp.n_basis)
     fpca = any(kind_name == "fpca" for _, kind_name, _ in task.detectors)
-    fits = _fit_stack([CurveSeries(x, basis) for x in data], task.lr_config, data, cov=fpca)
+    fits = _fit_stack([CurveSeries(x, basis) for x in data], data, cov=fpca)
     out = []
     for fit in fits:
         outcomes, errors = {}, {}
@@ -616,8 +614,7 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
                    reps: int = 1000, alpha: float = 0.05, seed: int = 0,
                    workers: int | None = None, null_reps: int = 1000,
                    null_grid: int | None = None, xi_reps: int = 2000,
-                   conservative: bool = False,
-                   lr_config: LongRunConfig | None = None) -> ExperimentResult:
+                   conservative: bool = False) -> ExperimentResult:
     """Run a simulation experiment over DGP x break grids.
 
     ``kind`` is one of size, power, dating, coverage. ``dgp`` may be a single
@@ -660,7 +657,6 @@ def run_experiment(kind: str, dgp, break_specs=None, detectors=("FF",),
                 detectors=parsed, alpha=alpha, seed=seed,
                 digest=digest, null_reps=null_reps, null_grid=null_grid,
                 conservative=conservative,
-                lr_config=lr_config or LongRunConfig(),
             ))
 
     workers = resolve_workers(workers)

@@ -119,7 +119,7 @@ def test_detect_command_emits_full_report(step_file, tmp_path, capsys):
     assert report["k_hat_label"] == "2003"
     assert set(report["critical_values"]) == {"0.01", "0.05", "0.1"}
     cfg = report["config"]
-    assert cfg["weight"] == "bartlett" and cfg["bandwidth"] == "n14"
+    assert "weight" not in cfg and "bandwidth" not in cfg
     assert cfg["seed"] == 7 and cfg["reps"] == 200 and cfg["grid"] == 200
     assert cfg["alpha"] == 0.05 and cfg["basis_size"] == 21
 
@@ -203,10 +203,9 @@ def cli_report(tmp_path, command, path, *options):
     return out.read_bytes()
 
 
-@pytest.mark.parametrize("options", [[], ["--weight", "parzen", "--bandwidth", "n13"]])
-def test_date_repeats_the_detect_report(tmp_path, daily_csv, options):
+def test_date_repeats_the_detect_report(tmp_path, daily_csv):
     # detect and date build one fit of the input through one path
-    detect, date = (json.loads(cli_report(tmp_path, command, daily_csv, *options))
+    detect, date = (json.loads(cli_report(tmp_path, command, daily_csv))
                     for command in ("detect", "date"))
     detect_config, date_config = detect.pop("config"), date.pop("config")
     assert {key: date.get(key) for key in detect} == detect
@@ -291,17 +290,20 @@ def test_bad_input_exits_with_data_code_and_names_it(tmp_path, step_file, capsys
     assert fragment in capsys.readouterr().err
 
 
-def test_adaptive_bandwidth_is_an_invalid_choice(tmp_path, capsys):
-    # the input does not exist: the option is refused before it is opened
+@pytest.mark.parametrize("option", [["--weight", "parzen"], ["--bandwidth", "n13"]],
+                         ids=["weight", "bandwidth"])
+def test_kernel_options_are_unrecognized(tmp_path, capsys, option):
+    # the one kernel has no options; the input does not exist, so each is
+    # refused before it is opened
     missing = str(tmp_path / "missing.csv")
     out = tmp_path / "size.csv"
     for command in (["detect", missing], ["date", missing],
                     ["simulate", "size", "--setting", "1", "--n", "30", "--sim-reps",
                      "2", "--reps", "20", "--workers", "1", "--detectors", "FF"]):
         with pytest.raises(SystemExit) as exit_:
-            main([*command, "--bandwidth", "adaptive", "--out", str(out)])
+            main([*command, *option, "--out", str(out)])
         assert exit_.value.code == 2
-        assert "invalid choice: 'adaptive'" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from funcbreak.dating import (
     simulate_xi,
 )
 from funcbreak.detect import _bisect, fit_break
-from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import DgpConfig, break_function, gen_errors, insert_break, snr_to_c
 from limit_oracles import no_break_argmax_sample, simulate_fixed_break_limit
 
@@ -317,7 +316,7 @@ def test_date_break_report_invariants():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((80, 5)) * 0.5
     data[40:] += np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    report = date_break(fit_break(make_series(data), LongRunConfig()), 0.05)
+    report = date_break(fit_break(make_series(data)), 0.05)
     assert report.ci[0] <= report.k_hat <= report.ci[1]
     assert report.sigma2_hat <= report.lambda1_hat + 1e-10
     assert report.theta_hat == report.k_hat / 80
@@ -335,6 +334,22 @@ def test_date_break_keeps_the_rayleigh_bound_at_large_data_scales():
         report = date_break(fit_break(make_series(1e4 * x)))
         assert report.sigma2_hat <= report.lambda1_hat
         assert report.sigma2_hat == pytest.approx(report.lambda1_hat, rel=1e-12)
+
+
+def test_date_break_is_exact_under_power_of_two_scaling():
+    # scaling the coefficients by 2^e scales sigma^2 by exactly 4^e and moves no
+    # bit of the interval; at 2^-300 the quadratic form d' C d once underflowed
+    # to 0 and gave the interval (k_hat, k_hat)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 5))
+    x[30:] += 1.0
+    unit = date_break(fit_break(make_series(x)))
+    assert unit.sigma2_hat > 0.0 and unit.ci[0] < unit.k_hat < unit.ci[1]
+    for e in (-250, -300, -400, 200):
+        report = date_break(fit_break(make_series(np.ldexp(x, e))))
+        assert report.k_hat == unit.k_hat
+        assert report.sigma2_hat == np.ldexp(unit.sigma2_hat, 2 * e)
+        assert report.ci == unit.ci and report.ci_raw == unit.ci_raw
 
 
 def test_date_break_conservative_is_not_narrower():

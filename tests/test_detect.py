@@ -16,7 +16,7 @@ from funcbreak.detect import (
     test as ff_test,
 )
 from funcbreak.fpca import _aligned_direction
-from funcbreak.longrun import LongRunConfig, longrun_kernel
+from funcbreak.longrun import longrun_kernel
 from limit_oracles import detector_stat, serial_null_maxima
 
 
@@ -242,7 +242,6 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
     series = make_series(data)
     noise = make_series(0.3 * rng.standard_normal((60, 4)))
-    cfg = LongRunConfig(weight="parzen", bandwidth="n13")
 
     # count the CUSUMs and split kernels that fits compute
     cusums, estimates = [], []
@@ -252,13 +251,13 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
         cusums.append(series)
         return paths(series)
 
-    def recording_estimate(series, config=None, split=None):
+    def recording_estimate(series, split=None):
         estimates.append(split)
-        return estimate(series, config, split)
+        return estimate(series, split)
 
     monkeypatch.setattr(detect, "cusum_paths", recording_paths)
     monkeypatch.setattr(detect, "estimate_longrun", recording_estimate)
-    fit = fit_break(series, cfg)
+    fit = fit_break(series)
     report = ff_test(fit, 0.05, reps=19, grid=100, seed=0)
     dated = date_break(fit, 0.05)
     aligned = fpca.aligned_statistic(fit)
@@ -275,13 +274,13 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
 
     # the aligned detector reads the kernel the test chose: split at k_hat for
     # the dominant step, the overall-mean kernel for noise
-    noise_fit = fit_break(noise, cfg)
+    noise_fit = fit_break(noise)
     noise_report = ff_test(noise_fit, 0.05, reps=19, grid=100, seed=0)
     noise_aligned = fpca.aligned_statistic(noise_fit)
     assert len(cusums) == len(estimates) == 2 and noise_report.config["split"] is None
     for f, rep, stat in ((fit, report, aligned), (noise_fit, noise_report, noise_aligned)):
         kernels = {f.k_hat: f.kernel,
-                   None: longrun_kernel(f.series, cfg.weight, h=f.h)}
+                   None: longrun_kernel(f.series, h=f.h)}
         chosen = kernels.pop(rep.config["split"])
         assert stat == pytest.approx(hand_aligned_stat(f, chosen), rel=1e-12)
         other = hand_aligned_stat(f, kernels.popitem()[1])
@@ -289,17 +288,17 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
 
 
 def test_reports_echo_the_config_of_their_fit():
-    # the test and the interval echo the taper and bandwidth rule that the
-    # fit's kernel was estimated under, and the test's grid is the fit's n
+    # the test and the interval echo the bandwidth of the fit's kernel, the
+    # one Bartlett rule, and the test's grid is the fit's n
     rng = np.random.default_rng(14)
     data = 0.3 * rng.standard_normal((60, 4))
     data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
-    fit = fit_break(make_series(data), LongRunConfig("parzen", "n13"))
+    fit = fit_break(make_series(data))
     report = ff_test(fit, reps=19, seed=0)
     dated = date_break(fit)
     for config in (report.config, dated.config):
-        assert (config["weight"], config["bandwidth"]) == ("parzen", "n13")
-        assert config["h"] == fit.h == 60 ** (1 / 3)
+        assert "weight" not in config and "bandwidth" not in config
+        assert config["h"] == fit.h == 60 ** (1 / 4)
     assert report.config["grid"] == fit.series.n == 60
 
 
@@ -375,13 +374,12 @@ def test_fit_break_rejects_coefficients_whose_fourth_powers_overflow():
     assert fit.k_hat == fit_break(make_series(data)).k_hat and not fit.flat
 
 
-@pytest.mark.parametrize("rule", ["n14", "n13"])
-def test_kernel_of_fewer_than_four_curves_is_refused(rule):
+def test_kernel_of_fewer_than_four_curves_is_refused():
     rng = np.random.default_rng(5)
-    fit = fit_break(random_series(rng, 3, 2), LongRunConfig(bandwidth=rule))
+    fit = fit_break(random_series(rng, 3, 2))
     with pytest.raises(ValueError, match="n >= 4"):
         fit.kernel
-    assert fit_break(random_series(rng, 4, 2), LongRunConfig(bandwidth=rule)).h >= 1.0
+    assert fit_break(random_series(rng, 4, 2)).h >= 1.0
 
 
 def record_drawn_replications(monkeypatch) -> list:
@@ -590,9 +588,7 @@ def test_fits_of_another_resolved_dimension_read_their_own_sub_bank():
 def test_report_echoes_configuration():
     rng = np.random.default_rng(5)
     series = random_series(rng, 30, 3)
-    report = ff_test(fit_break(series, LongRunConfig(weight="parzen")), alpha=0.10,
-                     reps=50, grid=120, seed=7)
-    assert report.config["weight"] == "parzen"
+    report = ff_test(fit_break(series), alpha=0.10, reps=50, grid=120, seed=7)
     assert report.config["reps"] == 50
     assert report.config["grid"] == 120
     assert report.config["seed"] == 7

@@ -3,10 +3,7 @@ import pytest
 
 from funcbreak.basis import CurveSeries, FourierBasis, eigen_decompose, KernelMatrix
 from funcbreak.longrun import (
-    WEIGHTS,
-    LongRunConfig,
     _lagged_cov,
-    _resolve_weight,
     _split_demean,
     estimate_longrun,
     longrun_kernel,
@@ -18,16 +15,6 @@ from funcbreak.simlab import DgpConfig, far1_longrun_trace, gen_errors, sigma_ve
 def make_series(data):
     data = np.asarray(data, dtype=float)
     return CurveSeries(data, FourierBasis(data.shape[1]))
-
-
-def weight(kind, x):
-    """Evaluate the named weight function at x (scalar or array)."""
-    wf = _resolve_weight(kind)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("weight argument must be finite")
-    out = wf(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def autocov_kernel(series: CurveSeries, lag: int,
@@ -45,49 +32,22 @@ def autocov_kernel(series: CurveSeries, lag: int,
     return KernelMatrix(_lagged_cov(centered, lag))
 
 
-# --- weight functions -------------------------------------------------------
+# --- Bartlett weights -------------------------------------------------------
 
 
 def test_bartlett_values():
-    assert weight("bartlett", 0.0) == 1.0
-    assert weight("bartlett", 0.5) == 0.5
-    assert weight("bartlett", -0.5) == 0.5
-    assert weight("bartlett", 1.0) == 0.0
-    assert weight("bartlett", 1.5) == 0.0
-
-
-def test_parzen_branches_agree_at_the_knot():
-    ax = 0.5
-    inner = 1.0 - 6.0 * ax**2 + 6.0 * ax**3
-    outer = 2.0 * (1.0 - ax) ** 3
-    assert inner == outer == 0.25
-    assert weight("parzen", 0.5) == 0.25
-    assert weight("parzen", 0.0) == 1.0
-    assert weight("parzen", 1.1) == 0.0
-
-
-def test_flattop_values():
-    assert weight("flattop", 0.3) == 1.0
-    assert weight("flattop", 0.75) == 0.5
-    assert weight("flattop", 1.2) == 0.0
-
-
-def test_unknown_weight_rejected():
-    with pytest.raises(ValueError, match="unknown weight"):
-        weight("tukey", 0.1)
-
-
-@pytest.mark.parametrize("kind", sorted(WEIGHTS))
-def test_weight_axioms(kind):
-    wf = WEIGHTS[kind]
-    x = np.linspace(-2.0, 2.0, 4001)
-    values = weight(kind, x)
-    assert wf(np.array(0.0)) == 1.0
-    np.testing.assert_allclose(values, weight(kind, -x), atol=0)
-    assert np.max(np.abs(values)) <= 1.0
-    assert np.all(values[np.abs(x) > 1.0] == 0.0)
-    # continuity on a fine grid
-    assert np.max(np.abs(np.diff(values))) < 0.01
+    # lag l has weight 1 - l/h, and the lags with weight zero (l >= h) are left out
+    rng = np.random.default_rng(6)
+    series = make_series(rng.standard_normal((40, 3)))
+    for h, weights in ((1.0, []), (2.0, [0.5]), (2.5, [0.6, 0.2]), (3.0, [2 / 3, 1 / 3])):
+        expected = autocov_kernel(series, 0, split=20).entries
+        for lag, w in enumerate(weights, start=1):
+            g = autocov_kernel(series, lag, split=20).entries
+            expected = expected + w * (g + g.T)
+        np.testing.assert_allclose(longrun_kernel(series, h, split=20).entries,
+                                   expected, rtol=1e-13, atol=1e-15)
+    with pytest.raises(ValueError, match="at least 1"):
+        longrun_kernel(series, 0.5)
 
 
 # --- autocovariances --------------------------------------------------------
@@ -140,7 +100,7 @@ def test_autocov_rejects_bad_arguments():
 def test_unit_bandwidth_reduces_to_lag_zero():
     rng = np.random.default_rng(3)
     series = make_series(rng.standard_normal((60, 4)))
-    lr = longrun_kernel(series, "bartlett", h=1.0, split=30)
+    lr = longrun_kernel(series, h=1.0, split=30)
     g0 = autocov_kernel(series, 0, split=30)
     np.testing.assert_array_equal(lr.entries, g0.entries)
 
@@ -148,7 +108,7 @@ def test_unit_bandwidth_reduces_to_lag_zero():
 def test_longrun_output_is_symmetric():
     rng = np.random.default_rng(4)
     series = make_series(rng.standard_normal((80, 6)))
-    lr = longrun_kernel(series, "parzen", h=4.0, split=40)
+    lr = longrun_kernel(series, h=4.0, split=40)
     assert np.max(np.abs(lr.entries - lr.entries.T)) <= 1e-12
 
 
@@ -156,7 +116,7 @@ def test_bartlett_longrun_is_positive_semidefinite():
     rng = np.random.default_rng(5)
     for _ in range(5):
         series = make_series(rng.standard_normal((50, 5)))
-        lr = longrun_kernel(series, "bartlett", h=50**0.25, split=25)
+        lr = longrun_kernel(series, h=50**0.25, split=25)
         eig = eigen_decompose(lr)
         assert eig.values.min() >= -1e-8 * max(trace(lr), 1e-30)
 
@@ -167,45 +127,34 @@ def test_far1_longrun_trace_within_band():
     series, psi = gen_errors(cfg, rng=np.random.default_rng(20), return_operator=True)
     sigma = sigma_vector(2, 8)
     analytic = far1_longrun_trace(sigma, psi)
-    lr = longrun_kernel(series, "bartlett", h=2000**0.25, split=1000)
+    lr = longrun_kernel(series, h=2000**0.25, split=1000)
     assert trace(lr) == pytest.approx(analytic, rel=0.15)
 
 
 # --- bandwidth --------------------------------------------------------------
 
 
-def bandwidth(rule, n):
+def bandwidth(n):
     """The h that ``estimate_longrun`` uses on n white-noise curves."""
     series = make_series(np.random.default_rng(0).standard_normal((n, 3)))
-    return estimate_longrun(series, LongRunConfig(bandwidth=rule))[1]
+    return estimate_longrun(series)[1]
 
 
 def test_exponent_bandwidth_rules():
-    assert bandwidth("n14", 256) == pytest.approx(4.0)
-    assert bandwidth("n13", 1000) == pytest.approx(10.0)
-    assert bandwidth("n15", 32) == pytest.approx(2.0)
-    assert bandwidth("n15", 4) >= 1.0
+    # the one rule: h = n^(1/4), floored at 1
+    assert bandwidth(256) == pytest.approx(4.0)
+    assert bandwidth(10_000) == pytest.approx(10.0)
+    assert bandwidth(4) == pytest.approx(2 ** 0.5)
 
 
-@pytest.mark.parametrize("weight, rule, match", [
-    ("bartlett", "adaptive", "unknown bandwidth rule"),
-    ("tukey", "n14", "unknown weight"),
-    ("bartlett", "n12", "unknown bandwidth"),
-], ids=["adaptive", "weight", "rule"])
-def test_config_rejects_its_settings_when_made(weight, rule, match):
-    # before any series is read, not at the first kernel estimate
-    with pytest.raises(ValueError, match=match):
-        LongRunConfig(weight, rule)
-
-
-def test_estimate_longrun_uses_config():
+def test_estimate_longrun_is_the_kernel_at_its_h():
     rng = np.random.default_rng(8)
     series = make_series(rng.standard_normal((81, 4)))
-    kernel, h = estimate_longrun(series, LongRunConfig(bandwidth="n14"), split=40)
+    kernel, h = estimate_longrun(series, split=40)
     assert h == pytest.approx(3.0)
-    same = longrun_kernel(series, "bartlett", h=h, split=40)
+    same = longrun_kernel(series, h=h, split=40)
     np.testing.assert_array_equal(kernel.entries, same.entries)
-    kernel2 = longrun_kernel(series, "bartlett", h=2.0, split=40)
+    kernel2 = longrun_kernel(series, h=2.0, split=40)
     assert not np.array_equal(kernel.entries, kernel2.entries)
 
 
@@ -241,7 +190,7 @@ def test_longrun_estimate_converges_on_iid_data():
         for _ in range(100):
             data = rng.standard_normal((n, d)) * sigma
             series = make_series(data)
-            lr = longrun_kernel(series, "bartlett", h=n**0.25, split=n // 2)
+            lr = longrun_kernel(series, h=n**0.25, split=n // 2)
             errs.append(np.linalg.norm(lr.entries - target))
         medians.append(np.median(errs))
     assert medians[0] > medians[1] > medians[2]

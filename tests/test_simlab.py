@@ -21,7 +21,6 @@ from funcbreak.dating import date_break
 from funcbreak.detect import NullBank, fit_break
 from funcbreak.detect import test as ff_test
 from funcbreak.fpca import aligned_statistic, fit_fpca
-from funcbreak.longrun import LongRunConfig
 from funcbreak.simlab import (
     CSV_COLUMNS,
     BreakSpec,
@@ -98,12 +97,11 @@ def serial_cell_rows(kind, dgp, spec, detectors, reps, seed, null_reps,
         kind=kind, dgp=dgp, break_spec=spec,
         detectors=tuple((name, *simlab._parse_detector(name)) for name in detectors),
         alpha=0.05, seed=seed, digest=simlab._cell_digest(dgp),
-        null_reps=null_reps, null_grid=null_grid, conservative=False,
-        lr_config=LongRunConfig())
+        null_reps=null_reps, null_grid=null_grid, conservative=False)
     bank = NullBank(cell_seed(dgp, seed), null_reps, null_grid)
     per_rep = []
     for series, k_star in serial_replications(dgp, spec, reps, seed):
-        fit = fit_break(series, task.lr_config)
+        fit = fit_break(series)
         per_rep.append(({name: simlab._eval_detector(
             task, kind_name, tve, fit, bank, k_star)
             for name, kind_name, tve in task.detectors}, {}))
@@ -298,7 +296,7 @@ def test_far1_longrun_trace_matches_long_simulation():
     analytic = far1_longrun_trace(sigma, psi)
     from funcbreak.longrun import longrun_kernel, trace
 
-    estimate = trace(longrun_kernel(series, "bartlett", h=50_000 ** (1 / 3),
+    estimate = trace(longrun_kernel(series, h=50_000 ** (1 / 3),
                                     split=25_000))
     assert estimate == pytest.approx(analytic, rel=0.10)
 
@@ -329,7 +327,7 @@ def relabeling_outcomes(series):
     """(exact, close) outcomes of every detector on ``series``: k_hat, the FF
     p-value, the fPCA@0.90 d and k_tilde; the FF, fPCA and aligned statistics,
     sigma^2 and the raw interval."""
-    fit = fit_break(series, LongRunConfig())
+    fit = fit_break(series)
     report = ff_test(fit, reps=199, seed=5)
     fpca, dating = fit_fpca(fit, tve=0.90), date_break(fit)
     return ((fit.k_hat, report.p_value, fpca.d, fpca.k_hat),
@@ -392,6 +390,20 @@ def test_size_run_rejects_break_grid():
     dgp = DgpConfig(setting=1, n=20)
     with pytest.raises(ValueError, match="no break grid"):
         run_experiment("size", dgp, [BreakSpec(1, 0.5, 0.5)], reps=2)
+
+
+def test_kernel_parameters_are_gone():
+    # one Bartlett kernel at h = n^(1/4): no call takes a taper or a rule
+    from funcbreak.longrun import estimate_longrun, longrun_kernel
+
+    dgp = DgpConfig(setting=1, n=20, n_basis=3)
+    series = gen_errors(dgp, rng=np.random.default_rng(0))
+    for call, args, kwargs in ((run_experiment, ("size", dgp), dict(lr_config=None)),
+                               (fit_break, (series,), dict(config=None)),
+                               (estimate_longrun, (series,), dict(config=None)),
+                               (longrun_kernel, (series,), dict(weight="bartlett"))):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(*args, **kwargs)
 
 
 def test_power_at_zero_snr_replays_the_size_cell():
