@@ -50,7 +50,6 @@ from .fpca import (
 from .longrun import (
     estimate_longrun,
     longrun_kernel,
-    trace,
 )
 from .simlab import (
     BreakSpec,

@@ -14,8 +14,9 @@ data input of ``test``, ``NullBank.rejects``, ``dating.date_break``,
 ``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds it, the CUSUM and
 k_hat; the long-run kernel (the one Bartlett rule of ``longrun``, h = n^(1/4)
 floored at 1) split at k_hat, the sample covariance and their spectra are
-computed on first use, so dating by k_hat alone estimates no kernel. The
-reports echo the bandwidth h.
+computed on first use, or for a simlab block by ``_fit_stack`` with the same
+bits, so dating by k_hat alone estimates no kernel. The reports echo the
+bandwidth h.
 ``test`` streams its null replications: it keeps the grid maxima and drops
 each block's bridges, as the bridges of 1000 replications at the CLI's
 n = G = 149, D = 21 would take 23.9 MiB, about half the CLI's peak memory. They
@@ -52,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import CurveSeries, EigenSystem, KernelMatrix, _eigen_stack, eigen_decompose
-from .longrun import _kernel_entries, estimate_longrun, longrun_kernel, trace
+from .longrun import _bandwidth, _kernel_entries, estimate_longrun, longrun_kernel
 
 __all__ = [
     "LimitSample",
@@ -98,8 +99,9 @@ def _smallest_argmax(per_k: np.ndarray):
 class BreakFit:
     """A series' CUSUM and its argmax k_hat, built at the cost of one CUSUM.
 
-    The kernels and spectra below are computed when first read and kept; one
-    that raises is not kept, so the next reader tries again.
+    The kernels and spectra below are computed when first read, or for a
+    block of fits by ``_fit_stack`` with the same bits, and kept; one that
+    raises is not kept, so the next reader tries again.
     """
 
     series: CurveSeries
@@ -124,8 +126,7 @@ class BreakFit:
     @cached_property
     def cov(self) -> EigenSystem:
         """Eigensystem of the sample covariance around the overall mean: the
-        lag window at h = 1 keeps the lag-0 term alone (``_fit_stack`` may
-        fill it in for a stack of fits, with the same bits)."""
+        lag window at h = 1 keeps the lag-0 term alone."""
         return eigen_decompose(longrun_kernel(self.series, h=1.0))
 
     @cached_property
@@ -142,9 +143,14 @@ class BreakFit:
         = None. Splitting at the statistic's own argmax would deflate the
         kernel exactly when the statistic is large."""
         pooled = longrun_kernel(self.series, h=self.h)
-        if trace(self.kernel) >= 0.5 * trace(pooled):
+        if not _keeps_split(self.kernel.entries, pooled.entries):
             return None, pooled, eigen_decompose(pooled)
         return self.k_hat, self.kernel, self.eig
+
+
+def _keeps_split(kernels: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """``BreakFit.null``'s rule for split kernels and overall-mean kernels (..., D, D)."""
+    return np.trace(kernels, axis1=-2, axis2=-1) < 0.5 * np.trace(pooled, axis1=-2, axis2=-1)
 
 
 def fit_break(series: CurveSeries) -> BreakFit:
@@ -156,10 +162,12 @@ def fit_break(series: CurveSeries) -> BreakFit:
                       cusum=lambda _: cusum_paths(series)[None])[0]
 
 
-def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False) -> list:
+def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False,
+               kernels: str | None = None) -> list:
     """``fit_break`` of R ``series`` with data ``data`` (R, n, D), one call per
     step; ``cusum`` replaces ``_cusum_stack`` (``fit_break``'s goes through the
-    public ``cusum_paths``). ``cov`` fills in every ``cov`` by one ``eigh``."""
+    public ``cusum_paths``). ``cov`` fills in every ``cov``, and ``kernels``
+    every split kernel with ``eig`` ("split") or with ``null`` ("null")."""
     with np.errstate(over="ignore"):  # checked once, here, for every consumer
         energy = np.square(data).reshape(len(data), -1).sum(axis=1)
         # dating's quadratic form delta' C delta sums products of four
@@ -173,11 +181,33 @@ def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False) ->
     flat = norms.max(axis=1) <= 100.0 * data.shape[1] * np.finfo(float).eps ** 2 * energy
     fits = [BreakFit(x, p, s, 1 if f else k, f) for x, p, s, k, f in zip(
         series, paths, norms, _smallest_argmax(norms).tolist(), flat.tolist())]
-    if cov:  # if it raises, each fit decomposes its own on first read, and may fail alone
+    # a stacked step that raises fills in nothing: each fit then computes its
+    # own on first read, and may fail alone
+    steps = [lambda: [{"cov": eig} for eig in map(EigenSystem, *_eigen_stack(
+        _kernel_entries(data)))]] if cov else []
+    steps += [lambda: _kernel_slots(fits, data, kernels == "null")] if kernels else []
+    for step in steps:
         with contextlib.suppress(Exception):
-            for fit, pair in zip(fits, zip(*_eigen_stack(_kernel_entries(data)))):
-                fit.__dict__["cov"] = EigenSystem(*pair)  # ``cached_property``'s slot
+            for fit, slots in zip(fits, step()):
+                fit.__dict__.update(slots)  # ``cached_property``'s slots
     return fits
+
+
+def _kernel_slots(fits: list, data: np.ndarray, null: bool) -> list:
+    """The ``_longrun`` and ``eig`` slots of ``fits`` of data ``data``, or with
+    ``null`` their ``null`` and ``_longrun`` and, where the split is kept, ``eig``."""
+    h = _bandwidth(data.shape[1])
+    split = _kernel_entries(data, h, [fit.k_hat for fit in fits])
+    pooled = _kernel_entries(data, h) if null else split
+    keep = _keeps_split(split, pooled) | (not null)
+    spectra = map(EigenSystem, *_eigen_stack(np.where(keep[:, None, None], split, pooled)))
+    out = []
+    for fit, entries, other, kept, eig in zip(fits, split, pooled, keep, spectra):
+        kernel = KernelMatrix(entries)
+        h0 = (fit.k_hat, kernel) if kept else (None, KernelMatrix(other))
+        out.append({"_longrun": (kernel, h), **({"eig": eig} if kept else {}),
+                    **({"null": (*h0, eig)} if null else {})})
+    return out
 
 
 @dataclass(frozen=True)

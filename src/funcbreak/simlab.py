@@ -6,32 +6,33 @@ signal-to-noise ratio, and drives size/power/dating/coverage experiments over
 parameter grids with reproducible per-replication random streams. A job runs
 in blocks of up to ``_BLOCK_REPS`` = 128 replications, each drawn from its own
 stream in the order ``gen_errors`` draws. Each later step is one stacked numpy
-call per block, with the bits of one call per replication: the FAR(1)
-recursions, operator norms and calibration traces, the break insertion, the
-CUSUM fits (``detect.fit_break`` runs the same code for one series) and, for
-an fPCA detector, the sample covariance spectra; so the output does not depend
-on blocks or workers. A FAR(1) dating block of 128 at D = 21 peaks at 13 MiB
-(n = 100) or 23 MiB (n = 200). A cell is cut into jobs of about a quarter of a
-worker's share, but of at least ``_JOB_REPS`` = 16 replications, or an equal
-share per worker when the cell is smaller: every job pays one pool round trip
-and one recursion of ``n + burnin`` steps per block, whatever its size. The fPCA
-and aligned detectors are compared with exact quantiles of the continuous sup
-of a squared Brownian bridge (``detect.KieferLaw``); the null grid and
-replications affect only the fully functional (FF) test. FF size and power jobs
-read the ``detect.NullBank`` of (seed, DGP digest, null_reps, null_grid) that
-their process keeps until a job of another seed runs there: the jobs and break
-specs of a DGP, and size and power calls at one seed, share it, drawn as deep
-as the slowest replication read. A full bank is null_reps D G float64s per
-resolved D (16.8 MB at n = G = 100, D = 21; 168 MB at G = 1000). A job that
-ends evicts least recently used other banks above ``_BANK_BUDGET`` = 256 MiB:
-between jobs a process or pool worker keeps 256 MiB, or its last job's bank if
-larger, at most, plus a full bank per running job, and holds them while idle.
-Every replication has one ``detect.BreakFit`` of its series, and every
-detector reads it: FF and aligned (oversized in setting 1, see
-``fpca.aligned_statistic``) the long-run kernel, computed on first use, and
-every fPCA level the one sample covariance spectrum, computed for the block
-(or on first use, if the block's decomposition raised); so a dating
-replication estimates no kernel.
+call per block, with the bits of one call per replication, so the output does
+not depend on blocks or workers: the FAR(1) recursions, operator norms and
+calibration traces, the break insertion, and each replication's one
+``detect.BreakFit`` (``detect.fit_break`` runs the same code for one series)
+with what the block's detectors read of it: for FF and aligned (oversized in
+setting 1, see ``fpca.aligned_statistic``) size and power, the kernel split at
+k_hat, the overall-mean kernel of the H0 rule and the H0 spectrum; for
+coverage, the split kernel and its spectrum; for fPCA, the sample covariance
+spectrum; for dating by k_hat, nothing. A fit whose block step raised computes
+its own on first use, and fails alone. By ``tracemalloc``, a FAR(1) block of
+128 at D = 21 peaks at 13 MiB (dating) or 14 MiB (size or power, every
+detector) at n = 100, and at 23 or 24 MiB at n = 200.
+A cell is cut into jobs of about a quarter of a worker's share, but of at
+least ``_JOB_REPS`` = 16 replications, or an equal share per worker when the
+cell is smaller: every job pays one pool round trip and one recursion of
+``n + burnin`` steps per block, whatever its size. The fPCA and aligned
+detectors are compared with exact quantiles of the continuous sup of a squared
+Brownian bridge (``detect.KieferLaw``); the null grid and replications affect
+only the fully functional (FF) test. FF size and power jobs read the
+``detect.NullBank`` of (seed, DGP digest, null_reps, null_grid) that their
+process keeps until a job of another seed runs there: the jobs and break specs
+of a DGP, and size and power calls at one seed, share it, drawn as deep as the
+slowest replication read. A full bank is null_reps D G float64s per resolved D
+(16.8 MB at n = G = 100, D = 21; 168 MB at G = 1000). A job that ends evicts
+least recently used other banks above ``_BANK_BUDGET`` = 256 MiB: between jobs
+a process or pool worker keeps 256 MiB, or its last job's bank if larger, at
+most, plus a full bank per running job, and holds them while idle.
 
 Runs with more than one worker map their replications on one pool of worker
 processes per process, kept between ``run_experiment`` calls: its workers idle
@@ -162,10 +163,10 @@ def _error_block(cfg: DgpConfig, rngs, burnin: int):
     steps = cfg.n + burnin if far1 else cfg.n
     z = np.empty((len(rngs), steps, cfg.n_basis))
     psi = np.empty((len(rngs), cfg.n_basis, cfg.n_basis)) if far1 else None
+    scale = np.outer(sigma, sigma)
     for r, rng in enumerate(rngs):
         if far1:
-            np.multiply(rng.standard_normal((cfg.n_basis, cfg.n_basis)),
-                        np.outer(sigma, sigma), out=psi[r])
+            np.multiply(rng.standard_normal((cfg.n_basis, cfg.n_basis)), scale, out=psi[r])
         if cfg.innovation == "gaussian":
             draws = rng.standard_normal((steps, cfg.n_basis))
         else:
@@ -350,8 +351,11 @@ def _replicate_block(task: _CellTask, reps: range, bank: NullBank) -> list:
     # one fit for every detector: a kernel that raises is not kept, so each
     # detector that reads it counts its own failure
     basis = FourierBasis(dgp.n_basis)
-    fpca = any(kind_name == "fpca" for _, kind_name, _ in task.detectors)
-    fits = _fit_stack([CurveSeries(x, basis) for x in data], data, cov=fpca)
+    kinds = {kind_name for _, kind_name, _ in task.detectors}
+    kernels = ("null" if task.kind in ("size", "power") and kinds - {"fpca"}
+               else "split" if task.kind == "coverage" else None)
+    fits = _fit_stack([CurveSeries(x, basis) for x in data], data,
+                      cov="fpca" in kinds, kernels=kernels)
     out = []
     for fit in fits:
         outcomes, errors = {}, {}

@@ -7,7 +7,6 @@ from funcbreak.longrun import (
     _split_demean,
     estimate_longrun,
     longrun_kernel,
-    trace,
 )
 from funcbreak.simlab import DgpConfig, far1_longrun_trace, gen_errors, sigma_vector
 
@@ -28,7 +27,7 @@ def autocov_kernel(series: CurveSeries, lag: int,
     n = series.n
     if not 0 <= lag < n:
         raise ValueError(f"lag must be in [0, {n - 1}], got {lag}")
-    centered = _split_demean(series.data, split)
+    centered = _split_demean(series.data[None], None if split is None else [split])[0]
     return KernelMatrix(_lagged_cov(centered, lag))
 
 
@@ -118,7 +117,7 @@ def test_bartlett_longrun_is_positive_semidefinite():
         series = make_series(rng.standard_normal((50, 5)))
         lr = longrun_kernel(series, h=50**0.25, split=25)
         eig = eigen_decompose(lr)
-        assert eig.values.min() >= -1e-8 * max(trace(lr), 1e-30)
+        assert eig.values.min() >= -1e-8 * max(np.trace(lr.entries), 1e-30)
 
 
 def test_far1_longrun_trace_within_band():
@@ -128,7 +127,7 @@ def test_far1_longrun_trace_within_band():
     sigma = sigma_vector(2, 8)
     analytic = far1_longrun_trace(sigma, psi)
     lr = longrun_kernel(series, h=2000**0.25, split=1000)
-    assert trace(lr) == pytest.approx(analytic, rel=0.15)
+    assert np.trace(lr.entries) == pytest.approx(analytic, rel=0.15)
 
 
 # --- bandwidth --------------------------------------------------------------
@@ -162,9 +161,9 @@ def test_estimate_longrun_is_the_kernel_at_its_h():
 
 
 def test_trace_of_identity_and_setting1():
-    assert trace(KernelMatrix(np.eye(21))) == 21.0
+    assert np.trace(KernelMatrix(np.eye(21)).entries) == 21.0
     sigma = sigma_vector(1, 21)
-    assert trace(KernelMatrix(np.diag(sigma**2))) == 3.0
+    assert np.trace(KernelMatrix(np.diag(sigma**2)).entries) == 3.0
 
 
 def test_trace_equals_eigenvalue_sum():
@@ -172,7 +171,7 @@ def test_trace_equals_eigenvalue_sum():
     a = rng.standard_normal((10, 10))
     k = KernelMatrix(a + a.T)
     eig = eigen_decompose(k)
-    assert trace(k) == pytest.approx(eig.values.sum(), abs=1e-8)
+    assert np.trace(k.entries) == pytest.approx(eig.values.sum(), abs=1e-8)
 
 
 # --- estimator consistency --------------------------------------------------

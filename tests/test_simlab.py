@@ -294,10 +294,10 @@ def test_far1_longrun_trace_matches_long_simulation():
     series, psi = gen_errors(cfg, rng=np.random.default_rng(6), return_operator=True)
     sigma = sigma_vector(2, 4)
     analytic = far1_longrun_trace(sigma, psi)
-    from funcbreak.longrun import longrun_kernel, trace
+    from funcbreak.longrun import longrun_kernel
 
-    estimate = trace(longrun_kernel(series, h=50_000 ** (1 / 3),
-                                    split=25_000))
+    estimate = np.trace(longrun_kernel(series, h=50_000 ** (1 / 3),
+                                       split=25_000).entries)
     assert estimate == pytest.approx(analytic, rel=0.10)
 
 
@@ -624,38 +624,87 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
     assert res.value(metric="rejection_rate", detector="FF") == np.mean(decisions)
 
 
+@pytest.mark.parametrize("n", [10, 30, 200])
+@pytest.mark.parametrize("dependence", ["iid", "far1"])
+@pytest.mark.parametrize("setting", [1, 2, 3])
+def test_a_blocks_kernels_are_those_of_lone_fits_bit_for_bit(setting, dependence, n):
+    from funcbreak.detect import _fit_stack
+
+    dgp = DgpConfig(setting=setting, dependence=dependence, n=n)
+    rngs = [np.random.default_rng((setting, n, rep)) for rep in range(16)]
+    data, _ = simlab._error_block(dgp, rngs, simlab.DEFAULT_BURNIN)
+    # steps that date the break at 1, at n - 1 and inside: the H0 rule takes both branches
+    data[1::4, 1:] += 5.0 * np.sqrt(n) * (np.arange(dgp.n_basis) < 3)
+    data[2::4, n - 1:] += 5.0 * np.sqrt(n) * (np.arange(dgp.n_basis) < 3)
+    data[3::4, n // 3:] += 3.0 * (np.arange(dgp.n_basis) < 2)
+    basis = FourierBasis(dgp.n_basis)
+
+    def as_bytes(fit, null):
+        split, kernel, eig = fit.null if null else (None, fit.kernel, fit.eig)
+        return (fit.h, split, *(a.tobytes() for a in (
+            fit.kernel.entries, kernel.entries, eig.values, eig.vectors)))
+
+    lone = [fit_break(CurveSeries(x, basis)) for x in data]
+    assert {fit.k_hat for fit in lone} >= {1, n - 1}
+    assert {fit.null[0] is None for fit in lone} == {True, False}
+    for kernels, slots in (("null", {"_longrun", "null"}), ("split", {"_longrun", "eig"})):
+        stacked = _fit_stack([CurveSeries(x, basis) for x in data], data, kernels=kernels)
+        for fit, alone in zip(stacked, lone):
+            assert slots <= fit.__dict__.keys()  # filled in by the block, not on first read
+            null = kernels == "null"
+            assert as_bytes(fit, null) == as_bytes(alone, null)
+            if not null or fit.null[0] is not None:
+                assert as_bytes(fit, False) == as_bytes(alone, False)
+
+
 @pytest.mark.parametrize("kind, detectors, per_rep", [
-    # FF and Aligned read one fit: one CUSUM, one kernel and its decomposition
+    # FF and Aligned read one fit: one CUSUM, the kernel split at k_hat, the
+    # overall-mean kernel of the H0 rule and the spectrum of the H0 kernel
     ("size", ["FF", "Aligned"],
-     {"cusum": 1, "estimate_longrun": 1, "eigen_decompose": 1, "covariance": 0}),
-    # fPCA adds the covariance spectrum of the same fit
+     {"cusum": 1, "split": 1, "pooled": 1, "covariance": 0, "spectra": 1}),
+    # fPCA adds the covariance and its spectrum of the same fit
     ("size", ["FF", "fPCA@0.90", "Aligned"],
-     {"cusum": 1, "estimate_longrun": 1, "eigen_decompose": 1, "covariance": 1}),
+     {"cusum": 1, "split": 1, "pooled": 1, "covariance": 1, "spectra": 2}),
+    ("power", ["FF", "Aligned"],
+     {"cusum": 1, "split": 1, "pooled": 1, "covariance": 0, "spectra": 1}),
+    # the interval reads the split kernel and its spectrum
+    ("coverage", ["FF"],
+     {"cusum": 1, "split": 1, "pooled": 0, "covariance": 0, "spectra": 1}),
     # FF dates by the fit's k_hat and the fPCA levels share one covariance
     # spectrum: no long-run kernel
     ("dating", ["FF", "fPCA@0.85", "fPCA@0.90", "fPCA@0.95"],
-     {"cusum": 1, "estimate_longrun": 0, "eigen_decompose": 0, "covariance": 1}),
-], ids=["size-ff-aligned", "size-ff-fpca-aligned", "dating-ff-fpca"])
+     {"cusum": 1, "split": 0, "pooled": 0, "covariance": 1, "spectra": 1}),
+], ids=["size-ff-aligned", "size-ff-fpca-aligned", "power-ff-aligned", "coverage-ff",
+        "dating-ff-fpca"])
 def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_rep):
     import funcbreak.basis as basis
     import funcbreak.detect as detect
     import funcbreak.longrun as longrun
 
-    # the stacked units count the replications of each call: every CUSUM, of
-    # a block or of one fit, and every block's covariance spectra go through
-    # them (a lone fit's spectrum would count as an eigen_decompose)
-    stacked = {"cusum": ("_cusum_stack", detect._cusum_stack),
-               "covariance": ("_eigen_stack", detect._eigen_stack)}
-    single = {"estimate_longrun": longrun.estimate_longrun,
-              "eigen_decompose": basis.eigen_decompose}
-    sizes = {name: [] for name in stacked}
-    calls = dict.fromkeys(single, 0)
+    # the stacked units count the rows of each call: every CUSUM, of a block
+    # or of one fit, and every kernel and spectrum of a block go through them
+    # (a lone fit's kernel or spectrum would count in ``single``)
+    sizes = {name: [] for name in per_rep}
 
-    def counting_stack(name, fn):
+    def counting_stack(fn, name_of):
         def wrapper(data, *args, **kwargs):
-            sizes[name].append(len(data))
+            sizes[name_of(*args, **kwargs)].append(len(data))
             return fn(data, *args, **kwargs)
         return wrapper
+
+    def kernel_name(h=1.0, split=None):
+        return "split" if split is not None else "covariance" if h == 1.0 else "pooled"
+
+    monkeypatch.setattr(detect, "_cusum_stack",
+                        counting_stack(detect._cusum_stack, lambda: "cusum"))
+    monkeypatch.setattr(detect, "_kernel_entries",
+                        counting_stack(detect._kernel_entries, kernel_name))
+    monkeypatch.setattr(detect, "_eigen_stack",
+                        counting_stack(detect._eigen_stack, lambda: "spectra"))
+    single = {"estimate_longrun": longrun.estimate_longrun,
+              "longrun_kernel": longrun.longrun_kernel,
+              "eigen_decompose": basis.eigen_decompose}
+    calls = dict.fromkeys(single, 0)
 
     def counting(name):
         def wrapper(*args, **kwargs):
@@ -663,8 +712,6 @@ def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_re
             return single[name](*args, **kwargs)
         return wrapper
 
-    for name, (attr, fn) in stacked.items():
-        monkeypatch.setattr(detect, attr, counting_stack(name, fn))
     # every namespace that holds a counted function by name
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "funcbreak":
@@ -672,13 +719,13 @@ def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_re
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name))
     dgps = [DgpConfig(setting=1, n=40), DgpConfig(setting=3, n=40)]
-    specs = [BreakSpec(m=2, snr=0.5, theta=0.5)] if kind == "dating" else []
+    specs = [BreakSpec(m=2, snr=0.5, theta=0.5)] if kind != "size" else []
     res = run_experiment(kind, dgps, specs, detectors=detectors, reps=3, seed=23,
                          workers=1, null_reps=19)
     assert not res.select(metric="failures")
-    # one block of the three replications per cell
-    assert sizes == {name: [3, 3] if per_rep[name] else [] for name in stacked}
-    assert calls == {name: 2 * 3 * per_rep[name] for name in single}
+    # one block of the three replications per cell, and no lone kernel or spectrum
+    assert sizes == {name: [3] * (2 * count) for name, count in per_rep.items()}
+    assert calls == dict.fromkeys(single, 0)
 
 
 def test_a_failed_stacked_spectrum_falls_back_to_each_fits_own(monkeypatch):
@@ -715,6 +762,48 @@ def test_a_failed_stacked_spectrum_falls_back_to_each_fits_own(monkeypatch):
     assert not res.select(metric="failures", detector="FF")
     assert csv_text(res.select(detector="FF")) == csv_text(
         [row for row in expected if row["detector"] == "FF"])
+
+
+def test_a_failed_stacked_kernel_falls_back_to_each_fits_own(monkeypatch):
+    import funcbreak.detect as detect
+
+    dgp = DgpConfig(setting=3, dependence="far1", n=40)
+    args = ("power", dgp, [BreakSpec(m=1, snr=0.2, theta=0.5)])
+    kwargs = dict(detectors=["FF", "fPCA@0.90", "Aligned"], reps=20, seed=3,
+                  workers=1, null_reps=99)
+    expected = run_experiment(*args, **kwargs).rows
+    raised, stacked = [], detect._kernel_entries
+
+    def raising(data, h=1.0, split=None):
+        if h == 1.0:  # the covariances of the fPCA spectra
+            return stacked(data, h, split)
+        raised.append(len(data))
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    # the stacked long-run kernels raise for the whole block: each fit then
+    # estimates its own kernels and spectra, and the rows do not change
+    monkeypatch.setattr(detect, "_kernel_entries", raising)
+    assert csv_text(run_experiment(*args, **kwargs).rows) == csv_text(expected)
+    assert sum(raised) == 20  # every block took the fallback
+
+    # of those, one replication whose lone kernel fails (on every read) counts
+    # alone, once in each detector that reads the kernel
+    lone, failed = detect.estimate_longrun, []
+
+    def failing_for_one(series, split=None):
+        if not failed or failed[0] is series:
+            failed[:1] = [series]
+            raise np.linalg.LinAlgError("synthetic failure")
+        return lone(series, split)
+
+    monkeypatch.setattr(detect, "estimate_longrun", failing_for_one)
+    res = run_experiment(*args, **kwargs)
+    for name in ("FF", "Aligned"):
+        assert res.value(metric="failures", detector=name) == 1
+        assert res.select(metric="rejection_rate", detector=name)[0]["reps"] == 19
+    assert not res.select(metric="failures", detector="fPCA@0.90")
+    assert csv_text(res.select(detector="fPCA@0.90")) == csv_text(
+        [row for row in expected if row["detector"] == "fPCA@0.90"])
 
 
 def test_a_detectors_rows_do_not_depend_on_the_others(tmp_path):
