@@ -14,9 +14,8 @@ data input of ``test``, ``NullBank.rejects``, ``dating.date_break``,
 ``fpca.fit_fpca`` and ``fpca.aligned_statistic``, holds it, the CUSUM and
 k_hat; the long-run kernel (the one Bartlett rule of ``longrun``, h = n^(1/4)
 floored at 1) split at k_hat, the sample covariance and their spectra are
-computed on first use, or for a simlab block by ``_fit_stack`` with the same
-bits, so dating by k_hat alone estimates no kernel. The reports echo the
-bandwidth h.
+computed on first read, for all the fits of a block at once (``_FitBlock``),
+so dating by k_hat alone estimates no kernel. The reports echo the bandwidth h.
 ``test`` streams its null replications: it keeps the grid maxima and drops
 each block's bridges, as the bridges of 1000 replications at the CLI's
 n = G = 149, D = 21 would take 23.9 MiB, about half the CLI's peak memory. They
@@ -42,18 +41,17 @@ draws them in order on the calling thread (its simlab callers already run one
 process per CPU).
 """
 
-import contextlib
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import CurveSeries, EigenSystem, KernelMatrix, _eigen_stack, eigen_decompose
-from .longrun import _bandwidth, _kernel_entries, estimate_longrun, longrun_kernel
+from .basis import CurveSeries, EigenSystem, KernelMatrix, _eigen_stack
+from .longrun import _bandwidth, _kernel_entries
 
 __all__ = [
     "LimitSample",
@@ -99,9 +97,15 @@ def _smallest_argmax(per_k: np.ndarray):
 class BreakFit:
     """A series' CUSUM and its argmax k_hat, built at the cost of one CUSUM.
 
-    The kernels and spectra below are computed when first read, or for a
-    block of fits by ``_fit_stack`` with the same bits, and kept; one that
-    raises is not kept, so the next reader tries again.
+    The other values are the fit's row of its ``_FitBlock``: ``kernel``, the
+    long-run kernel demeaned piecewise at k_hat at the bandwidth ``h``, and
+    ``eig``, its eigensystem; ``cov``, the eigensystem of the sample
+    covariance (the lag window at h = 1); and ``null``, (split, kernel,
+    eigensystem) of the H0 kernel of the test and the aligned detector: the
+    kernel split at split = k_hat if its trace is below half that of the
+    overall-mean kernel at h (the fitted step carries most of the variance),
+    else that kernel and split = None. Splitting at the statistic's own
+    argmax would deflate the kernel exactly when the statistic is large.
     """
 
     series: CurveSeries
@@ -109,48 +113,73 @@ class BreakFit:
     norms: np.ndarray  # (n+1,) squared norms of the rows
     k_hat: int
     flat: bool  # the CUSUM maximum is rounding noise: the series has no break
+    _block: "_FitBlock" = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
 
     @property
     def stat(self) -> float:
         """max_k ||CUSUM_k||^2, the test statistic; 0 for a flat fit."""
         return 0.0 if self.flat else float(self.norms[self.k_hat])
 
-    @cached_property
-    def _longrun(self) -> tuple[KernelMatrix, float]:
-        return estimate_longrun(self.series, split=self.k_hat)
-
-    # the long-run kernel demeaned piecewise at k_hat, and its bandwidth
-    kernel = property(lambda self: self._longrun[0])
-    h = property(lambda self: self._longrun[1])
-
-    @cached_property
-    def cov(self) -> EigenSystem:
-        """Eigensystem of the sample covariance around the overall mean: the
-        lag window at h = 1 keeps the lag-0 term alone."""
-        return eigen_decompose(longrun_kernel(self.series, h=1.0))
-
-    @cached_property
-    def eig(self) -> EigenSystem:
-        """Eigensystem of the kernel split at k_hat."""
-        return eigen_decompose(self.kernel)
-
-    @cached_property
-    def null(self) -> tuple:
-        """(split, kernel, eigensystem) of the H0 kernel of the test and the
-        aligned detector: the kernel split at split = k_hat if its trace is
-        below half that of the overall-mean kernel at the same bandwidth (the
-        fitted step carries most of the variance), else that kernel and split
-        = None. Splitting at the statistic's own argmax would deflate the
-        kernel exactly when the statistic is large."""
-        pooled = longrun_kernel(self.series, h=self.h)
-        if not _keeps_split(self.kernel.entries, pooled.entries):
-            return None, pooled, eigen_decompose(pooled)
-        return self.k_hat, self.kernel, self.eig
+    h = property(lambda self: _bandwidth(self.series.n))
+    kernel = property(lambda self: self._block.read("kernel", self._row))
+    eig = property(lambda self: self._block.read("eig", self._row))
+    cov = property(lambda self: self._block.read("cov", self._row))
+    null = property(lambda self: self._block.read("null", self._row))
 
 
-def _keeps_split(kernels: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """``BreakFit.null``'s rule for split kernels and overall-mean kernels (..., D, D)."""
-    return np.trace(kernels, axis1=-2, axis2=-1) < 0.5 * np.trace(pooled, axis1=-2, axis2=-1)
+class _FitBlock:
+    """The (R, n, D) data of the fits of one ``_fit_stack`` call and their
+    dates k_hat. The first read of a ``BreakFit`` value by any of them
+    computes it for every row, one stacked call per numpy step, and the block
+    keeps it. In a block of R > 1 a step that raises is tried once: each fit
+    then computes its own row as a block of one, and fails alone. A block of
+    one keeps nothing that raised, so the next reader tries again. The block
+    holds no fit, so no reference cycle keeps its data alive."""
+
+    def __init__(self, data: np.ndarray, k_hats: list):
+        self.data, self.k_hats = data, k_hats
+        # (value, row) -> the value's row, and the values whose stacked step raised
+        self._rows, self._raised = {}, set()
+
+    def read(self, name: str, row: int):
+        if (name, row) not in self._rows and name not in self._raised:
+            try:
+                self._rows.update(((name, i), value) for i, value in getattr(self, "_" + name)())
+            except Exception:  # noqa: BLE001 - each fit then computes its own row
+                if len(self.data) == 1:
+                    raise
+                self._raised.add(name)
+        if (name, row) not in self._rows:  # the fit's own row, as a block of one
+            self._rows[name, row] = _FitBlock(self.data[row:row + 1],
+                                              self.k_hats[row:row + 1]).read(name, 0)
+        return self._rows[name, row]
+
+    def _split(self) -> np.ndarray:
+        return np.stack([self.read("kernel", row).entries for row in range(len(self.data))])
+
+    def _kernel(self):
+        h = _bandwidth(self.data.shape[1])
+        return enumerate(map(KernelMatrix, _kernel_entries(self.data, h, self.k_hats)))
+
+    def _eig(self):
+        return enumerate(map(EigenSystem, *_eigen_stack(self._split())))
+
+    def _cov(self):
+        return enumerate(map(EigenSystem, *_eigen_stack(_kernel_entries(self.data))))
+
+    def _null(self):
+        """``BreakFit.null``'s rule; a kept split kernel's spectrum is also its ``eig``."""
+        split = self._split()
+        pooled = _kernel_entries(self.data, _bandwidth(self.data.shape[1]))
+        keep = np.trace(split, axis1=1, axis2=2) < 0.5 * np.trace(pooled, axis1=1, axis2=2)
+        spectra = list(map(EigenSystem, *_eigen_stack(
+            np.where(keep[:, None, None], split, pooled))))
+        keep = keep.tolist()
+        self._rows.update((("eig", row), spectra[row]) for row, kept in enumerate(keep) if kept)
+        return ((row, (self.k_hats[row], self.read("kernel", row), spectra[row]) if kept
+                 else (None, KernelMatrix(pooled[row]), spectra[row]))
+                for row, kept in enumerate(keep))
 
 
 def fit_break(series: CurveSeries) -> BreakFit:
@@ -162,12 +191,12 @@ def fit_break(series: CurveSeries) -> BreakFit:
                       cusum=lambda _: cusum_paths(series)[None])[0]
 
 
-def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False,
-               kernels: str | None = None) -> list:
-    """``fit_break`` of R ``series`` with data ``data`` (R, n, D), one call per
-    step; ``cusum`` replaces ``_cusum_stack`` (``fit_break``'s goes through the
-    public ``cusum_paths``). ``cov`` fills in every ``cov``, and ``kernels``
-    every split kernel with ``eig`` ("split") or with ``null`` ("null")."""
+def _fit_stack(series: list, data: np.ndarray, cusum=None) -> list:
+    """``fit_break`` of R ``series`` with data ``data`` (R, n, D): one CUSUM
+    call for all R, and one ``_FitBlock`` for their kernels and spectra, which
+    it computes from ``data`` when first read: ``data`` is made read-only here.
+    ``cusum`` replaces ``_cusum_stack`` (``fit_break``'s goes through the
+    public ``cusum_paths``)."""
     with np.errstate(over="ignore"):  # checked once, here, for every consumer
         energy = np.square(data).reshape(len(data), -1).sum(axis=1)
         # dating's quadratic form delta' C delta sums products of four
@@ -175,39 +204,14 @@ def _fit_stack(series: list, data: np.ndarray, cusum=None, cov: bool = False,
         if not np.isfinite((data.shape[1] * energy) ** 2).all():
             raise OverflowError("curve coefficients too large: products of four "
                                 "of them overflow the float range")
+    data.setflags(write=False)
     paths = (cusum or _cusum_stack)(data)
     norms = np.einsum("rij,rij->ri", paths, paths)
     # rounding leaves about n eps^2 ||X||^2 in a squared norm: 100 times that is 0
     flat = norms.max(axis=1) <= 100.0 * data.shape[1] * np.finfo(float).eps ** 2 * energy
-    fits = [BreakFit(x, p, s, 1 if f else k, f) for x, p, s, k, f in zip(
-        series, paths, norms, _smallest_argmax(norms).tolist(), flat.tolist())]
-    # a stacked step that raises fills in nothing: each fit then computes its
-    # own on first read, and may fail alone
-    steps = [lambda: [{"cov": eig} for eig in map(EigenSystem, *_eigen_stack(
-        _kernel_entries(data)))]] if cov else []
-    steps += [lambda: _kernel_slots(fits, data, kernels == "null")] if kernels else []
-    for step in steps:
-        with contextlib.suppress(Exception):
-            for fit, slots in zip(fits, step()):
-                fit.__dict__.update(slots)  # ``cached_property``'s slots
-    return fits
-
-
-def _kernel_slots(fits: list, data: np.ndarray, null: bool) -> list:
-    """The ``_longrun`` and ``eig`` slots of ``fits`` of data ``data``, or with
-    ``null`` their ``null`` and ``_longrun`` and, where the split is kept, ``eig``."""
-    h = _bandwidth(data.shape[1])
-    split = _kernel_entries(data, h, [fit.k_hat for fit in fits])
-    pooled = _kernel_entries(data, h) if null else split
-    keep = _keeps_split(split, pooled) | (not null)
-    spectra = map(EigenSystem, *_eigen_stack(np.where(keep[:, None, None], split, pooled)))
-    out = []
-    for fit, entries, other, kept, eig in zip(fits, split, pooled, keep, spectra):
-        kernel = KernelMatrix(entries)
-        h0 = (fit.k_hat, kernel) if kept else (None, KernelMatrix(other))
-        out.append({"_longrun": (kernel, h), **({"eig": eig} if kept else {}),
-                    **({"null": (*h0, eig)} if null else {})})
-    return out
+    block = _FitBlock(data, np.where(flat, 1, _smallest_argmax(norms)).tolist())
+    return [BreakFit(*fit, block, row) for row, fit in enumerate(
+        zip(series, paths, norms, block.k_hats, flat.tolist()))]
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,14 @@ stream in the order ``gen_errors`` draws. Each later step is one stacked numpy
 call per block, with the bits of one call per replication, so the output does
 not depend on blocks or workers: the FAR(1) recursions, operator norms and
 calibration traces, the break insertion, and each replication's one
-``detect.BreakFit`` (``detect.fit_break`` runs the same code for one series)
-with what the block's detectors read of it: for FF and aligned (oversized in
-setting 1, see ``fpca.aligned_statistic``) size and power, the kernel split at
-k_hat, the overall-mean kernel of the H0 rule and the H0 spectrum; for
-coverage, the split kernel and its spectrum; for fPCA, the sample covariance
-spectrum; for dating by k_hat, nothing. A fit whose block step raised computes
-its own on first use, and fails alone. By ``tracemalloc``, a FAR(1) block of
-128 at D = 21 peaks at 13 MiB (dating) or 14 MiB (size or power, every
-detector) at n = 100, and at 23 or 24 MiB at n = 200.
+``detect.BreakFit`` (``detect.fit_break`` runs the same code for one series).
+The fits of a block share its kernels and spectra: the first detector that
+reads one computes it for the whole block (see ``detect._FitBlock``), so a
+block computes only what its detectors read, and dating by k_hat no kernel.
+A fit whose block step raised computes its own, and fails alone. By
+``tracemalloc``, a FAR(1) block of 128 at D = 21 peaks at 12.8 MiB (dating)
+or 13.2 MiB (size, every detector) at n = 100, and at 23.1 or 23.3 MiB at
+n = 200.
 A cell is cut into jobs of about a quarter of a worker's share, but of at
 least ``_JOB_REPS`` = 16 replications, or an equal share per worker when the
 cell is smaller: every job pays one pool round trip and one recursion of
@@ -351,11 +350,7 @@ def _replicate_block(task: _CellTask, reps: range, bank: NullBank) -> list:
     # one fit for every detector: a kernel that raises is not kept, so each
     # detector that reads it counts its own failure
     basis = FourierBasis(dgp.n_basis)
-    kinds = {kind_name for _, kind_name, _ in task.detectors}
-    kernels = ("null" if task.kind in ("size", "power") and kinds - {"fpca"}
-               else "split" if task.kind == "coverage" else None)
-    fits = _fit_stack([CurveSeries(x, basis) for x in data], data,
-                      cov="fpca" in kinds, kernels=kernels)
+    fits = _fit_stack([CurveSeries(x, basis) for x in data], data)
     out = []
     for fit in fits:
         outcomes, errors = {}, {}

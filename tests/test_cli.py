@@ -424,7 +424,6 @@ def test_fewer_than_four_years_is_a_data_error(tmp_path, capsys, years):
 
 
 def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
-    import funcbreak.basis as basis
     import funcbreak.detect as detect
 
     fits = []
@@ -436,31 +435,34 @@ def test_date_command_fits_the_break_once(step_file, monkeypatch, capsys):
 
     # the CLI reaches the fit through the detect module, the one that holds it
     monkeypatch.setattr(detect, "fit_break", counting)
-    # every namespace that holds the CUSUM or the decomposition by name counts its calls
-    calls = {"cusum_paths": 0, "eigen_decompose": 0}
-    originals = {"cusum_paths": detect.cusum_paths,
-                 "eigen_decompose": basis.eigen_decompose}
+    # every namespace that holds a stacked step by name counts the rows of its
+    # CUSUMs, split kernels and spectra
+    rows = {"cusum": 0, "split": 0, "spectra": 0}
+    originals = {"_cusum_stack": ("cusum", detect._cusum_stack),
+                 "_kernel_entries": ("split", detect._kernel_entries),
+                 "_eigen_stack": ("spectra", detect._eigen_stack)}
 
-    def counted(name):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return originals[name](*args, **kwargs)
+    def counted(kind, fn):
+        def wrapper(a, h=None, split=None):
+            if kind != "split" or split is not None:
+                rows[kind] += len(a)
+            return fn(a) if h is None else fn(a, h, split)
         return wrapper
 
     for module_name, module in list(sys.modules.items()):
-        for name, fn in originals.items():
+        for name, (kind, fn) in originals.items():
             if (module_name.split(".")[0] == "funcbreak"
                     and getattr(module, name, None) is fn):
-                monkeypatch.setattr(module, name, counted(name))
+                monkeypatch.setattr(module, name, counted(kind, fn))
     # the test takes the kernel split at k_hat here, so the test and the
     # interval read one decomposition of it; fPCA adds the covariance spectrum
     for options, decompositions in (([], 1), (["--fpca"], 2)):
         fits.clear()
-        calls.update(cusum_paths=0, eigen_decompose=0)
+        rows.update(cusum=0, split=0, spectra=0)
         assert main(["date", str(step_file), *FAST, *options]) == 0
         assert len(fits) == 1
         assert fits[0].null[0] == fits[0].k_hat
-        assert calls == {"cusum_paths": 1, "eigen_decompose": decompositions}
+        assert rows == {"cusum": 1, "split": 1, "spectra": decompositions}
 
 
 @settings(max_examples=40, deadline=None,

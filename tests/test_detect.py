@@ -243,28 +243,35 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     series = make_series(data)
     noise = make_series(0.3 * rng.standard_normal((60, 4)))
 
-    # count the CUSUMs and split kernels that fits compute
-    cusums, estimates = [], []
-    paths, estimate = detect.cusum_paths, detect.estimate_longrun
+    # count the rows of the CUSUMs, split kernels and spectra that fits compute
+    cusums, splits, spectra = [], [], []
+    paths, entries, eigen = detect._cusum_stack, detect._kernel_entries, detect._eigen_stack
 
-    def recording_paths(series):
-        cusums.append(series)
-        return paths(series)
+    def recording_paths(data):
+        cusums.extend(data)
+        return paths(data)
 
-    def recording_estimate(series, split=None):
-        estimates.append(split)
-        return estimate(series, split)
+    def recording_entries(data, h=1.0, split=None):
+        splits.extend(split or [])
+        return entries(data, h, split)
 
-    monkeypatch.setattr(detect, "cusum_paths", recording_paths)
-    monkeypatch.setattr(detect, "estimate_longrun", recording_estimate)
+    def recording_eigen(a):
+        spectra.extend(a)
+        return eigen(a)
+
+    monkeypatch.setattr(detect, "_cusum_stack", recording_paths)
+    monkeypatch.setattr(detect, "_kernel_entries", recording_entries)
+    monkeypatch.setattr(detect, "_eigen_stack", recording_eigen)
     fit = fit_break(series)
     report = ff_test(fit, 0.05, reps=19, grid=100, seed=0)
     dated = date_break(fit, 0.05)
     aligned = fpca.aligned_statistic(fit)
     fitted = fpca.fit_fpca(fit, d=2)
 
-    # the four consumers read the one fit and compute no CUSUM or kernel of their own
-    assert len(cusums) == len(estimates) == 1 and estimates == [fit.k_hat]
+    # the four consumers read the one fit and compute no CUSUM or kernel of
+    # their own; the interval reads the test's spectrum of the kept split kernel
+    assert len(cusums) == 1 and splits == [fit.k_hat]
+    assert len(spectra) == 2  # and fPCA the covariance spectrum
     assert fitted.k_hat == fit.k_hat  # the step dominates every direction
     assert report.stat == fit.norms[1:].max() == fit.norms[fit.k_hat]
     assert report.k_hat == report.config["split"] == fit.k_hat
@@ -277,7 +284,8 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
     noise_fit = fit_break(noise)
     noise_report = ff_test(noise_fit, 0.05, reps=19, grid=100, seed=0)
     noise_aligned = fpca.aligned_statistic(noise_fit)
-    assert len(cusums) == len(estimates) == 2 and noise_report.config["split"] is None
+    assert len(cusums) == len(splits) == 2 and noise_report.config["split"] is None
+    assert len(spectra) == 3
     for f, rep, stat in ((fit, report, aligned), (noise_fit, noise_report, noise_aligned)):
         kernels = {f.k_hat: f.kernel,
                    None: longrun_kernel(f.series, h=f.h)}
@@ -285,6 +293,32 @@ def test_test_dating_and_aligned_share_one_break_fit(monkeypatch):
         assert stat == pytest.approx(hand_aligned_stat(f, chosen), rel=1e-12)
         other = hand_aligned_stat(f, kernels.popitem()[1])
         assert stat != pytest.approx(other, rel=1e-3)
+
+
+def test_a_kernel_read_that_raises_is_not_kept(monkeypatch):
+    import funcbreak.detect as detect
+
+    rng = np.random.default_rng(15)
+    data = 0.3 * rng.standard_normal((60, 4))
+    data[35:] += np.array([1.5, -1.0, 0.0, 0.5])
+    lone, fit = fit_break(make_series(data)), fit_break(make_series(data))
+    entries = detect._kernel_entries
+
+    def raising_once(*args, **kwargs):
+        monkeypatch.setattr(detect, "_kernel_entries", entries)
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    # the first read raises, and the next reader computes the kernels again
+    monkeypatch.setattr(detect, "_kernel_entries", raising_once)
+    with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
+        fit.null
+
+    def as_bytes(f):
+        split, kernel, eig = f.null
+        return (split, *(a.tobytes() for a in (
+            f.kernel.entries, kernel.entries, eig.values, eig.vectors)))
+
+    assert as_bytes(fit) == as_bytes(lone)
 
 
 def test_reports_echo_the_config_of_their_fit():

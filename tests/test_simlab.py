@@ -627,8 +627,9 @@ def test_default_ff_decision_is_that_of_the_shipped_test(setting):
 @pytest.mark.parametrize("n", [10, 30, 200])
 @pytest.mark.parametrize("dependence", ["iid", "far1"])
 @pytest.mark.parametrize("setting", [1, 2, 3])
-def test_a_blocks_kernels_are_those_of_lone_fits_bit_for_bit(setting, dependence, n):
-    from funcbreak.detect import _fit_stack
+def test_a_blocks_kernels_are_those_of_lone_fits_bit_for_bit(monkeypatch, setting,
+                                                             dependence, n):
+    import funcbreak.detect as detect
 
     dgp = DgpConfig(setting=setting, dependence=dependence, n=n)
     rngs = [np.random.default_rng((setting, n, rep)) for rep in range(16)]
@@ -639,22 +640,45 @@ def test_a_blocks_kernels_are_those_of_lone_fits_bit_for_bit(setting, dependence
     data[3::4, n // 3:] += 3.0 * (np.arange(dgp.n_basis) < 2)
     basis = FourierBasis(dgp.n_basis)
 
-    def as_bytes(fit, null):
-        split, kernel, eig = fit.null if null else (None, fit.kernel, fit.eig)
+    def as_bytes(fit):
+        split, kernel, eig = fit.null
         return (fit.h, split, *(a.tobytes() for a in (
-            fit.kernel.entries, kernel.entries, eig.values, eig.vectors)))
+            fit.kernel.entries, fit.eig.values, fit.eig.vectors,
+            kernel.entries, eig.values, eig.vectors)))
 
     lone = [fit_break(CurveSeries(x, basis)) for x in data]
     assert {fit.k_hat for fit in lone} >= {1, n - 1}
-    assert {fit.null[0] is None for fit in lone} == {True, False}
-    for kernels, slots in (("null", {"_longrun", "null"}), ("split", {"_longrun", "eig"})):
-        stacked = _fit_stack([CurveSeries(x, basis) for x in data], data, kernels=kernels)
-        for fit, alone in zip(stacked, lone):
-            assert slots <= fit.__dict__.keys()  # filled in by the block, not on first read
-            null = kernels == "null"
-            assert as_bytes(fit, null) == as_bytes(alone, null)
-            if not null or fit.null[0] is not None:
-                assert as_bytes(fit, False) == as_bytes(alone, False)
+    unkept = sum(fit.null[0] is None for fit in lone)
+    assert 0 < unkept < len(lone)
+    expected = [as_bytes(fit) for fit in lone]
+
+    # the block's stacked steps record (kind, rows) of each call
+    calls = []
+
+    def recording(fn, kind_of):
+        def wrapper(a, *args, **kwargs):
+            calls.append((kind_of(*args, **kwargs), len(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(detect, "_kernel_entries", recording(
+        detect._kernel_entries, lambda h, split=None: "pooled" if split is None else "split"))
+    monkeypatch.setattr(detect, "_eigen_stack", recording(detect._eigen_stack,
+                                                          lambda: "spectra"))
+    size = len(data)
+    for first, filled in (("null", [("split", size), ("pooled", size), ("spectra", size)]),
+                          ("eig", [("split", size), ("spectra", size)])):
+        fits = detect._fit_stack([CurveSeries(x, basis) for x in data], data)
+        calls.clear()
+        getattr(fits[0], first)
+        assert calls == filled  # the first read fills every fit of the block
+        for fit in fits:
+            getattr(fit, first)
+        assert calls == filled
+        assert [as_bytes(fit) for fit in fits] == expected
+    # the block reads its data on first use: a later write must not change it
+    with pytest.raises(ValueError, match="read-only"):
+        data[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("kind, detectors, per_rep", [
@@ -681,9 +705,10 @@ def test_a_replication_fits_its_series_once(monkeypatch, kind, detectors, per_re
     import funcbreak.detect as detect
     import funcbreak.longrun as longrun
 
-    # the stacked units count the rows of each call: every CUSUM, of a block
-    # or of one fit, and every kernel and spectrum of a block go through them
-    # (a lone fit's kernel or spectrum would count in ``single``)
+    # the stacked units count the rows of each call: every CUSUM, kernel and
+    # spectrum, of a block or of a fit's own row, goes through them (a fit's
+    # own would count as a call of one row), and ``single`` counts the public
+    # one-series functions
     sizes = {name: [] for name in per_rep}
 
     def counting_stack(fn, name_of):
@@ -735,9 +760,11 @@ def test_a_failed_stacked_spectrum_falls_back_to_each_fits_own(monkeypatch):
     args = ("dating", dgp, [BreakSpec(m=1, snr=0.5, theta=0.5)])
     kwargs = dict(detectors=["FF", "fPCA@0.90"], reps=20, seed=3, workers=1)
     expected = run_experiment(*args, **kwargs).rows
-    raised, lone = [], detect.eigen_decompose
+    raised, stacked = [], detect._eigen_stack
 
     def raising(a):
+        if len(a) == 1:  # a fit's own, as a block of one
+            return stacked(a)
         raised.append(len(a))
         raise np.linalg.LinAlgError("synthetic failure")
 
@@ -745,17 +772,18 @@ def test_a_failed_stacked_spectrum_falls_back_to_each_fits_own(monkeypatch):
     # decomposes its own covariance, and the rows do not change
     monkeypatch.setattr(detect, "_eigen_stack", raising)
     assert csv_text(run_experiment(*args, **kwargs).rows) == csv_text(expected)
-    assert sum(raised) == 20  # every block took the fallback
+    assert sum(raised) == 20  # one attempt per block, not per fit
 
     # of those, one that fails counts alone, in its fPCA detector's rows
-    def failing_once(kernel):
-        failing_once.calls += 1
-        if failing_once.calls == 5:
-            raise np.linalg.LinAlgError("synthetic failure")
-        return lone(kernel)
+    def failing_once(a):
+        if len(a) == 1:
+            failing_once.calls += 1
+            if failing_once.calls == 5:
+                raise np.linalg.LinAlgError("synthetic failure")
+        return raising(a)
 
     failing_once.calls = 0
-    monkeypatch.setattr(detect, "eigen_decompose", failing_once)
+    monkeypatch.setattr(detect, "_eigen_stack", failing_once)
     res = run_experiment(*args, **kwargs)
     assert res.value(metric="failures", detector="fPCA@0.90") == 1
     assert res.select(metric="bias", detector="fPCA@0.90")[0]["reps"] == 19
@@ -775,28 +803,29 @@ def test_a_failed_stacked_kernel_falls_back_to_each_fits_own(monkeypatch):
     raised, stacked = [], detect._kernel_entries
 
     def raising(data, h=1.0, split=None):
-        if h == 1.0:  # the covariances of the fPCA spectra
+        if split is None or len(data) == 1:  # not a block's split kernels
             return stacked(data, h, split)
         raised.append(len(data))
         raise np.linalg.LinAlgError("synthetic failure")
 
-    # the stacked long-run kernels raise for the whole block: each fit then
-    # estimates its own kernels and spectra, and the rows do not change
+    # the stacked kernels split at k_hat raise for the whole block: each fit
+    # then estimates its own, and the rows do not change
     monkeypatch.setattr(detect, "_kernel_entries", raising)
     assert csv_text(run_experiment(*args, **kwargs).rows) == csv_text(expected)
-    assert sum(raised) == 20  # every block took the fallback
+    assert sum(raised) == 20  # one attempt per block, not per fit
 
-    # of those, one replication whose lone kernel fails (on every read) counts
+    # of those, one replication whose own kernel fails (on every read) counts
     # alone, once in each detector that reads the kernel
-    lone, failed = detect.estimate_longrun, []
+    failed = []
 
-    def failing_for_one(series, split=None):
-        if not failed or failed[0] is series:
-            failed[:1] = [series]
-            raise np.linalg.LinAlgError("synthetic failure")
-        return lone(series, split)
+    def failing_for_one(data, h=1.0, split=None):
+        if split is not None and len(data) == 1:
+            failed[:] = failed or [data.tobytes()]
+            if data.tobytes() == failed[0]:
+                raise np.linalg.LinAlgError("synthetic failure")
+        return raising(data, h, split)
 
-    monkeypatch.setattr(detect, "estimate_longrun", failing_for_one)
+    monkeypatch.setattr(detect, "_kernel_entries", failing_for_one)
     res = run_experiment(*args, **kwargs)
     for name in ("FF", "Aligned"):
         assert res.value(metric="failures", detector=name) == 1
